@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .core import Instance, Job, Rat, ReleaseTag, ceil_inv
-from .sim import Schedule, simulate
+from .sim import simulate
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -66,34 +66,6 @@ class AdversaryTranscript:
 
 def _elapsed_at_horizon(inst: Instance, policy: str, horizon: Rat) -> dict[int, Rat]:
     return simulate(inst, policy, horizon=horizon).final_elapsed
-
-
-def _first_quota_crossing(
-    sched: Schedule, watch: set[int], base: dict[int, Rat], t0: Rat, quota: Rat
-) -> tuple[Rat, int] | None:
-    """Earliest time > t0 when some watched job has done `quota` work since
-    t0, and the lowest crossing job id."""
-    done: dict[int, Rat] = {j: ZERO for j in watch}
-    best: tuple[Rat, int] | None = None
-    for seg in sched.segments:
-        if seg.end <= t0:
-            continue
-        lo = max(seg.start, t0)
-        for jid, rate in seg.rates.items():
-            if jid not in watch or rate <= 0:
-                continue
-            cross = lo + (quota - done[jid]) / rate
-            if cross <= seg.end:
-                if best is None or cross < best[0] or (
-                    cross == best[0] and jid < best[1]
-                ):
-                    best = (cross, jid)
-        if best is not None and best[0] <= seg.end:
-            return best
-        for jid, rate in seg.rates.items():
-            if jid in watch and rate > 0:
-                done[jid] += rate * (seg.end - lo)
-    return best
 
 
 def deterministic_lb_run(
@@ -152,10 +124,12 @@ def deterministic_lb_run(
         probe_inst = Instance(epsilon, tuple(jobs))
         horizon = t_c + (len(watch) + 1) * gamma + 1
         sched = simulate(probe_inst, policy, horizon=horizon)
-        crossing = _first_quota_crossing(sched, watch, base_e, t_c, gamma)
-        if crossing is None:
+        # the earliest time a watched job has done gamma work since t_c, and
+        # the lowest id crossing then
+        reach = sched.reach_times(dict.fromkeys(watch, gamma), t_c)
+        if not reach:
             raise AdversaryError("no quota crossing before the safety horizon")
-        t_prime, j_quota = crossing
+        t_prime, j_quota = min((t, j) for j, t in reach.items())
 
         e_at = simulate(probe_inst, policy, horizon=t_prime).final_elapsed
         declared: dict[int, Rat] = {}

@@ -9,10 +9,9 @@ carries its orders.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .core import Rat, ceil_inv, rat_str
 
@@ -62,10 +61,6 @@ class WeightedBipartiteGraph:
     def volume(self) -> Rat:
         return sum(self.weights.values(), ZERO)
 
-    def neighbors(self, right_subset: Iterable[int]) -> set[int]:
-        rs = set(right_subset)
-        return {u for (u, v) in self.weights if v in rs}
-
     def is_empty(self) -> bool:
         return not self.weights
 
@@ -85,10 +80,6 @@ EMPTY_GRAPH = graph((), (), {})
 def default_order(vols: Mapping[int, Rat]) -> tuple[int, ...]:
     """Non-increasing volume, ties by ascending id."""
     return tuple(sorted(vols, key=lambda u: (-vols[u], u)))
-
-
-def with_default_orders(h: WeightedBipartiteGraph) -> WeightedBipartiteGraph:
-    return graph(default_order(h.vols()), default_order(h.vols_star()), h.weights)
 
 
 def strip_isolated(h: WeightedBipartiteGraph) -> WeightedBipartiteGraph:
@@ -357,11 +348,14 @@ def _induced(h: WeightedBipartiteGraph, weights: dict) -> WeightedBipartiteGraph
 
 
 def merge(
-    h1: WeightedBipartiteGraph, h2: WeightedBipartiteGraph
+    h1: WeightedBipartiteGraph,
+    h2: WeightedBipartiteGraph,
+    right_key: Callable[[int], object],
 ) -> WeightedBipartiteGraph:
     """Combine two vertex-disjoint graphs into one forward graph preserving
     every per-vertex volume (greedy matching with the left side ordered by
-    non-decreasing volume, then presented in non-increasing order)."""
+    non-decreasing volume, then presented in non-increasing order); the
+    right side is sorted by `right_key`."""
     if set(h1.left) & set(h2.left) or set(h1.right) & set(h2.right):
         raise AssignmentError("merge needs vertex-disjoint graphs")
     c = {**h1.vols(), **h2.vols()}
@@ -369,7 +363,7 @@ def merge(
     if sum(c.values(), ZERO) != sum(c_star.values(), ZERO):
         raise AssignmentError("merge volume mismatch")
     a_asc = tuple(sorted(c, key=lambda u: (c[u], u)))
-    a_star = default_order(c_star)
+    a_star = tuple(sorted(c_star, key=right_key))
     g = greedy_matching(a_asc, a_star, c, c_star)
     # reversing the left order turns the backward output into a forward graph
     return graph(tuple(reversed(a_asc)), a_star, g.weights)
@@ -404,7 +398,3 @@ def graph_to_json(h: WeightedBipartiteGraph) -> dict:
             for (u, v), w in sorted(h.weights.items())
         ],
     }
-
-
-def graph_to_json_str(h: WeightedBipartiteGraph) -> str:
-    return json.dumps(graph_to_json(h), indent=2)

@@ -24,6 +24,7 @@ from .assignment import (
     graph_to_json,
     greedy_matching,
     is_forward,
+    merge,
     min_suffix,
     prefix_expansion,
     split,
@@ -47,10 +48,6 @@ class CounterexampleError(Exception):
 @lru_cache(maxsize=8192)
 def _sched(inst: Instance, policy: str) -> Schedule:
     return simulate(inst, policy)
-
-
-def clear_schedule_cache() -> None:
-    _sched.cache_clear()
 
 
 def _states(inst: Instance, policy: str, t: Rat, cutoff: str = "all"):
@@ -144,23 +141,7 @@ def _leader_of(inst: Instance, new_ids) -> int:
     return min(new_ids, key=lambda i: (-inst.job(i).size, i))
 
 
-def _last_touch_segment_job(sched: Schedule, ell: Rat) -> int | None:
-    """The job receiving rate on the segment ending at ell (None if idle)."""
-    for seg in reversed(sched.segments):
-        if seg.start < ell <= seg.end:
-            if not seg.rates:
-                return None
-            if len(seg.rates) > 1:
-                return None
-            return next(iter(seg.rates))
-        if seg.end < ell:
-            break
-    return None
-
-
-def compute_work_split(
-    inst: Instance, s: Rat, ell: Rat, new_ids, verify_preconditions: bool = True
-) -> WorkSplit:
+def compute_work_split(inst: Instance, s: Rat, ell: Rat, new_ids) -> WorkSplit:
     """Delta/tau/tau*/nu bookkeeping for the batch `new_ids` arriving at s,
     fast-forwarded to ell. Verifies (rather than assumes) the fast-forward
     preconditions and the structural case table; failures raise
@@ -178,7 +159,7 @@ def compute_work_split(
     U_s = {i for i, st in pre.items() if not st.known}
     leader = _leader_of(inst, new_ids)
 
-    if verify_preconditions and ell > s:
+    if ell > s:
         # arrivals exactly at ell are the next iteration's batch, not a breach
         for j in inst.jobs:
             if s < j.release.time < ell:
@@ -197,14 +178,7 @@ def compute_work_split(
                 if alg.elapsed_at(ell).get(i, ZERO) < inst.job(i).size:
                     raise CounterexampleError("ff-degenerate-batch-alive", job=i)
         else:
-            leader_touched = leader in {
-                jid
-                for seg in alg.segments
-                if seg.start < ell <= seg.end
-                for jid, rate in seg.rates.items()
-                if rate > 0
-            }
-            if not leader_touched:
+            if leader not in alg.rates_before(ell):
                 raise CounterexampleError(
                     "ff-pre-leader-touched", leader=leader, ell=ell
                 )
@@ -251,12 +225,14 @@ def compute_work_split(
     # nu identity: the volume SLF pours into old jobs equals the remaining
     # times of the known jobs it finishes (Fact: nu = sum r_j(s), K(s)\K(ell))
     expect_nu = sum((pre[i].remaining for i in K_s - K_ell), ZERO)
-    if ell > s and verify_preconditions and nu != expect_nu:
+    if ell > s and nu != expect_nu:
         raise CounterexampleError("fact-nu", nu=nu, expected=expect_nu)
 
-    z = _last_touch_segment_job(opt, ell)
+    # the optimum's partial job: the one it ran alone right before ell
+    before = opt.rates_before(ell)
+    z = next(iter(before)) if len(before) == 1 else None
 
-    if ell > s and verify_preconditions:
+    if ell > s:
         one_over = Fraction(1, 1) / (1 - eps)
         for j in sorted(new_ids):
             if j == z:
@@ -331,27 +307,6 @@ def _family_right_order(vols: dict[int, Rat], families) -> tuple[int, ...]:
         for pos, v in enumerate(fam):
             rank.setdefault(v, (fi, pos))
     return tuple(sorted(vols, key=lambda v: (-vols[v],) + rank.get(v, (99, v))))
-
-
-def _merge_opt_order(
-    h2: WeightedBipartiteGraph,
-    ms: WeightedBipartiteGraph,
-    r_star_s: dict[int, Rat],
-) -> WeightedBipartiteGraph:
-    """Merge the old-job graph with the batch matching, ordering the right
-    side by the optimum's consumption order during (s, ell]: non-increasing
-    remaining time at s (a new job's remaining at s is its full size), ties
-    by descending id so the suffix is consumed smallest-id-first. The left
-    side follows the merging lemma (non-decreasing volume, presented
-    reversed); the output is forward with per-vertex volumes preserved."""
-    if set(h2.left) & set(ms.left) or set(h2.right) & set(ms.right):
-        raise CounterexampleError("merge-overlap")
-    c = {**h2.vols(), **ms.vols()}
-    c_star = {**h2.vols_star(), **ms.vols_star()}
-    a_asc = tuple(sorted(c, key=lambda u: (c[u], u)))
-    a_star = tuple(sorted(c_star, key=lambda v: (-r_star_s[v], -v)))
-    g = greedy_matching(a_asc, a_star, c, c_star)
-    return graph(tuple(reversed(a_asc)), a_star, g.weights)
 
 
 def update_valid_assignment(
@@ -432,7 +387,10 @@ def _update_one(inst, ws: WorkSplit, kprime, h2, m2_w, r_ell, r_star_ell, r_star
     if len(md.weights) > 1:
         raise CounterexampleError("residual-matching-size", edges=len(md.weights))
 
-    h3 = _merge_opt_order(h2, ms, r_star_s)
+    # right side in the optimum's consumption order during (s, ell]:
+    # non-increasing remaining time at s (a new job's is its full size), ties
+    # by descending id so the suffix is consumed smallest-id-first
+    h3 = merge(h2, ms, lambda v: (-r_star_s[v], -v))
     phi3 = prefix_expansion(h3)
     if phi3 > kprime:
         raise CounterexampleError("merged-expansion", phi=phi3, bound=kprime)
@@ -718,16 +676,10 @@ def create_valid_assignment(inst: Instance, t: Rat) -> Certificate:
             # known-run: walk maximal run of solo known jobs from K(s)
             known_now = {i for i, st in post.items() if st.known}
             cursor = s
-            for seg in alg.segments:
-                if seg.end <= cursor:
-                    continue
-                if seg.start > cursor or cursor >= t:
+            for _, end, job in alg.solo_runs(s):
+                if cursor >= t or job not in known_now:
                     break
-                support = set(seg.rates)
-                if len(support) == 1 and support <= known_now:
-                    cursor = seg.end
-                else:
-                    break
+                cursor = end
             if cursor == s:
                 raise CounterexampleError("known-run-empty", s=s)
             s_next = min(cursor, t)
@@ -748,12 +700,9 @@ def create_valid_assignment(inst: Instance, t: Rat) -> Certificate:
             continue
 
         leader = _leader_of(cur, batch)
-        known_events = [
-            ev for ev in alg.events if ev.kind == "known" and ev.job == leader
-        ]
-        if not known_events:
+        b_s = alg.known_times().get(leader)
+        if b_s is None:
             raise CounterexampleError("leader-knowledge-missing", leader=leader)
-        b_s = known_events[0].t
 
         if b_s <= t:
             # a batch exactly at b_s is the next iteration's problem; moving
@@ -784,12 +733,7 @@ def create_valid_assignment(inst: Instance, t: Rat) -> Certificate:
             continue
 
         # b_s > t: fast-forward to the leader's last touch time before t
-        ell = None
-        for seg in alg.segments:
-            if seg.start >= t:
-                break
-            if leader in seg.rates and seg.rates[leader] > 0:
-                ell = min(seg.end, t)
+        ell = alg.last_touch(leader, t)
         if ell is None:
             raise CounterexampleError("last-touch-missing", leader=leader, s=s)
         movers = [j for j in cur.jobs if s < j.release.time < ell]
@@ -852,9 +796,11 @@ class CertificateReport:
 
 
 def verify_certificate(cert: Certificate) -> CertificateReport:
-    """Independently re-simulate both schedulers on the transformed instance
-    and audit the certificate: exact marginals, expansion bound, target-time
-    equivalence, the optimum-count comparison, and the count conclusion."""
+    """Audit the certificate against both schedulers' schedules of the
+    original and transformed instances: exact marginals, expansion bound,
+    target-time equivalence, the optimum-count comparison, and the count
+    conclusion. The schedules come from the same cache that construction
+    filled, so an engine bug that construction relied on is not caught."""
     checks: dict[str, bool] = {}
     details: dict[str, str] = {}
     inst, cur, t = cert.original, cert.transformed, cert.target_time

@@ -123,12 +123,9 @@ def cmd_compare(args) -> int:
 
 def cmd_certify(args) -> int:
     inst = _load_instance(args.instance)
-    try:
-        t = parse_rat(args.time)
-        if t < 0:
-            raise InstanceError("target time must be >= 0")
-    except InstanceError:
-        raise
+    t = parse_rat(args.time)
+    if t < 0:
+        raise InstanceError("target time must be >= 0")
     out = _outdir(args)
     try:
         cert = create_valid_assignment(inst, t)
@@ -224,24 +221,27 @@ def _sweep_one(task) -> tuple[int, dict]:
 def cmd_sweep(args) -> int:
     if args.samples < 0:
         raise InstanceError("samples must be >= 0")
-    eps_list = [parse_rat(e) for e in args.epsilon] if args.epsilon else [None]
+    if args.kind == "geometric":
+        # the geometric sampler fixes eps = 1/(2k), so --epsilon adds no rows
+        if args.k < 1:
+            raise InstanceError("k must be >= 1")
+        eps_list = [Fraction(1, 2 * args.k)]
+    else:
+        eps_list = [parse_rat(e) for e in args.epsilon] if args.epsilon else [None]
     rows = []
     tasks = []
-    idx = 0
     for eps in eps_list:
+        if args.kind == "geometric":
+            params = {"k": args.k}
+        elif args.kind == "phase":
+            params = {"epsilon": eps, "k": args.k}
+        elif args.kind == "exp":
+            params = {"n": args.n, "epsilon": eps}
+        else:
+            raise InstanceError(f"unknown sampler kind {args.kind}")
         for i in range(args.samples):
-            params: dict = {}
-            if args.kind == "geometric":
-                params = {"k": args.k}
-            elif args.kind == "phase":
-                params = {"epsilon": eps, "k": args.k}
-            elif args.kind == "exp":
-                params = {"n": args.n, "epsilon": eps}
-            else:
-                raise InstanceError(f"unknown sampler kind {args.kind}")
-            tasks.append((idx, args.kind, params, args.policy, args.seed + i))
+            tasks.append((len(tasks), args.kind, params, args.policy, args.seed + i))
             rows.append({"epsilon": None if eps is None else rat_str(eps)})
-            idx += 1
     results: dict[int, dict] = {}
     if args.jobs > 1 and tasks:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -281,9 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, out=True):
-        if out:
-            p.add_argument("--out", default="out", help="output directory")
+    def common(p):
+        p.add_argument("--out", default="out", help="output directory")
 
     p = sub.add_parser("simulate", help="run one policy on an instance")
     p.add_argument("instance")

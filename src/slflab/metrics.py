@@ -103,17 +103,13 @@ def delta_profile(
     threshold = Fraction(threshold)
     points = set(sched.boundaries())
     if threshold > 0:
-        remaining = {j.id: j.size for j in inst.jobs if j.size is not None}
-        for seg in sched.segments:
-            dur = seg.end - seg.start
-            for jid, rate in seg.rates.items():
-                if rate <= 0 or jid not in remaining:
-                    continue
-                r0 = remaining[jid]
-                r1 = r0 - rate * dur
-                if r0 > threshold >= r1:
-                    points.add(seg.start + (r0 - threshold) / rate)
-                remaining[jid] = r1
+        # a job's remaining time reaches the threshold when its work does
+        levels = {
+            j.id: j.size - threshold
+            for j in inst.jobs
+            if j.size is not None and j.size > threshold
+        }
+        points.update(sched.reach_times(levels, ZERO).values())
     out = []
     last = None
     for t in sorted(points):

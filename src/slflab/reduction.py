@@ -104,18 +104,17 @@ class ChainReport:
     witness: dict = field(default_factory=dict)
 
 
-def setfi_vs_setf(inst: Instance, forbidden: IntervalSet) -> ChainReport:
-    """Per-job elapsed dominance of forced-idle SETF under plain SETF, and
-    the count inequality |SETF(t)| <= |SETFI(t)|, at all event times."""
-    plain = simulate(inst, "setf")
-    idled = simulate(inst, "setf", forbidden=forbidden)
+def setfi_vs_setf(plain: Schedule, idled: Schedule) -> ChainReport:
+    """Per-job elapsed dominance of forced-idle SETF (`idled`) under plain
+    SETF (`plain`) on the same instance, and the count inequality
+    |SETF(t)| <= |SETFI(t)|, at all event times."""
     times = sorted(set(plain.boundaries()) | set(idled.boundaries()))
     checks = {"elapsed-dominance": True, "count": True}
     witness: dict = {}
     for t in times:
         ei = idled.elapsed_at(t)
         ep = plain.elapsed_at(t)
-        for j in inst.jobs:
+        for j in plain.instance.jobs:
             if ei.get(j.id, ZERO) > ep.get(j.id, ZERO):
                 checks["elapsed-dominance"] = False
                 witness.setdefault("elapsed", (t, j.id))
@@ -125,26 +124,14 @@ def setfi_vs_setf(inst: Instance, forbidden: IntervalSet) -> ChainReport:
     return ChainReport(all(checks.values()), checks, witness)
 
 
-def known_work_intervals(alg: Schedule, inst: Instance) -> IntervalSet:
+def known_work_intervals(alg: Schedule) -> IntervalSet:
     """Positive-measure intervals where the schedule works on a known job."""
-    eps = inst.epsilon
-    thr = {j.id: (1 - eps) * j.size for j in inst.jobs if j.size is not None}
-    elapsed: dict[int, Rat] = {}
-    spans: list[tuple[Rat, Rat]] = []
-    for seg in alg.segments:
-        known_run = False
-        if len(seg.rates) == 1:
-            (jid, rate), = seg.rates.items()
-            if rate > 0 and jid in thr and elapsed.get(jid, ZERO) >= thr[jid]:
-                known_run = True
-        if known_run and seg.end > seg.start:
-            if spans and spans[-1][1] == seg.start:
-                spans[-1] = (spans[-1][0], seg.end)
-            else:
-                spans.append((seg.start, seg.end))
-        for jid, rate in seg.rates.items():
-            elapsed[jid] = elapsed.get(jid, ZERO) + rate * (seg.end - seg.start)
-    return IntervalSet.from_pairs(spans)
+    known = alg.known_times()
+    return IntervalSet.from_pairs(
+        (start, end)
+        for start, end, job in alg.solo_runs(ZERO)
+        if job in known and known[job] <= start
+    )
 
 
 def reduction_check(inst: Instance, epsilon: Rat) -> ChainReport:
@@ -162,7 +149,7 @@ def reduction_check(inst: Instance, epsilon: Rat) -> ChainReport:
     speed = 1 / (1 - epsilon)  # 1 + eps/(1-eps)
 
     alg = simulate(inst, "slf")
-    forbidden = known_work_intervals(alg, inst)
+    forbidden = known_work_intervals(alg)
     scaled = scale_instance(inst, 1 - epsilon)
 
     fast = simulate(inst, "setf", speed=speed)
@@ -185,7 +172,7 @@ def reduction_check(inst: Instance, epsilon: Rat) -> ChainReport:
         | set(idled.boundaries())
         | set(alg.boundaries())
     )
-    dom = setfi_vs_setf(scaled, forbidden)
+    dom = setfi_vs_setf(slow, idled)
     checks["setfi-dominance"] = dom.ok
     if not dom.ok:
         witness["setfi"] = dom.witness

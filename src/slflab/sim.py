@@ -14,9 +14,11 @@ O(log n) bookkeeping regardless of group size.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_right, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
+from operator import attrgetter
 
 from .core import Instance, Rat
 
@@ -59,14 +61,6 @@ class IntervalSet:
     def __bool__(self) -> bool:
         return bool(self.intervals)
 
-    def covers(self, t: Rat) -> bool:
-        for a, b in self.intervals:
-            if a <= t < b:
-                return True
-            if a > t:
-                break
-        return False
-
 
 EMPTY_INTERVALS = IntervalSet()
 
@@ -83,6 +77,9 @@ class Segment:
     start: Rat
     end: Rat
     rates: dict  # job id -> Rat, work units per time unit
+
+
+_END = attrgetter("end")
 
 
 @dataclass
@@ -129,6 +126,60 @@ class Schedule:
             for jid, rate in seg.rates.items():
                 elapsed[jid] = elapsed.get(jid, ZERO) + rate * dur
         return elapsed
+
+    # other modules read segments only through these queries
+
+    def _segments_after(self, t: Rat):
+        """Segments with end > t, in time order."""
+        return islice(self.segments, bisect_right(self.segments, t, key=_END), None)
+
+    def rates_before(self, t: Rat) -> dict[int, Rat]:
+        """Rates of the segment with start < t <= end (the work right before
+        t); empty when that segment is idle or t is outside (0, end_time]."""
+        i = bisect_left(self.segments, t, key=_END)
+        if i < len(self.segments) and self.segments[i].start < t:
+            return self.segments[i].rates
+        return {}
+
+    def last_touch(self, job: int, t: Rat) -> Rat | None:
+        """The end, capped at t, of the last segment starting before t that
+        gives `job` positive rate; None if the job does not run before t."""
+        i = bisect_left(self.segments, t, key=_END)
+        for seg in reversed(self.segments[: i + 1]):
+            if seg.start < t and seg.rates.get(job, ZERO) > 0:
+                return min(seg.end, t)
+        return None
+
+    def solo_runs(self, start: Rat):
+        """(start, end, job) for each segment with end > `start`, in time
+        order; `job` is the only job receiving rate, or None when the
+        segment is idle or shared."""
+        for seg in self._segments_after(start):
+            job = next(iter(seg.rates)) if len(seg.rates) == 1 else None
+            yield seg.start, seg.end, job
+
+    def known_times(self) -> dict[int, Rat]:
+        """Job id -> the time of its `known` event (at most one per job)."""
+        return {ev.job: ev.t for ev in self.events if ev.kind == "known"}
+
+    def reach_times(self, levels: dict[int, Rat], after: Rat) -> dict[int, Rat]:
+        """Job id -> the first time at which the job's work since `after`
+        equals its (positive) level; jobs that never get there are absent."""
+        done: dict[int, Rat] = {}
+        out: dict[int, Rat] = {}
+        for seg in self._segments_after(after):
+            lo = max(seg.start, after)
+            for jid, rate in seg.rates.items():
+                if jid not in levels or jid in out:
+                    continue
+                need = levels[jid] - done.get(jid, ZERO)
+                if need <= rate * (seg.end - lo):
+                    out[jid] = lo + need / rate
+                else:
+                    done[jid] = done.get(jid, ZERO) + rate * (seg.end - lo)
+            if len(out) == len(levels):
+                break
+        return out
 
 
 class _Group:
@@ -618,11 +669,10 @@ def touched_jobs(sched: Schedule, start: Rat, end: Rat) -> set[int]:
     if end < start:
         raise SimulationError("interval must have start <= end")
     out: set[int] = set()
-    for seg in sched.segments:
-        lo = max(seg.start, start)
-        hi = min(seg.end, end)
-        if hi > lo:
-            out.update(jid for jid, rate in seg.rates.items() if rate > 0)
+    for seg in sched._segments_after(start) if end > start else ():
+        if seg.start >= end:
+            break
+        out.update(jid for jid, rate in seg.rates.items() if rate > 0)
     return out
 
 

@@ -164,6 +164,13 @@ def test_sweep(tmp_path):
     assert (empty / "sweep.csv").read_text().splitlines() == [
         "epsilon,sample,value,target"
     ]
+    # the geometric sampler fixes eps = 1/(2k): --epsilon adds no rows
+    geo = tmp_path / "geo"
+    argv = ["sweep", "--kind", "geometric", "--k", "2", "--epsilon", "1/2", "3/4"]
+    assert main(argv + ["--samples", "2", "--seed", "1", "--out", str(geo)]) == 0
+    rows = (geo / "sweep.csv").read_text().splitlines()
+    assert len(rows) == 3
+    assert [r.split(",")[:2] for r in rows[1:]] == [["1/4", "0"], ["1/4", "1"]]
 
 
 def test_reduce_cli(tmp_path):

@@ -71,15 +71,15 @@ def test_setfi_empty_interval_identical():
     plain = simulate(inst, "setf")
     idled = simulate(inst, "setf", forbidden=IntervalSet.from_pairs([]))
     assert plain.segments == idled.segments
-    assert setfi_vs_setf(inst, IntervalSet.from_pairs([])).ok
+    assert setfi_vs_setf(plain, idled).ok
 
 
 def test_setfi_dominance_toy():
     inst = toy_instance()
-    rep = setfi_vs_setf(inst, IntervalSet.from_pairs([(F(1), F(2))]))
-    assert rep.ok
     plain = simulate(inst, "setf")
     idled = simulate(inst, "setf", forbidden=IntervalSet.from_pairs([(F(1), F(2))]))
+    rep = setfi_vs_setf(plain, idled)
+    assert rep.ok
     assert max(idled.completions.values()) >= max(plain.completions.values())
 
 
@@ -89,13 +89,14 @@ def test_setfi_dominance_random():
         inst = random_instance(rng, F(0), rng.randint(1, 7))
         a = F(rng.randint(0, 8), rng.randint(1, 2))
         b = a + F(rng.randint(1, 5), rng.randint(1, 2))
-        rep = setfi_vs_setf(inst, IntervalSet.from_pairs([(a, b)]))
+        idled = simulate(inst, "setf", forbidden=IntervalSet.from_pairs([(a, b)]))
+        rep = setfi_vs_setf(simulate(inst, "setf"), idled)
         assert rep.ok, rep.witness
 
 
 def test_known_work_intervals_toy():
     inst = toy_instance()
-    intervals = known_work_intervals(simulate(inst, "slf"), inst)
+    intervals = known_work_intervals(simulate(inst, "slf"))
     # the known runs in the worked example: job 6, job 5, jobs 3,4, job 2, job 1
     assert (F(3), F(7, 2)) in intervals.intervals
     assert (F(6), F(7)) in intervals.intervals

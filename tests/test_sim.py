@@ -182,3 +182,60 @@ def test_eps_one_known_on_arrival():
         (F(2), "arrival"),
         (F(2), "known"),
     ]
+
+
+def test_schedule_queries_match_plain_scans():
+    rng = random.Random(9)
+    for _ in range(25):
+        inst = random_instance(rng, F(rng.randint(1, 9), 10), rng.randint(1, 7))
+        for policy in ("slf", "srpt", "setf", "rr"):
+            sched = simulate(inst, policy)
+            segs = sched.segments
+            times = sched.boundaries()
+            probes = sorted(set(times) | {(a + b) / 2 for a, b in zip(times, times[1:])})
+            # each known event is the first boundary where state_at says known
+            first_known: dict = {}
+            for t in times:
+                for jid, st in state_at(sched, inst, t).items():
+                    if st.known:
+                        first_known.setdefault(jid, t)
+            assert sched.known_times() == first_known, policy
+            # reach_times: work since `after` first equals the level there
+            after = rng.choice(probes)
+            base = sched.elapsed_at(after)
+            levels = {j.id: j.size * F(rng.randint(1, 4), 4) for j in inst.jobs}
+            reach = sched.reach_times(levels, after)
+            for jid, level in levels.items():
+                def work(t):
+                    return sched.elapsed_at(t).get(jid, F(0)) - base.get(jid, F(0))
+
+                if jid in reach:
+                    assert work(reach[jid]) == level
+                    assert all(work(b) < level for b in times if after <= b < reach[jid])
+                else:
+                    assert work(sched.end_time) < level
+            # the bisected queries agree with scans over every segment
+            for t in probes + [sched.end_time + 1]:
+                cover = [seg.rates for seg in segs if seg.start < t <= seg.end]
+                assert sched.rates_before(t) == (cover[0] if cover else {})
+                for j in inst.jobs:
+                    ends = [
+                        min(seg.end, t)
+                        for seg in segs
+                        if seg.start < t and seg.rates.get(j.id, 0) > 0
+                    ]
+                    assert sched.last_touch(j.id, t) == (ends[-1] if ends else None)
+                runs = [
+                    (seg.start, seg.end, next(iter(seg.rates)) if len(seg.rates) == 1 else None)
+                    for seg in segs
+                    if seg.end > t
+                ]
+                assert list(sched.solo_runs(t)) == runs
+                end = t + F(rng.randint(0, 3), 2)
+                touched = {
+                    jid
+                    for seg in segs
+                    if min(seg.end, end) > max(seg.start, t)
+                    for jid in seg.rates
+                }
+                assert touched_jobs(sched, t, end) == touched
