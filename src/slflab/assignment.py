@@ -227,15 +227,6 @@ def canonical_from_marginals(
     return graph(left, right, weights)
 
 
-def assignment_from_states(slf_states, opt_states) -> WeightedBipartiteGraph:
-    """Canonical graph whose marginals are the two queues' remaining times."""
-    lv = {j: s.remaining for j, s in slf_states.items()}
-    rv = {j: s.remaining for j, s in opt_states.items()}
-    if None in lv.values() or None in rv.values():
-        raise AssignmentError("assignments need declared remaining times")
-    return canonical_from_marginals(lv, rv)
-
-
 def greedy_matching(
     a_order: Sequence[int],
     a_star_order: Sequence[int],

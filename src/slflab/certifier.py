@@ -31,7 +31,7 @@ from .assignment import (
     union,
 )
 from .core import Instance, Rat, ReleaseTag, ceil_inv, rat_str
-from .sim import Schedule, simulate, state_at, touched_jobs
+from .sim import JobState, Schedule, simulate, state_at, touched_jobs
 
 ZERO = Fraction(0)
 
@@ -102,7 +102,8 @@ def check_t_equivalence(original: Instance, transformed: Instance, t: Rat) -> bo
 @dataclass
 class WorkSplit:
     """Exact accounting of the work both schedulers do on a batch during
-    (s, ell]: the shared part, each side's excess, and the old-job volumes."""
+    (s, ell]: the shared part, each side's excess, and the old-job volumes,
+    with the queue states it was derived from (right before s and ell)."""
 
     s: Rat
     ell: Rat
@@ -119,10 +120,12 @@ class WorkSplit:
     A_plus: set[int]
     D_ell: set[int]
     K_s: set[int]
-    U_s: set[int]
     K_ell: set[int]
     last_opt_touched: int | None
     new_ids: set[int]
+    slf_s: dict[int, JobState]
+    slf_ell: dict[int, JobState]
+    opt_ell: dict[int, JobState]
 
     @property
     def delta_total(self) -> Rat:
@@ -156,8 +159,8 @@ def compute_work_split(inst: Instance, s: Rat, ell: Rat, new_ids) -> WorkSplit:
 
     pre = _states(inst, "slf", s, cutoff="none")
     K_s = {i for i, st in pre.items() if st.known}
-    U_s = {i for i, st in pre.items() if not st.known}
     leader = _leader_of(inst, new_ids)
+    e_alg = alg.elapsed_at(ell)
 
     if ell > s:
         # arrivals exactly at ell are the next iteration's batch, not a breach
@@ -170,12 +173,12 @@ def compute_work_split(inst: Instance, s: Rat, ell: Rat, new_ids) -> WorkSplit:
         stray = touched - new_ids - K_s
         if stray:
             raise CounterexampleError("ff-pre-only-new-or-known", jobs=sorted(stray))
-        e_leader = alg.elapsed_at(ell).get(leader, ZERO)
+        e_leader = e_alg.get(leader, ZERO)
         if e_leader >= inst.job(leader).size:
             # degenerate batch: the leader is done, so every batch job must be
             # done too, and the touched/unknown preconditions are vacuous
             for i in new_ids:
-                if alg.elapsed_at(ell).get(i, ZERO) < inst.job(i).size:
+                if e_alg.get(i, ZERO) < inst.job(i).size:
                     raise CounterexampleError("ff-degenerate-batch-alive", job=i)
         else:
             if leader not in alg.rates_before(ell):
@@ -185,7 +188,6 @@ def compute_work_split(inst: Instance, s: Rat, ell: Rat, new_ids) -> WorkSplit:
             if e_leader > (1 - eps) * inst.job(leader).size:
                 raise CounterexampleError("ff-pre-leader-unknown", leader=leader)
 
-    e_alg = alg.elapsed_at(ell)
     e_opt = opt.elapsed_at(ell)
 
     gamma = e_alg.get(leader, ZERO)
@@ -281,10 +283,12 @@ def compute_work_split(inst: Instance, s: Rat, ell: Rat, new_ids) -> WorkSplit:
         A_plus=A_plus,
         D_ell=D_ell,
         K_s=K_s,
-        U_s=U_s,
         K_ell=K_ell,
         last_opt_touched=z,
         new_ids=new_ids,
+        slf_s=pre,
+        slf_ell=slf_ell,
+        opt_ell=opt_ell,
     )
 
 
@@ -332,9 +336,8 @@ def update_valid_assignment(
 
     if not is_forward(sigma):
         raise CounterexampleError("sigma-not-forward")
-    pre_slf = _states(inst, "slf", s, cutoff="none")
     pre_opt = _states(inst, "srpt", s, cutoff="none")
-    if sigma.vols() != {i: st.remaining for i, st in pre_slf.items() if st.remaining}:
+    if sigma.vols() != {i: st.remaining for i, st in ws.slf_s.items() if st.remaining}:
         raise CounterexampleError("sigma-left-marginals")
     if sigma.vols_star() != {
         i: st.remaining for i, st in pre_opt.items() if st.remaining
@@ -348,10 +351,8 @@ def update_valid_assignment(
     h1p, _h1s = split(sigma, min(ws.nu, ws.nu_star))
     h2 = h1p
 
-    slf_ell = _states(inst, "slf", ell, cutoff="none")
-    opt_ell = _states(inst, "srpt", ell, cutoff="none")
-    r_ell = {i: st.remaining for i, st in slf_ell.items()}
-    r_star_ell = {i: st.remaining for i, st in opt_ell.items()}
+    r_ell = {i: st.remaining for i, st in ws.slf_ell.items()}
+    r_star_ell = {i: st.remaining for i, st in ws.opt_ell.items()}
     # the optimum's remaining times right before the batch arrived at s
     r_star_s = {i: st.remaining for i, st in pre_opt.items()}
     for i in new_ids:
@@ -364,7 +365,7 @@ def update_valid_assignment(
     else:
         sigma_prime = _update_two(inst, ws, kprime, h2, m2_w, r_ell, r_star_ell)
 
-    _verify_marginal_properties(inst, ws, sigma, m1, sigma_prime, pre_slf, pre_opt)
+    _verify_marginal_properties(ws, sigma, m1, sigma_prime, pre_opt)
 
     if sigma_prime.vols() != {i: r for i, r in r_ell.items() if r}:
         raise CounterexampleError("updated-left-marginals")
@@ -514,7 +515,7 @@ def _update_two(inst, ws: WorkSplit, kprime, h2, m2_w, r_ell, r_star_ell):
     return graph(out.left, order, out.weights)
 
 
-def _verify_marginal_properties(inst, ws: WorkSplit, h1, m1, hp, pre_slf, pre_opt):
+def _verify_marginal_properties(ws: WorkSplit, h1, m1, hp, pre_opt):
     """The five per-job volume identities of the updated graph."""
     vol_hp = hp.vols()
     vol_hp_star = hp.vols_star()
@@ -526,7 +527,7 @@ def _verify_marginal_properties(inst, ws: WorkSplit, h1, m1, hp, pre_slf, pre_op
         if lhs != ws.delta[i] + ws.tau_star[i]:
             raise CounterexampleError("H'-property-4", job=i, got=lhs)
     vol_h1 = h1.vols()
-    for i, st in pre_slf.items():
+    for i, st in ws.slf_s.items():
         if i in ws.K_s - ws.K_ell:
             lhs = vol_h1.get(i, ZERO) - vol_hp.get(i, ZERO)
             if lhs != st.remaining:
@@ -535,9 +536,8 @@ def _verify_marginal_properties(inst, ws: WorkSplit, h1, m1, hp, pre_slf, pre_op
             if vol_hp.get(i, ZERO) != vol_h1.get(i, ZERO):
                 raise CounterexampleError("H'-property-3", job=i)
     vol_h1_star = h1.vols_star()
-    opt_ell = _states(inst, "srpt", ws.ell, cutoff="none")
     for i, st in pre_opt.items():
-        r_now = opt_ell[i].remaining if i in opt_ell else ZERO
+        r_now = ws.opt_ell[i].remaining if i in ws.opt_ell else ZERO
         lhs = vol_h1_star.get(i, ZERO) - vol_hp_star.get(i, ZERO)
         if lhs != st.remaining - r_now:
             raise CounterexampleError("H'-property-5", job=i, got=lhs)
@@ -625,18 +625,14 @@ def create_valid_assignment(inst: Instance, t: Rat) -> Certificate:
     kprime = ceil_inv(eps)
     transcript: list[IterationRecord] = []
 
+    cur = inst
+    s = ZERO
     if eps == 1:
-        final = _canonical_at(inst, t, "all")
-        checked = check_assignment(final, eps)
         transcript.append(
             IterationRecord("identity", t, t, {"note": "eps=1: alg coincides with opt"})
         )
-        if not checked.valid:
-            raise CounterexampleError("final-expansion", phi=checked.phi)
-        return Certificate(inst, inst, t, checked, transcript)
+        s = t
 
-    cur = inst
-    s = ZERO
     max_iter = 6 * len(inst.jobs) + 16
     iters = 0
     while s < t:
@@ -705,37 +701,14 @@ def create_valid_assignment(inst: Instance, t: Rat) -> Certificate:
             raise CounterexampleError("leader-knowledge-missing", leader=leader)
 
         if b_s <= t:
-            # a batch exactly at b_s is the next iteration's problem; moving
-            # it would change its elapsed time at b_s and break equivalence
-            movers = [j for j in cur.jobs if s < j.release.time < b_s]
-            if movers:
-                cur = move_jobs(cur, s, max(j.release.time for j in movers))
-                transcript.append(
-                    IterationRecord(
-                        "move", s, s, {"until": b_s, "jobs": sorted(j.id for j in movers)}
-                    )
-                )
-                continue
-            sigma_prime = update_valid_assignment(cur, batch, s, b_s, sigma)
-            transcript.append(
-                IterationRecord(
-                    "fast-forward-knowledge",
-                    s,
-                    b_s,
-                    {
-                        "leader": leader,
-                        "batch": batch,
-                        "phi_witness": prefix_expansion(sigma_prime),
-                    },
-                )
-            )
-            s = b_s
-            continue
-
-        # b_s > t: fast-forward to the leader's last touch time before t
-        ell = alg.last_touch(leader, t)
-        if ell is None:
-            raise CounterexampleError("last-touch-missing", leader=leader, s=s)
+            ell, case = b_s, "fast-forward-knowledge"
+        else:
+            # the leader stays unknown through t: stop at its last touch
+            ell, case = alg.last_touch(leader, t), "fast-forward-last-touch"
+            if ell is None:
+                raise CounterexampleError("last-touch-missing", leader=leader, s=s)
+        # a batch exactly at ell is the next iteration's problem; moving it
+        # would change its elapsed time at ell and break equivalence
         movers = [j for j in cur.jobs if s < j.release.time < ell]
         if movers:
             cur = move_jobs(cur, s, max(j.release.time for j in movers))
@@ -745,19 +718,20 @@ def create_valid_assignment(inst: Instance, t: Rat) -> Certificate:
                 )
             )
             continue
-        # every batch job is unknown or completed at ell (knowledge exactly
-        # at ell is the boundary case and counts as frozen-known, which the
-        # next iteration's known-run handles)
-        e_now = alg.elapsed_at(ell)
-        for i in batch:
-            p = cur.job(i).size
-            e = e_now.get(i, ZERO)
-            if e < p and e > (1 - eps) * p:
-                raise CounterexampleError("batch-frozen-or-done", job=i, ell=ell)
+        if case == "fast-forward-last-touch":
+            # every batch job is unknown or completed at ell (knowledge
+            # exactly at ell is the boundary case and counts as frozen-known,
+            # which the next iteration's known-run handles)
+            e_now = alg.elapsed_at(ell)
+            for i in batch:
+                p = cur.job(i).size
+                e = e_now.get(i, ZERO)
+                if e < p and e > (1 - eps) * p:
+                    raise CounterexampleError("batch-frozen-or-done", job=i, ell=ell)
         sigma_prime = update_valid_assignment(cur, batch, s, ell, sigma)
         transcript.append(
             IterationRecord(
-                "fast-forward-last-touch",
+                case,
                 s,
                 ell,
                 {

@@ -227,7 +227,7 @@ def cmd_sweep(args) -> int:
             raise InstanceError("k must be >= 1")
         eps_list = [Fraction(1, 2 * args.k)]
     else:
-        eps_list = [parse_rat(e) for e in args.epsilon] if args.epsilon else [None]
+        eps_list = [parse_rat(e) for e in args.epsilon]
     rows = []
     tasks = []
     for eps in eps_list:
@@ -241,7 +241,7 @@ def cmd_sweep(args) -> int:
             raise InstanceError(f"unknown sampler kind {args.kind}")
         for i in range(args.samples):
             tasks.append((len(tasks), args.kind, params, args.policy, args.seed + i))
-            rows.append({"epsilon": None if eps is None else rat_str(eps)})
+            rows.append({"epsilon": rat_str(eps)})
     results: dict[int, dict] = {}
     if args.jobs > 1 and tasks:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -327,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["geometric", "phase", "exp"], required=True)
     p.add_argument("--k", type=int, default=4)
     p.add_argument("--n", type=int, default=16)
-    p.add_argument("--epsilon", nargs="*", default=["1/2"])
+    p.add_argument("--epsilon", nargs="+", default=["1/2"])
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--policy", choices=["slf", "srpt", "setf", "rr"], default="slf")

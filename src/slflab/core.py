@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable
 
@@ -175,33 +175,3 @@ def scale_instance(inst: Instance, factor: Rat) -> Instance:
     return inst.with_jobs(
         replace(j, size=None if j.size is None else j.size * factor) for j in inst.jobs
     )
-
-
-@dataclass(frozen=True)
-class BusyPeriod:
-    start: Rat
-    end: Rat
-    sub: Instance = field(compare=False)
-
-
-def busy_periods(inst: Instance) -> list[BusyPeriod]:
-    """Maximal intervals in which a non-idling unit-speed machine has work.
-
-    The jobs of each period form an independent sub-instance for every
-    non-idling policy in this package.
-    """
-    if not inst.all_declared:
-        raise InstanceError("busy_periods requires declared sizes")
-    jobs = sorted(inst.jobs, key=lambda j: (j.release, j.id))
-    periods: list[BusyPeriod] = []
-    i = 0
-    while i < len(jobs):
-        start = jobs[i].release.time
-        end = start
-        members: list[Job] = []
-        while i < len(jobs) and jobs[i].release.time <= end:
-            members.append(jobs[i])
-            end += jobs[i].size
-            i += 1
-        periods.append(BusyPeriod(start, end, inst.with_jobs(members)))
-    return periods

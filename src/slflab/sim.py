@@ -8,7 +8,8 @@ and no numerical root finding. Identical inputs give identical schedules.
 Parallel processing ("round-robin with infinitesimally small steps") is the
 fluid limit: tied jobs share the speed at equal fractional rates. Tied jobs
 are grouped and advance through a shared accumulator, so a segment costs
-O(log n) bookkeeping regardless of group size.
+O(log n) bookkeeping regardless of group size. rr is the one-group case of
+this pool step: its single group runs at offset 0 and never pauses.
 """
 
 from __future__ import annotations
@@ -85,10 +86,6 @@ _END = attrgetter("end")
 @dataclass
 class Schedule:
     instance: Instance
-    policy: str
-    speed: Rat
-    forbidden: IntervalSet
-    horizon: Rat | None
     segments: list[Segment]
     completions: dict[int, Rat]
     events: list[Event]
@@ -263,7 +260,8 @@ def simulate(
     heap_rem: dict[int, Rat] = {}
     solo: int | None = None
 
-    # rr-only: member offsets (elapsed = off + acc); members never pause
+    # rr: a member's elapsed is rr_off + acc, so its heap keys are levels of
+    # acc; read only on arrival and by the final snapshot of a cut run
     rr_off: dict[int, Rat] = {}
 
     segments: list[Segment] = []
@@ -290,7 +288,9 @@ def simulate(
 
     def run_level() -> Rat:
         assert running is not None and running.off is not None
-        return running.off + acc
+        # off is 0 for rr's group and for any group first run while acc
+        # equals its level; a Fraction addition costs far more than the test
+        return running.off + acc if running.off else acc
 
     def add_tier(group: _Group) -> None:
         group.off = None
@@ -404,12 +404,7 @@ def simulate(
             assert top is not None
             solo = top[1]
             return {solo: speed}, "solo"
-        if policy == "rr":
-            assert running is not None
-            k = len(running.members)
-            rate = speed / k
-            return {jid: rate for jid in running.members}, "pool"
-        # slf / setf: the lowest-elapsed group runs
+        # the lowest-elapsed group runs (rr's one group never has tiers)
         if running is not None and tier_vals and tier_vals[0] < run_level():
             pause_running()
         if policy == "slf":
@@ -457,28 +452,20 @@ def simulate(
         elif regime == "pool":
             assert running is not None
             rate = speed / len(running.members)
-            if policy == "rr":
-                kk = group_peek(running.know, running)
-                if kk is not None:
-                    cands.append(t + (kk - acc) / rate)
-                ck = group_peek(running.comp, running)
-                if ck is not None:
-                    cands.append(t + (ck - acc) / rate)
-            else:
-                level = run_level()
-                kk = group_peek(running.know, running)
-                if kk is not None:
-                    cands.append(t + (kk - level) / rate)
-                ck = group_peek(running.comp, running)
-                if ck is not None:
-                    cands.append(t + (ck - level) / rate)
-                if tier_vals:
-                    cands.append(t + (tier_vals[0] - level) / rate)
-                if policy == "slf" and eps > 0:
-                    top = peek_known()
-                    if top is not None:
-                        # estimates tie when the pool level reaches r*(1-e)/e
-                        cands.append(t + (top[0] * (1 - eps) / eps - level) / rate)
+            level = run_level()
+            kk = group_peek(running.know, running)
+            if kk is not None:
+                cands.append(t + (kk - level) / rate)
+            ck = group_peek(running.comp, running)
+            if ck is not None:
+                cands.append(t + (ck - level) / rate)
+            if tier_vals:
+                cands.append(t + (tier_vals[0] - level) / rate)
+            if policy == "slf" and eps > 0:
+                top = peek_known()
+                if top is not None:
+                    # estimates tie when the pool level reaches r*(1-e)/e
+                    cands.append(t + (top[0] * (1 - eps) / eps - level) / rate)
         assert cands, "stalled: no candidate boundary"
         return min(cands)
 
@@ -523,48 +510,30 @@ def simulate(
 
         if regime == "pool":
             g = running
-            if policy == "rr":
-                while True:
-                    kk = group_peek(g.know, g)
-                    if kk is None or kk > acc:
-                        break
-                    _, jid = heapq.heappop(g.know)
-                    mark_known(jid)
-                    marked = True
-                while True:
-                    ck = group_peek(g.comp, g)
-                    if ck is None or ck > acc:
-                        break
-                    _, jid = heapq.heappop(g.comp)
-                    g.members.discard(jid)
-                    elapsed[jid] = rr_off.pop(jid) + acc
-                    assert elapsed[jid] == size[jid]
-                    complete(jid)
-                    marked = True
-            else:
-                level = run_level()
-                while True:
-                    kk = group_peek(g.know, g)
-                    if kk is None or kk > level:
-                        break
-                    _, jid = heapq.heappop(g.know)
-                    mark_known(jid)
-                    marked = True
-                    if policy == "slf":
-                        g.members.discard(jid)
-                        elapsed[jid] = level
-                        known_set.add(jid)
-                        push_known(jid)
-                while True:
-                    ck = group_peek(g.comp, g)
-                    if ck is None or ck > level:
-                        break
-                    _, jid = heapq.heappop(g.comp)
+            level = run_level()
+            while True:
+                kk = group_peek(g.know, g)
+                if kk is None or kk > level:
+                    break
+                _, jid = heapq.heappop(g.know)
+                mark_known(jid)
+                marked = True
+                if policy == "slf":
                     g.members.discard(jid)
                     elapsed[jid] = level
-                    assert elapsed[jid] == size[jid]
-                    complete(jid)
-                    marked = True
+                    known_set.add(jid)
+                    push_known(jid)
+            while True:
+                ck = group_peek(g.comp, g)
+                if ck is None or ck > level:
+                    break
+                _, jid = heapq.heappop(g.comp)
+                # keys are absolute levels, so reaching one means the job is done
+                assert ck == level
+                g.members.discard(jid)
+                elapsed[jid] = size[jid]
+                complete(jid)
+                marked = True
             if not g.members and policy != "rr":
                 running = None
         elif regime == "solo":
@@ -602,10 +571,6 @@ def simulate(
 
     return Schedule(
         instance=inst,
-        policy=policy,
-        speed=speed,
-        forbidden=forbidden,
-        horizon=horizon,
         segments=segments,
         completions=completions,
         events=events,
@@ -657,10 +622,6 @@ def state_at(
             continue
         out[j.id] = JobState(j.id, e, r, eps > 0 and e >= (1 - eps) * j.size)
     return out
-
-
-def active_count(sched: Schedule, t: Rat) -> int:
-    return sched.active_count(Fraction(t))
 
 
 def touched_jobs(sched: Schedule, start: Rat, end: Rat) -> set[int]:

@@ -54,6 +54,16 @@ def test_counts_exact_and_ratio_with_tail():
         assert tr.final_ratio >= shorter.final_ratio
 
 
+def test_lower_bound_against_setf_and_rr():
+    # rr admits each round's undeclared jobs into its one running group
+    for policy in ("setf", "rr"):
+        for eps in (F(1, 2), F(1, 3)):
+            kp = ceil_inv(eps)
+            tr = deterministic_lb_run(eps, 3, tail_m=5, policy=policy)
+            assert [r.alg_count for r in tr.rounds] == [c * kp for c in (1, 2, 3)]
+            assert float(tr.final_ratio) >= kp - 0.01
+
+
 def test_policy_gate():
     with pytest.raises(AdversaryError):
         deterministic_lb_run(F(1, 2), 1, policy="srpt")

@@ -5,7 +5,6 @@ import pytest
 
 from slflab.assignment import (
     AssignmentError,
-    assignment_from_states,
     canonical_from_marginals,
     check_assignment,
     graph,
@@ -56,7 +55,10 @@ def test_toy_initial_matching():
     inst = toy_instance()
     alg = state_at(simulate(inst, "slf"), inst, F(0))
     opt = state_at(simulate(inst, "srpt"), inst, F(0))
-    h = assignment_from_states(alg, opt)
+    h = canonical_from_marginals(
+        {j: s.remaining for j, s in alg.items()},
+        {j: s.remaining for j, s in opt.items()},
+    )
     assert h.weights == {(i, i): F(p) for i, p in zip(range(1, 7), (5, 4, 3, 3, 2, 1))}
     assert prefix_expansion(h) == 1
 

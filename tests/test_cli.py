@@ -2,6 +2,8 @@ import json
 from fractions import Fraction as F
 from pathlib import Path
 
+import pytest
+
 from slflab.cli import main
 from slflab.core import serialize_instance
 
@@ -171,6 +173,10 @@ def test_sweep(tmp_path):
     rows = (geo / "sweep.csv").read_text().splitlines()
     assert len(rows) == 3
     assert [r.split(",")[:2] for r in rows[1:]] == [["1/4", "0"], ["1/4", "1"]]
+    # an empty --epsilon list is a usage error, not a crash in the sampler
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--kind", "exp", "--epsilon", "--samples", "1", "--seed", "1"])
+    assert exc.value.code == 2
 
 
 def test_reduce_cli(tmp_path):

@@ -8,7 +8,6 @@ from slflab.core import (
     InstanceError,
     Job,
     ReleaseTag,
-    busy_periods,
     ceil_inv,
     parse_instance,
     parse_rat,
@@ -123,30 +122,3 @@ def test_scale_instance():
 def test_scale_toy_by_one_minus_eps():
     out = scale_instance(toy_instance(), F(1, 2))
     assert [j.size for j in out.jobs] == [F(5, 2), F(2), F(3, 2), F(3, 2), F(1), F(1, 2)]
-
-
-def test_busy_periods_examples():
-    eps = F(1, 2)
-    two = Instance(
-        eps, (Job(1, ReleaseTag(F(0)), F(1)), Job(2, ReleaseTag(F(5)), F(1)))
-    )
-    periods = busy_periods(two)
-    assert [(p.start, p.end) for p in periods] == [(F(0), F(1)), (F(5), F(6))]
-    one = Instance(
-        eps, (Job(1, ReleaseTag(F(0)), F(2)), Job(2, ReleaseTag(F(1)), F(1)))
-    )
-    assert [(p.start, p.end) for p in busy_periods(one)] == [(F(0), F(3))]
-    assert busy_periods(Instance(eps, ())) == []
-
-
-def test_busy_periods_cover_support():
-    rng = random.Random(2)
-    for _ in range(100):
-        inst = random_instance(rng, F(1, 2), rng.randint(1, 9))
-        periods = busy_periods(inst)
-        total = sum((p.end - p.start for p in periods), F(0))
-        assert total == sum((j.size for j in inst.jobs), F(0))
-        covered = [j.id for p in periods for j in p.sub.jobs]
-        assert sorted(covered) == sorted(j.id for j in inst.jobs)
-        for a, b in zip(periods, periods[1:]):
-            assert a.end < b.start

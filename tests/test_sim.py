@@ -8,7 +8,6 @@ from slflab.policies import allocation_for
 from slflab.sim import (
     IntervalSet,
     SimulationError,
-    active_count,
     simulate,
     state_at,
     touched_jobs,
@@ -61,10 +60,10 @@ def test_active_count_profile():
     inst = toy_instance()
     alg = simulate(inst, "slf")
     opt = simulate(inst, "srpt")
-    assert active_count(alg, F(9)) == 4
-    assert active_count(opt, F(9)) == 2
-    assert active_count(alg, F(-1) + F(1)) == 6  # at t=0 arrivals count
-    assert active_count(alg, F(18)) == 0
+    assert alg.active_count(F(9)) == 4
+    assert opt.active_count(F(9)) == 2
+    assert alg.active_count(F(-1) + F(1)) == 6  # at t=0 arrivals count
+    assert alg.active_count(F(18)) == 0
 
 
 def test_touched_jobs():
@@ -92,6 +91,23 @@ def test_work_conservation_and_event_exactness():
         for j in inst.jobs:
             assert elapsed[j.id] == j.size
             assert sched.completions[j.id] <= sched.end_time
+
+
+def test_horizon_cut_matches_full_run():
+    # a run cut at h ends in the state the uncut run passes through at h
+    rng = random.Random(8)
+    for _ in range(50):
+        inst = random_instance(rng, F(rng.randint(0, 10), 10), rng.randint(1, 8))
+        for policy in ("slf", "srpt", "setf", "rr"):
+            full = simulate(inst, policy)
+            for _ in range(4):
+                h = F(rng.randint(0, 60), rng.randint(1, 3))
+                cut = simulate(inst, policy, horizon=h).final_elapsed
+                want = full.elapsed_at(h)
+                released = {j.id for j in inst.jobs if j.release.time <= h}
+                assert set(cut) == released, (policy, h)
+                for jid in released:
+                    assert cut[jid] == want.get(jid, F(0)), (policy, h, jid)
 
 
 def test_replay_determinism():
