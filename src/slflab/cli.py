@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 property/verification failure, 2 input error.
+Exit codes: 0 success, 1 property/verification failure or broken invariant,
+2 input error.
 Batch commands fan out over a process pool (--jobs) and merge results in
 input order, so outputs are reproducible from (inputs, seed).
 """
@@ -22,6 +23,7 @@ from .adversary import (
     randomized_lb_sample,
     sampler_meta,
 )
+from .assignment import AssignmentError
 from .certifier import (
     CounterexampleError,
     create_valid_assignment,
@@ -45,6 +47,7 @@ from .reduction import reduction_check
 from .sim import (
     EMPTY_INTERVALS,
     IntervalSet,
+    SimulationError,
     export_events_jsonl,
     export_segments_csv,
     simulate,
@@ -74,6 +77,20 @@ def _outdir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _jsonable(value):
+    """JSON form of a check's context or witness: rat-strings for rationals,
+    sorted lists for sets, lists for tuples."""
+    if isinstance(value, Fraction):
+        return rat_str(value)
+    if isinstance(value, set):
+        return [_jsonable(v) for v in sorted(value)]
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _jsonable(v) for k, v in value.items()}
+    return value
 
 
 def cmd_simulate(args) -> int:
@@ -129,13 +146,24 @@ def cmd_certify(args) -> int:
     out = _outdir(args)
     try:
         cert = create_valid_assignment(inst, t)
-    except CounterexampleError as exc:
-        (out / "counterexample.json").write_text(
-            json.dumps({"check": exc.check, "context": str(exc.context)}, indent=2)
-        )
-        print(f"certificate construction failed: {exc.check}", file=sys.stderr)
+        report = verify_certificate(cert)
+    # input is validated before these can raise, so each is a broken
+    # lemma check or engine invariant, not bad input
+    except (CounterexampleError, AssignmentError, SimulationError) as exc:
+        if isinstance(exc, CounterexampleError):
+            check, context = exc.check, exc.context
+        else:
+            check, context = type(exc).__name__, {"message": str(exc)}
+        # an instance file: `certify counterexample.json --time T` replays it
+        meta = {
+            "kind": "counterexample",
+            "check": check,
+            "time": rat_str(t),
+            "context": _jsonable(context),
+        }
+        (out / "counterexample.json").write_text(serialize_instance(inst, meta=meta))
+        print(f"certificate failed: {check}; see counterexample.json", file=sys.stderr)
         return CHECK_FAILED
-    report = verify_certificate(cert)
     (out / "certificate.json").write_text(cert.to_json_str())
     (out / "verification.json").write_text(report.to_json_str())
     print(report.to_json_str())
@@ -267,7 +295,8 @@ def cmd_reduce(args) -> int:
     inst = _load_instance(args.instance)
     eps = parse_rat(args.epsilon) if args.epsilon is not None else inst.epsilon
     report = reduction_check(inst, eps)
-    doc = {"ok": report.ok, "checks": report.checks, "witness": str(report.witness)}
+    witness = _jsonable(report.witness)
+    doc = {"ok": report.ok, "checks": report.checks, "witness": witness}
     out = _outdir(args)
     (out / "reduction.json").write_text(json.dumps(doc, indent=2))
     print(json.dumps(doc, indent=2))

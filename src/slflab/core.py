@@ -11,6 +11,7 @@ import json
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable
 
 Rat = Fraction
@@ -88,15 +89,23 @@ class Instance:
     def __post_init__(self) -> None:
         if not (0 <= self.epsilon <= 1):
             raise InstanceError(f"epsilon {self.epsilon} outside [0,1]")
-        ids = [j.id for j in self.jobs]
-        if len(ids) != len(set(ids)):
+        by_id = {j.id: j for j in self.jobs}
+        if len(by_id) != len(self.jobs):
             raise InstanceError("duplicate job ids")
+        # outside the fields, so equality and repr are unchanged
+        object.__setattr__(self, "_by_id", by_id)
+
+    @cached_property
+    def _hash(self) -> int:
+        # the hash dataclass would compute, taken on first use only: schedule
+        # caches key on instances, but most instances are never hashed
+        return hash((self.epsilon, self.jobs))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def job(self, job_id: int) -> Job:
-        for j in self.jobs:
-            if j.id == job_id:
-                return j
-        raise KeyError(job_id)
+        return self._by_id[job_id]
 
     @property
     def all_declared(self) -> bool:

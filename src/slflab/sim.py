@@ -10,6 +10,15 @@ fluid limit: tied jobs share the speed at equal fractional rates. Tied jobs
 are grouped and advance through a shared accumulator, so a segment costs
 O(log n) bookkeeping regardless of group size. rr is the one-group case of
 this pool step: its single group runs at offset 0 and never pauses.
+
+`Schedule.elapsed_at` (and `state_at` on top of it) answers from a checkpoint
+index of cumulative elapsed work. The index is built by a schedule's first
+query, never by `simulate`, so runs that only read completions pay nothing.
+A checkpoint is taken once the rate entries replayed since the last one are
+at least the size of the running elapsed dict. The checkpoints then hold no
+more entries than the segments themselves, and a query copies one
+checkpoint and replays fewer than 2n rate entries past it (n jobs): O(n)
+work instead of a walk from time 0.
 """
 
 from __future__ import annotations
@@ -66,14 +75,14 @@ class IntervalSet:
 EMPTY_INTERVALS = IntervalSet()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     t: Rat
     kind: str  # arrival | known | completion | mode | forbidden
     job: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Segment:
     start: Rat
     end: Rat
@@ -93,6 +102,10 @@ class Schedule:
     final_elapsed: dict[int, Rat]  # exact elapsed at end_time, all released jobs
     _release_times: list[Rat] = field(default_factory=list, repr=False)
     _completion_times: list[Rat] = field(default_factory=list, repr=False)
+    # (segment indices, elapsed over the segments before each), built lazily
+    _checkpoints: tuple[list[int], list[dict[int, Rat]]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self._release_times = sorted(j.release.time for j in self.instance.jobs)
@@ -111,18 +124,42 @@ class Schedule:
         return released - done
 
     def elapsed_at(self, t: Rat) -> dict[int, Rat]:
-        """Exact elapsed work per job, counting work during [0, t)."""
-        elapsed: dict[int, Rat] = {}
-        for seg in self.segments:
+        """Exact elapsed work per job, counting work during [0, t).
+
+        Copies the last checkpoint at or before the segment holding t and
+        replays the segments after it; the caller owns the returned dict.
+        """
+        seg_idx, snaps = self._index()
+        hold = bisect_left(self.segments, t, key=_END)  # first with end >= t
+        c = bisect_right(seg_idx, hold) - 1
+        elapsed = dict(snaps[c])
+        for seg in islice(self.segments, seg_idx[c], hold + 1):
             if seg.start >= t:
                 break
-            hi = seg.end if seg.end <= t else t
-            dur = hi - seg.start
-            if dur <= 0:
-                continue
+            dur = (seg.end if seg.end <= t else t) - seg.start
             for jid, rate in seg.rates.items():
                 elapsed[jid] = elapsed.get(jid, ZERO) + rate * dur
         return elapsed
+
+    def _index(self) -> tuple[list[int], list[dict[int, Rat]]]:
+        """Checkpoints (i, elapsed over segments[:i]), built on first use;
+        see the module docstring for when a checkpoint is taken."""
+        if self._checkpoints is None:
+            seg_idx: list[int] = [0]
+            snaps: list[dict[int, Rat]] = [{}]
+            running: dict[int, Rat] = {}
+            since = 0
+            for i, seg in enumerate(self.segments, 1):
+                dur = seg.end - seg.start
+                for jid, rate in seg.rates.items():
+                    running[jid] = running.get(jid, ZERO) + rate * dur
+                since += len(seg.rates)
+                if since and since >= len(running):
+                    seg_idx.append(i)
+                    snaps.append(dict(running))
+                    since = 0
+            self._checkpoints = (seg_idx, snaps)
+        return self._checkpoints
 
     # other modules read segments only through these queries
 

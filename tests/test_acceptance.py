@@ -4,6 +4,7 @@ Each test prints exactly one CRITERION line. Run this module alone with
 `pytest tests/test_acceptance.py -v -s` to see the lines as they pass.
 """
 
+import json
 import random
 import time
 from fractions import Fraction as F
@@ -18,7 +19,7 @@ from slflab.certifier import (
     create_valid_assignment,
     verify_certificate,
 )
-from slflab.core import ceil_inv
+from slflab.core import ceil_inv, rat_str, serialize_instance
 from slflab.metrics import local_competitiveness, total_flow_time
 from slflab.reduction import reduction_check, water_filling_dominance
 from slflab.sim import simulate, state_at
@@ -105,6 +106,7 @@ def test_criterion_5_certificate_suite():
     rng = random.Random(1005)
     targets = 0
     bad = 0
+    first = None  # (instance, t, check) of the first failure
     for _ in range(300):
         eps = rng.choice([F(1, 5), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(9, 10), F(1)])
         inst = random_instance(rng, eps, rng.randint(1, 12))
@@ -116,11 +118,19 @@ def test_criterion_5_certificate_suite():
             targets += 1
             try:
                 cert = create_valid_assignment(inst, t)
-            except Exception:
+            except Exception as exc:
                 bad += 1
+                first = first or (inst, t, getattr(exc, "check", repr(exc)))
                 continue
-            if not verify_certificate(cert).passed:
+            rep = verify_certificate(cert)
+            if not rep.passed:
                 bad += 1
+                failed = ",".join(k for k, ok in rep.checks.items() if not ok)
+                first = first or (inst, t, f"verify:{failed}")
+    if first is not None:
+        inst, t, check = first
+        doc = json.dumps(json.loads(serialize_instance(inst)))
+        print(f"first failure: t={rat_str(t)} check={check} instance={doc}")
     report(5, "certificates at every event time of 300 instances", bad == 0,
            f"{targets} targets, {bad} failures, {time.time()-t0:.0f}s")
 

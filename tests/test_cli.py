@@ -4,8 +4,13 @@ from pathlib import Path
 
 import pytest
 
+from slflab import cli
+from slflab.assignment import AssignmentError
+from slflab.certifier import CounterexampleError
 from slflab.cli import main
-from slflab.core import serialize_instance
+from slflab.core import parse_instance, serialize_instance
+from slflab.reduction import ChainReport
+from slflab.sim import SimulationError
 
 from .helpers import staggered_instance, toy_instance
 
@@ -65,6 +70,50 @@ def test_certify_toy(tmp_path):
     rep = json.loads((out / "verification.json").read_text())
     assert rep["passed"] is True
     assert main(["certify", str(inst), "--time", "-3", "--out", str(out)]) == 2
+
+
+def test_certify_failures_are_replayable(tmp_path, monkeypatch):
+    inst = write_toy(tmp_path)
+    out = tmp_path / "cx"
+
+    def lemma_fails(inst, t):
+        raise CounterexampleError(
+            "Inv1-magical", s=F(1, 2), touched={6, 2}, at=(F(3), 4)
+        )
+
+    monkeypatch.setattr(cli, "create_valid_assignment", lemma_fails)
+    assert main(["certify", str(inst), "--time", "9/2", "--out", str(out)]) == 1
+    path = out / "counterexample.json"
+    meta = json.loads(path.read_text())["meta"]
+    assert meta == {
+        "kind": "counterexample",
+        "check": "Inv1-magical",
+        "time": "9/2",
+        "context": {"s": "1/2", "touched": [2, 6], "at": ["3", 4]},
+    }
+    # the file is an instance file: one call replays the failing target
+    assert parse_instance(path.read_text()) == toy_instance()
+    monkeypatch.undo()
+    replay = ["certify", str(path), "--time", meta["time"], "--out", str(tmp_path / "re")]
+    assert main(replay) == 0
+
+    # an engine invariant breaking after input validation is a failure, not
+    # bad input: exit 1 with the same file
+    for exc in (AssignmentError("marginal sums differ"), SimulationError("stalled")):
+        def verify_raises(cert, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(cli, "verify_certificate", verify_raises)
+        path.unlink()
+        assert main(["certify", str(inst), "--time", "9", "--out", str(out)]) == 1
+        meta = json.loads(path.read_text())["meta"]
+        assert meta["check"] == type(exc).__name__
+        assert meta["context"] == {"message": str(exc)}
+        assert meta["time"] == "9"
+    # input errors keep exit 2
+    zero = tmp_path / "eps0.json"
+    zero.write_text('{"epsilon":"0","jobs":[{"id":1,"release":"0","size":"1"}]}')
+    assert main(["certify", str(zero), "--time", "0", "--out", str(out)]) == 2
 
 
 def test_adversary_cli(tmp_path):
@@ -186,3 +235,16 @@ def test_reduce_cli(tmp_path):
     assert main(["reduce", str(path), "--epsilon", "1/2", "--out", str(out)]) == 0
     doc = json.loads((out / "reduction.json").read_text())
     assert doc["ok"] is True
+    assert doc["witness"] == {}
+
+
+def test_reduce_witness_is_structured(tmp_path, monkeypatch):
+    path = tmp_path / "stag.json"
+    path.write_text(serialize_instance(staggered_instance()))
+    witness = {"setfi": {"elapsed": (F(3, 2), 4)}, "chain": F(5, 2)}
+    report = ChainReport(False, {"chain": False}, witness)
+    monkeypatch.setattr(cli, "reduction_check", lambda inst, eps: report)
+    out = tmp_path / "red"
+    assert main(["reduce", str(path), "--out", str(out)]) == 1
+    doc = json.loads((out / "reduction.json").read_text())
+    assert doc["witness"] == {"setfi": {"elapsed": ["3/2", 4]}, "chain": "5/2"}

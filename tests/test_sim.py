@@ -255,3 +255,64 @@ def test_schedule_queries_match_plain_scans():
                     for jid in seg.rates
                 }
                 assert touched_jobs(sched, t, end) == touched
+
+
+def _walk_elapsed(sched, t):
+    """Reference: elapsed work during [0, t), summed over every segment."""
+    out: dict = {}
+    for seg in sched.segments:
+        dur = min(seg.end, t) - seg.start
+        if dur > 0:
+            for jid, rate in seg.rates.items():
+                out[jid] = out.get(jid, F(0)) + rate * dur
+    return out
+
+
+def _walk_states(inst, elapsed, t, cutoff):
+    """Reference state_at over walked elapsed work, one job at a time."""
+    out = {}
+    for j in inst.jobs:
+        rt, epoch = j.release.time, j.release.epoch
+        if rt > t or (rt == t and (cutoff == "none" or (cutoff == "plain" and epoch))):
+            continue
+        e = elapsed.get(j.id, F(0))
+        if e < j.size:
+            known = inst.epsilon > 0 and e >= (1 - inst.epsilon) * j.size
+            out[j.id] = (e, j.size - e, known)
+    return out
+
+
+def test_indexed_elapsed_matches_plain_walk():
+    rng = random.Random(11)
+    for trial in range(30):
+        inst = random_instance(rng, F(rng.randint(0, 10), 10), rng.randint(1, 12))
+        if trial % 4 == 0:  # re-released jobs exercise the "plain" cutoff
+            inst = inst.with_jobs(
+                Job(j.id, ReleaseTag(j.release.time, j.id % 2), j.size) for j in inst.jobs
+            )
+        for policy in ("slf", "srpt", "setf", "rr"):
+            speed = F(rng.randint(1, 5), rng.randint(1, 3))
+            a = F(rng.randint(0, 20), 2)
+            forbidden = IntervalSet.from_pairs([(a, a + F(rng.randint(1, 6), 2))])
+            horizon = F(rng.randint(1, 40), 2) if trial % 3 == 0 else None
+            sched = simulate(
+                inst, policy, speed=speed, forbidden=forbidden, horizon=horizon
+            )
+            times = sched.boundaries()
+            mids = [(x + y) / 2 for x, y in zip(times, times[1:])]
+            probes = [F(0), *times, *mids, sched.end_time + F(1, 3), sched.end_time + 50]
+            rng.shuffle(probes)  # queries in any order see the same index
+            for t in probes:
+                want = _walk_elapsed(sched, t)
+                got = sched.elapsed_at(t)
+                assert got == want, (policy, t)
+                # the caller owns the returned dict: editing it changes nothing
+                got[len(inst.jobs) + 1] = F(7)
+                for jid in got:
+                    got[jid] += 1
+                assert sched.elapsed_at(t) == want, (policy, t)
+                for cutoff in ("all", "plain", "none"):
+                    states = state_at(sched, inst, t, release_cutoff=cutoff)
+                    assert {
+                        i: (st.elapsed, st.remaining, st.known) for i, st in states.items()
+                    } == _walk_states(inst, want, t, cutoff), (policy, t, cutoff)
