@@ -15,6 +15,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .core import Instance, Job, Rat, ReleaseTag, ceil_inv
+from .metrics import competitive_ratio
 from .sim import simulate
 
 ZERO = Fraction(0)
@@ -88,6 +89,8 @@ def deterministic_lb_run(
         raise AdversaryError("deterministic adversary needs epsilon in (0,1)")
     if policy not in ("slf", "setf", "rr"):
         raise AdversaryError("policy must interact via the clairvoyance interface")
+    if rounds < 0 or tail_m < 0:
+        raise AdversaryError("rounds and tail length must be >= 0")
     k = _ceil_frac((1 - epsilon) / epsilon)
     kp = k + 1
     assert kp == ceil_inv(epsilon)
@@ -354,21 +357,7 @@ class LbSummary:
     kind: str
     samples: int
     values: list[float] = field(default_factory=list)  # per-sample ratio
-    mean: float = 0.0
-    half_width: float = 0.0
     target: float | None = None
-    extra: dict = field(default_factory=dict)
-
-
-def _mean_hw(values: list[float]) -> tuple[float, float]:
-    m = len(values)
-    if m == 0:
-        return 0.0, 0.0
-    mean = sum(values) / m
-    if m == 1:
-        return mean, 0.0
-    var = sum((v - mean) ** 2 for v in values) / (m - 1)
-    return mean, 1.96 * math.sqrt(var / m)
 
 
 def lb_statistics(
@@ -385,7 +374,6 @@ def lb_statistics(
     exp: per-sample total-flow ratio policy/srpt (target 2 - eps).
     """
     values: list[float] = []
-    extra: dict = {}
     target = None
     if kind == "geometric":
         kpar = int(params["k"])
@@ -394,7 +382,6 @@ def lb_statistics(
             dd, ds = _count_pair(inst, policy, Fraction(tau))
             if ds > 0:
                 values.append(dd / ds)
-        extra["epsilon"] = str(Fraction(1, 2 * kpar))
     elif kind == "phase":
         epsv = Fraction(params["epsilon"])
         kpar = int(params["k"])
@@ -408,20 +395,15 @@ def lb_statistics(
     elif kind == "exp":
         npar = int(params["n"])
         epsv = Fraction(params.get("epsilon", Fraction(1, 2)))
-        from .metrics import total_flow_time
-
         for i in range(samples):
             inst = exp_simultaneous_sample(npar, seed * 1_000_003 + i, epsv)
             alg = simulate(inst, policy)
             opt = simulate(inst, "srpt")
-            values.append(
-                float(total_flow_time(alg, inst) / total_flow_time(opt, inst))
-            )
+            values.append(float(competitive_ratio(alg, opt, inst)))
         target = float(2 - epsv)
     else:
         raise AdversaryError(f"unknown sampler kind {kind!r}")
-    mean, hw = _mean_hw(values)
-    return LbSummary(kind, samples, values, mean, hw, target, extra)
+    return LbSummary(kind, samples, values, target)
 
 
 def _count_pair(inst: Instance, policy: str, t: Rat) -> tuple[int, int]:

@@ -83,17 +83,24 @@ def move_jobs(inst: Instance, x: Rat, y: Rat) -> Instance:
 
 
 def check_t_equivalence(original: Instance, transformed: Instance, t: Rat) -> bool:
-    """Same SLF active set at t (plain-time membership) and the same elapsed
-    time for every job, on both instances."""
+    """Same SLF active set at t and the same elapsed time for every job, on
+    both instances. Membership is by plain time: released at a tag up to
+    (t, epoch 0), so jobs re-released to t-plus are out, and not complete."""
     t = Fraction(t)
-    a = _states(original, "slf", t, cutoff="plain")
-    b = _states(transformed, "slf", t, cutoff="plain")
-    if set(a) != set(b):
-        return False
+    plain_t = ReleaseTag(t)
     ea = _sched(original, "slf").elapsed_at(t)
     eb = _sched(transformed, "slf").elapsed_at(t)
-    ids = {j.id for j in original.jobs}
-    return all(ea.get(i, ZERO) == eb.get(i, ZERO) for i in ids)
+
+    def active(inst: Instance, elapsed: dict[int, Rat]) -> set[int]:
+        return {
+            j.id
+            for j in inst.jobs
+            if j.release <= plain_t and elapsed.get(j.id, ZERO) < j.size
+        }
+
+    if active(original, ea) != active(transformed, eb):
+        return False
+    return all(ea.get(j.id, ZERO) == eb.get(j.id, ZERO) for j in original.jobs)
 
 
 # --- work-split bookkeeping ---------------------------------------------------

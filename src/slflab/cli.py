@@ -68,9 +68,13 @@ def _load_forbidden(path: str | None) -> IntervalSet:
     if path is None:
         return EMPTY_INTERVALS
     doc = json.loads(Path(path).read_text())
-    return IntervalSet.from_pairs(
-        (parse_rat(a), parse_rat(b)) for a, b in doc["intervals"]
-    )
+    pairs = [(parse_rat(a), parse_rat(b)) for a, b in doc["intervals"]]
+    for a, b in pairs:
+        if not 0 <= a < b:
+            raise InstanceError(
+                f"forbidden window [{rat_str(a)}, {rat_str(b)}) needs 0 <= start < end"
+            )
+    return IntervalSet.from_pairs(pairs)
 
 
 def _outdir(args) -> Path:
@@ -131,7 +135,7 @@ def cmd_compare(args) -> int:
     out = _outdir(args)
     if inst.jobs:
         (out / "report.json").write_text(report.to_json(flow_alg, flow_opt))
-        (out / "counts.csv").write_text(plot_data_csv(alg, opt))
+        (out / "counts.csv").write_text(plot_data_csv(report))
         print(report.to_json(flow_alg, flow_opt))
     else:
         print(json.dumps({"local_ok": True, "ratio": "1"}))

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import Instance, Rat, rat_str
-from .sim import Schedule, state_at
+from .sim import Schedule
 
 ZERO = Fraction(0)
 
@@ -55,20 +56,27 @@ class CompetitivenessReport:
         return json.dumps(doc, indent=2)
 
 
-def local_competitiveness(alg: Schedule, opt: Schedule, rho: Rat) -> CompetitivenessReport:
-    """Check |ALG(t)| <= rho * |OPT(t)| at every event boundary.
+def count_profile(*schedules: Schedule) -> list[tuple[Rat, tuple[int, ...]]]:
+    """(t, (|S_1(t)|, ..., |S_k(t)|)) at every boundary of any of the
+    schedules, in time order.
 
-    Counts are piecewise constant between boundaries of the two schedules,
-    so checking at the boundaries covers all times.
+    Active counts are piecewise constant between boundaries, so these rows
+    cover all times.
     """
-    times = sorted(set(alg.boundaries()) | set(opt.boundaries()))
+    rows: list[tuple[Rat, tuple[int, ...]]] = []
+    for t in heapq.merge(*(s.boundaries() for s in schedules)):
+        if not rows or rows[-1][0] != t:
+            rows.append((t, tuple(s.active_count(t) for s in schedules)))
+    return rows
+
+
+def local_competitiveness(alg: Schedule, opt: Schedule, rho: Rat) -> CompetitivenessReport:
+    """Check |ALG(t)| <= rho * |OPT(t)| at every row of their count profile."""
     table = []
     worst: Rat = ZERO
     witness = None
     passed = True
-    for t in times:
-        a = alg.active_count(t)
-        o = opt.active_count(t)
+    for t, (a, o) in count_profile(alg, opt):
         table.append((t, a, o))
         if a > rho * o:
             if passed:
@@ -81,49 +89,8 @@ def local_competitiveness(alg: Schedule, opt: Schedule, rho: Rat) -> Competitive
     return CompetitivenessReport(rho, worst, witness, passed, table)
 
 
-def delta_at(sched: Schedule, inst: Instance, t: Rat, threshold: Rat) -> int:
-    """Number of active jobs with remaining time >= threshold at time t."""
-    states = state_at(sched, inst, t)
-    count = 0
-    for s in states.values():
-        if s.remaining is None or s.remaining >= threshold:
-            count += 1
-    return count
-
-
-def delta_profile(
-    sched: Schedule, inst: Instance, threshold: Rat
-) -> list[tuple[Rat, int]]:
-    """Breakpoints (t, count) of the piecewise-constant profile of
-    |{j active : remaining >= threshold}|, right-continuous at each t.
-
-    Crossings of the threshold inside a segment are breakpoints too, since a
-    running job's remaining time falls through the threshold mid-segment.
-    """
-    threshold = Fraction(threshold)
-    points = set(sched.boundaries())
-    if threshold > 0:
-        # a job's remaining time reaches the threshold when its work does
-        levels = {
-            j.id: j.size - threshold
-            for j in inst.jobs
-            if j.size is not None and j.size > threshold
-        }
-        points.update(sched.reach_times(levels, ZERO).values())
-    out = []
-    last = None
-    for t in sorted(points):
-        c = delta_at(sched, inst, t, threshold)
-        if c != last:
-            out.append((t, c))
-            last = c
-    return out
-
-
-def plot_data_csv(alg: Schedule, opt: Schedule) -> str:
-    """CSV rows `t,count_alg,count_opt` at all boundaries of both schedules."""
-    times = sorted(set(alg.boundaries()) | set(opt.boundaries()))
+def plot_data_csv(report: CompetitivenessReport) -> str:
+    """CSV rows `t,count_alg,count_opt` of the report's count table."""
     lines = ["t,count_alg,count_opt"]
-    for t in times:
-        lines.append(f"{rat_str(t)},{alg.active_count(t)},{opt.active_count(t)}")
+    lines += [f"{rat_str(t)},{a},{o}" for t, a, o in report.table]
     return "\n".join(lines) + "\n"

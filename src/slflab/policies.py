@@ -10,7 +10,6 @@ CLI policy names: slf, srpt, setf, rr.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -22,23 +21,17 @@ class PolicyError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Estimate:
+def estimate(state: JobState, eps: Rat) -> Rat:
     """Provable lower bound on a job's remaining work.
 
     Unknown jobs: eps/(1-eps) * elapsed; known jobs: the remaining time.
     """
-
-    value: Rat
-
-
-def estimate(state: JobState, eps: Rat) -> Estimate:
     if state.known:
         assert state.remaining is not None
-        return Estimate(state.remaining)
+        return state.remaining
     if eps == 1:
         raise PolicyError("unknown job under eps=1 information model")
-    return Estimate(eps / (1 - eps) * state.elapsed)
+    return eps / (1 - eps) * state.elapsed
 
 
 def slf_allocation(

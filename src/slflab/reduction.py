@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import Instance, Rat, scale_instance
+from .metrics import count_profile
 from .sim import IntervalSet, Schedule, simulate
 
 ZERO = Fraction(0)
@@ -108,17 +109,16 @@ def setfi_vs_setf(plain: Schedule, idled: Schedule) -> ChainReport:
     """Per-job elapsed dominance of forced-idle SETF (`idled`) under plain
     SETF (`plain`) on the same instance, and the count inequality
     |SETF(t)| <= |SETFI(t)|, at all event times."""
-    times = sorted(set(plain.boundaries()) | set(idled.boundaries()))
     checks = {"elapsed-dominance": True, "count": True}
     witness: dict = {}
-    for t in times:
+    for t, (n_plain, n_idled) in count_profile(plain, idled):
         ei = idled.elapsed_at(t)
         ep = plain.elapsed_at(t)
         for j in plain.instance.jobs:
             if ei.get(j.id, ZERO) > ep.get(j.id, ZERO):
                 checks["elapsed-dominance"] = False
                 witness.setdefault("elapsed", (t, j.id))
-        if plain.active_count(t) > idled.active_count(t):
+        if n_plain > n_idled:
             checks["count"] = False
             witness.setdefault("count", t)
     return ChainReport(all(checks.values()), checks, witness)
@@ -166,22 +166,12 @@ def reduction_check(inst: Instance, epsilon: Rat) -> ChainReport:
     }
     witness: dict = {}
 
-    times = sorted(
-        set(fast.boundaries())
-        | set(slow.boundaries())
-        | set(idled.boundaries())
-        | set(alg.boundaries())
-    )
     dom = setfi_vs_setf(slow, idled)
     checks["setfi-dominance"] = dom.ok
     if not dom.ok:
         witness["setfi"] = dom.witness
 
-    for t in times:
-        n_fast = fast.active_count(t)
-        n_slow = slow.active_count(t)
-        n_idled = idled.active_count(t)
-        n_alg = alg.active_count(t)
+    for t, (n_fast, n_slow, n_idled, n_alg) in count_profile(fast, slow, idled, alg):
         if n_fast != n_slow:
             checks["scale-identity-counts"] = False
             witness.setdefault("scale-counts", t)

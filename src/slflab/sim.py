@@ -19,6 +19,11 @@ at least the size of the running elapsed dict. The checkpoints then hold no
 more entries than the segments themselves, and a query copies one
 checkpoint and replays fewer than 2n rate entries past it (n jobs): O(n)
 work instead of a walk from time 0.
+
+Segments tile [0, end_time] in time order, each starting where the previous
+one ends, so `Schedule.boundaries` is 0 followed by the segment ends, with
+no merge or sort. Grids over several schedules are built in one place,
+`metrics.count_profile`.
 """
 
 from __future__ import annotations
@@ -112,10 +117,9 @@ class Schedule:
         self._completion_times = sorted(self.completions.values())
 
     def boundaries(self) -> list[Rat]:
-        out = {ZERO}
-        for seg in self.segments:
-            out.add(seg.end)
-        return sorted(out)
+        """0 and every segment end, in time order: segments tile
+        [0, end_time], each starting where the previous one ends."""
+        return [ZERO, *map(_END, self.segments)]
 
     def active_count(self, t: Rat) -> int:
         """|{j : released by t, remaining > 0 at t}| (arrivals at t included)."""
@@ -629,14 +633,12 @@ def state_at(
 
     `release_cutoff` picks which releases at exactly time t count as arrived:
       - "all": every epoch (the active-set convention |A(t)|),
-      - "plain": only epoch 0 (tags re-released to t-plus sort strictly
-        after the plain time t and are excluded),
       - "none": none; the state right before a batch at t arrives.
     """
     t = Fraction(t)
     if t < 0:
         raise SimulationError("state_at needs t >= 0")
-    if release_cutoff not in ("all", "plain", "none"):
+    if release_cutoff not in ("all", "none"):
         raise SimulationError(f"bad release_cutoff {release_cutoff!r}")
     elapsed = sched.elapsed_at(t)
     eps = inst.epsilon
@@ -645,11 +647,8 @@ def state_at(
         rt = j.release.time
         if rt > t:
             continue
-        if rt == t:
-            if release_cutoff == "none":
-                continue
-            if release_cutoff == "plain" and j.release.epoch > 0:
-                continue
+        if rt == t and release_cutoff == "none":
+            continue
         e = elapsed.get(j.id, ZERO)
         if j.size is None:
             out[j.id] = JobState(j.id, e, None, False)

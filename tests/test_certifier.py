@@ -17,6 +17,7 @@ from slflab.certifier import (
     _sched,
 )
 from slflab.core import Instance, Job, ReleaseTag
+from slflab.sim import simulate
 from .helpers import random_instance, staggered_instance, toy_instance
 
 
@@ -40,6 +41,61 @@ def test_move_jobs():
     assert again == out
     with pytest.raises(ValueError):
         move_jobs(inst, F(3), F(2))
+
+
+def _equivalent_by_walk(a: Instance, b: Instance, t) -> bool:
+    """Reference t-equivalence: elapsed work summed over every SLF segment
+    from time 0; a job is in the active set when it is released by plain
+    time t (tags re-released to t-plus are out) and not complete."""
+
+    def walk(inst):
+        elapsed: dict = {}
+        for seg in simulate(inst, "slf").segments:
+            dur = min(seg.end, t) - seg.start
+            if dur > 0:
+                for jid, rate in seg.rates.items():
+                    elapsed[jid] = elapsed.get(jid, F(0)) + rate * dur
+        active = {
+            j.id
+            for j in inst.jobs
+            if (j.release.time < t or (j.release.time == t and j.release.epoch == 0))
+            and elapsed.get(j.id, F(0)) < j.size
+        }
+        return active, elapsed
+
+    (act_a, el_a), (act_b, el_b) = walk(a), walk(b)
+    return act_a == act_b and all(
+        el_a.get(j.id, F(0)) == el_b.get(j.id, F(0)) for j in a.jobs
+    )
+
+
+def test_t_equivalence_matches_walk():
+    # a job moved early that completes by t: the plain-time active sets differ
+    inst = Instance(
+        F(1, 2), (Job(1, ReleaseTag(F(0)), F(1)), Job(2, ReleaseTag(F(2)), F(1)))
+    )
+    moved = move_jobs(inst, F(0), F(2))
+    assert _sched(moved, "slf").completions[2] <= 2
+    assert not check_t_equivalence(inst, moved, F(2))
+    assert check_t_equivalence(inst, moved, F(0))
+
+    rng = random.Random(42)
+    verdicts = {True: 0, False: 0}
+    for _ in range(40):
+        inst = random_instance(rng, F(rng.randint(1, 9), 10), rng.randint(1, 7))
+        releases = sorted({j.release.time for j in inst.jobs} | {F(0)})
+        x = rng.choice(releases)
+        y = rng.choice([r for r in releases if r >= x])
+        moved = move_jobs(inst, x, y)
+        times = sorted(
+            set(_sched(inst, "slf").boundaries()) | set(_sched(moved, "slf").boundaries())
+        )
+        probes = times + [(a + b) / 2 for a, b in zip(times, times[1:])]
+        for t in probes:
+            got = check_t_equivalence(inst, moved, t)
+            assert got == _equivalent_by_walk(inst, moved, t), (inst, x, y, t)
+            verdicts[got] += 1
+    assert verdicts[True] > 0 and verdicts[False] > 0, verdicts
 
 
 def test_toy_work_split():

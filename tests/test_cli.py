@@ -138,6 +138,27 @@ def test_adversary_cli(tmp_path):
     assert float(F(doc["final_ratio"])) >= 1.99
 
 
+def test_adversary_rejects_negative_rounds_and_tail(tmp_path):
+    base = ["adversary", "det", "--epsilon", "1/2", "--out", str(tmp_path / "adv")]
+    assert main(base + ["--rounds", "2", "--tail", "-3"]) == 2
+    assert main(base + ["--rounds", "-1"]) == 2
+    assert not (tmp_path / "adv" / "transcript.json").exists()
+
+
+def test_malformed_forbidden_window_rejected(tmp_path):
+    inst = write_toy(tmp_path)
+    out = tmp_path / "out"
+    for pairs in ([["3", "1"]], [["2", "2"]], [["-1", "2"]], [["0", "1"], ["5", "4"]]):
+        path = tmp_path / "forbidden.json"
+        path.write_text(json.dumps({"intervals": pairs}))
+        argv = ["simulate", str(inst), "--forbidden", str(path), "--out", str(out)]
+        assert main(argv) == 2, pairs
+    path.write_text(json.dumps({"intervals": [["0", "1"], ["1", "5/2"]]}))
+    assert main(["simulate", str(inst), "--forbidden", str(path), "--out", str(out)]) == 0
+    # the windows delay every completion by the 5/2 forced idle
+    assert json.loads((out / "metrics.json").read_text())["flow"] == "81"
+
+
 def test_sample_deterministic(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -226,6 +247,22 @@ def test_sweep(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--kind", "exp", "--epsilon", "--samples", "1", "--seed", "1"])
     assert exc.value.code == 2
+
+
+def test_sweep_process_pool_matches_serial(tmp_path):
+    cases = [
+        ["--kind", "exp", "--n", "6", "--epsilon", "1/2", "1/3", "--samples", "3"],
+        ["--kind", "geometric", "--k", "2", "--samples", "3"],
+    ]
+    for i, case in enumerate(cases):
+        written = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"sweep{i}-{jobs}"
+            argv = ["sweep", *case, "--seed", "5", "--jobs", jobs, "--out", str(out)]
+            assert main(argv) == 0
+            written.append((out / "sweep.csv").read_text())
+        assert written[0] == written[1]
+        assert len(written[0].splitlines()) > 3
 
 
 def test_reduce_cli(tmp_path):

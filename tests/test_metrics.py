@@ -7,8 +7,7 @@ from slflab.core import Instance, Job, ReleaseTag, ceil_inv
 from slflab.metrics import (
     MetricsError,
     competitive_ratio,
-    delta_at,
-    delta_profile,
+    count_profile,
     local_competitiveness,
     plot_data_csv,
     total_flow_time,
@@ -98,22 +97,22 @@ def test_srpt_is_best():
         assert total_flow_time(simulate(inst, "setf"), inst) >= opt
 
 
-def test_delta_profile():
-    inst = toy_instance()
-    sched = simulate(inst, "slf")
-    assert delta_at(sched, inst, F(9), F(1)) == 4
-    assert delta_at(sched, inst, F(9), F(100)) == 0
-    prof0 = delta_profile(sched, inst, F(0))
-    # threshold 0 equals the active-count profile at its breakpoints
-    for t, c in prof0:
-        assert c == sched.active_count(t)
-    prof = delta_profile(sched, inst, F(2))
-    assert all(c == delta_at(sched, inst, t, F(2)) for t, c in prof)
+def test_count_profile_matches_merged_grid():
+    rng = random.Random(24)
+    for _ in range(30):
+        inst = random_instance(rng, F(1, 2), rng.randint(0, 7))
+        scheds = [simulate(inst, p) for p in ("slf", "srpt", "setf", "rr")]
+        for k in range(1, 5):
+            group = scheds[:k]
+            grid = sorted({t for s in group for t in s.boundaries()})
+            want = [(t, tuple(s.active_count(t) for s in group)) for t in grid]
+            assert count_profile(*group) == want
 
 
 def test_plot_csv_shape():
     inst = toy_instance()
-    csv = plot_data_csv(simulate(inst, "slf"), simulate(inst, "srpt"))
+    rep = local_competitiveness(simulate(inst, "slf"), simulate(inst, "srpt"), F(2))
+    csv = plot_data_csv(rep)
     lines = csv.strip().split("\n")
     assert lines[0] == "t,count_alg,count_opt"
     assert lines[1].startswith("0,6,6")

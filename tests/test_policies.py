@@ -74,7 +74,7 @@ def test_estimate_monotone_and_continuous():
                 if j.id not in states:
                     continue
                 s = states[j.id]
-                val = estimate(s, eps).value
+                val = estimate(s, eps)
                 # lower bound on the remaining time
                 assert val <= s.remaining
                 if prev is not None:

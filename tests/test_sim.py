@@ -54,6 +54,8 @@ def test_state_at_conventions():
     assert sorted(at0) == [1, 2, 3, 4, 5, 6]
     assert all(s.elapsed == 0 for s in at0.values())
     assert state_at(sched, inst, F(100)) == {}
+    with pytest.raises(SimulationError):
+        state_at(sched, inst, F(0), release_cutoff="plain")
 
 
 def test_active_count_profile():
@@ -272,8 +274,8 @@ def _walk_states(inst, elapsed, t, cutoff):
     """Reference state_at over walked elapsed work, one job at a time."""
     out = {}
     for j in inst.jobs:
-        rt, epoch = j.release.time, j.release.epoch
-        if rt > t or (rt == t and (cutoff == "none" or (cutoff == "plain" and epoch))):
+        rt = j.release.time
+        if rt > t or (rt == t and cutoff == "none"):
             continue
         e = elapsed.get(j.id, F(0))
         if e < j.size:
@@ -286,7 +288,7 @@ def test_indexed_elapsed_matches_plain_walk():
     rng = random.Random(11)
     for trial in range(30):
         inst = random_instance(rng, F(rng.randint(0, 10), 10), rng.randint(1, 12))
-        if trial % 4 == 0:  # re-released jobs exercise the "plain" cutoff
+        if trial % 4 == 0:  # re-released jobs: epochs do not change the dynamics
             inst = inst.with_jobs(
                 Job(j.id, ReleaseTag(j.release.time, j.id % 2), j.size) for j in inst.jobs
             )
@@ -299,6 +301,7 @@ def test_indexed_elapsed_matches_plain_walk():
                 inst, policy, speed=speed, forbidden=forbidden, horizon=horizon
             )
             times = sched.boundaries()
+            assert times == sorted({F(0), *(seg.end for seg in sched.segments)})
             mids = [(x + y) / 2 for x, y in zip(times, times[1:])]
             probes = [F(0), *times, *mids, sched.end_time + F(1, 3), sched.end_time + 50]
             rng.shuffle(probes)  # queries in any order see the same index
@@ -311,7 +314,7 @@ def test_indexed_elapsed_matches_plain_walk():
                 for jid in got:
                     got[jid] += 1
                 assert sched.elapsed_at(t) == want, (policy, t)
-                for cutoff in ("all", "plain", "none"):
+                for cutoff in ("all", "none"):
                     states = state_at(sched, inst, t, release_cutoff=cutoff)
                     assert {
                         i: (st.elapsed, st.remaining, st.known) for i, st in states.items()
