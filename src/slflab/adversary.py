@@ -65,10 +65,6 @@ class AdversaryTranscript:
     smart_stuck: list[int]
 
 
-def _elapsed_at_horizon(inst: Instance, policy: str, horizon: Rat) -> dict[int, Rat]:
-    return simulate(inst, policy, horizon=horizon).final_elapsed
-
-
 def deterministic_lb_run(
     epsilon: Rat,
     rounds: int,
@@ -100,10 +96,11 @@ def deterministic_lb_run(
     t_c = ZERO
     records: list[RoundRecord] = []
     smart_stuck: list[int] = []
+    # elapsed work at t_c: the previous round's run cut at its t_end = t_c
+    end_e: dict[int, Rat] = {}
 
     for c in range(1, rounds + 1):
-        base_inst = Instance(epsilon, tuple(jobs))
-        base_e = _elapsed_at_horizon(base_inst, policy, t_c) if jobs else {}
+        base_e = end_e
         sizes = {j.id: j.size for j in jobs}
         q_c = {
             j.id
@@ -121,7 +118,6 @@ def deterministic_lb_run(
         new_ids = list(range(next_id, next_id + kp))
         next_id += kp
         jobs = jobs + [Job(i, ReleaseTag(t_c), None) for i in new_ids]
-        jobs_by_id = {j.id: j for j in jobs}
         watch = q_c | set(new_ids)
 
         probe_inst = Instance(epsilon, tuple(jobs))
@@ -134,7 +130,7 @@ def deterministic_lb_run(
             raise AdversaryError("no quota crossing before the safety horizon")
         t_prime, j_quota = min((t, j) for j, t in reach.items())
 
-        e_at = simulate(probe_inst, policy, horizon=t_prime).final_elapsed
+        e_at = sched.elapsed_at(t_prime)
         declared: dict[int, Rat] = {}
         for i in new_ids:
             e = e_at.get(i, ZERO)
@@ -148,16 +144,21 @@ def deterministic_lb_run(
         jobs_by_id = {j.id: j for j in jobs}
         inst_cur = Instance(epsilon, tuple(jobs))
 
-        # declarations must not rewrite history
-        replay = _elapsed_at_horizon(inst_cur, policy, t_prime)
-        for jid, e in e_at.items():
-            if replay.get(jid, ZERO) != e:
-                raise AdversaryError("declaration changed the past schedule")
-
         r_new = {i: declared[i] - e_at.get(i, ZERO) for i in new_ids}
         j_max = min(new_ids, key=lambda i: (-r_new[i], i))
         rest = [i for i in new_ids if i != j_max]
         j_min = min(rest, key=lambda i: (r_new[i], i))
+        spread = sum((r_new[i] for i in rest), ZERO)
+        t_end = t_prime + max(ZERO, spread - gamma)
+        # one run cut at t_end >= t_prime gives the replay at t_prime and the
+        # elapsed work at t_end, which is also the next round's start state
+        run = simulate(inst_cur, policy, horizon=t_end)
+
+        # declarations must not rewrite history
+        replay = run.elapsed_at(t_prime)
+        for jid, e in e_at.items():
+            if replay.get(jid, ZERO) != e:
+                raise AdversaryError("declaration changed the past schedule")
 
         cap = epsilon / (1 - epsilon) * gamma
         if r_new[j_max] > cap:
@@ -171,11 +172,8 @@ def deterministic_lb_run(
         }
         if any(r_new[j_min] > r for r in r_all.values()):
             raise AdversaryError("j_min must be globally minimal at declaration")
-        spread = sum((r_new[i] for i in rest), ZERO)
         if not spread < gamma + r_new[j_min]:
             raise AdversaryError("claim r(J_c minus j_max) < gamma + r(j_min) failed")
-
-        t_end = t_prime + max(ZERO, spread - gamma)
         if not t_end < t_prime + r_new[j_min]:
             raise AdversaryError("round end must precede the policy's next completion")
         # hindsight comparator feasibility: the redirected quota fits the window
@@ -184,7 +182,7 @@ def deterministic_lb_run(
             raise AdversaryError("comparator would exceed elapsed wall time")
 
         smart_stuck.append(j_max)
-        end_e = _elapsed_at_horizon(inst_cur, policy, t_end)
+        end_e = run.final_elapsed
         alg_active = [
             j.id for j in jobs if j.release.time <= t_end and end_e.get(j.id, ZERO) < j.size
         ]
@@ -214,9 +212,7 @@ def deterministic_lb_run(
             epsilon, policy, k, [], tail_m, None, None, None, None, [], []
         )
 
-    inst_cur = Instance(epsilon, tuple(jobs))
-    T = t_c
-    end_e = _elapsed_at_horizon(inst_cur, policy, T)
+    T = t_c  # end_e holds the elapsed work at T from the last round's run
     alg_stuck = sorted(
         j.id
         for j in jobs

@@ -6,6 +6,21 @@ whose prefix expansion is at most ceil(1/eps). The construction fast-forwards
 a valid assignment through the timeline, re-releasing batches earlier where
 needed; every lemma it relies on is asserted at runtime, and a violation
 raises a structured counterexample instead of continuing silently.
+
+Targets of one instance share the iterations they have in common. An
+iteration at state (cur, s) depends on the target t only through the point
+x where it stops, so its two parts are memoized, each in an lru_cache of
+STEP_CACHE_SIZE (8192) entries like the schedule cache `_sched`:
+  - `_plan`, keyed on (instance, cur, s): the Inv2 and Inv3 checks, the
+    unknown jobs, the batch and the case's stop candidate;
+  - `_advance`, keyed on (instance, cur, s, x): every lemma check of the
+    step, its transcript record and the next state (cur', s').
+Entries hold tuples, instances and records, never graphs or state dicts,
+and each transcript gets its own copy of a record. Per target, every
+iteration still checks Inv1 on the window (s, t], resolves x from t, and
+counts against the iteration guard; the final assignment at t is built and
+checked per target too. A check that fails raises, and lru_cache stores no
+exception, so a failure is recomputed on every call.
 """
 
 from __future__ import annotations
@@ -14,6 +29,7 @@ import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .assignment import (
     AssignmentChecked,
@@ -151,11 +167,14 @@ def _leader_of(inst: Instance, new_ids) -> int:
     return min(new_ids, key=lambda i: (-inst.job(i).size, i))
 
 
-def compute_work_split(inst: Instance, s: Rat, ell: Rat, new_ids) -> WorkSplit:
+def compute_work_split(
+    inst: Instance, s: Rat, ell: Rat, new_ids, e_alg: dict[int, Rat] | None = None
+) -> WorkSplit:
     """Delta/tau/tau*/nu bookkeeping for the batch `new_ids` arriving at s,
     fast-forwarded to ell. Verifies (rather than assumes) the fast-forward
     preconditions and the structural case table; failures raise
-    CounterexampleError."""
+    CounterexampleError. `e_alg` is the slf elapsed work at ell when the
+    caller has already read it."""
     s, ell = Fraction(s), Fraction(ell)
     new_ids = set(new_ids)
     if ell < s:
@@ -167,7 +186,8 @@ def compute_work_split(inst: Instance, s: Rat, ell: Rat, new_ids) -> WorkSplit:
     pre = _states(inst, "slf", s, cutoff="none")
     K_s = {i for i, st in pre.items() if st.known}
     leader = _leader_of(inst, new_ids)
-    e_alg = alg.elapsed_at(ell)
+    if e_alg is None:
+        e_alg = alg.elapsed_at(ell)
 
     if ell > s:
         # arrivals exactly at ell are the next iteration's batch, not a breach
@@ -326,6 +346,7 @@ def update_valid_assignment(
     s: Rat,
     ell: Rat,
     sigma: WeightedBipartiteGraph,
+    e_alg: dict[int, Rat] | None = None,
 ) -> WeightedBipartiteGraph:
     """Fast-forward the canonical valid assignment at s (right before the
     batch `new_ids` arrives) to a valid assignment at ell.
@@ -333,12 +354,12 @@ def update_valid_assignment(
     Implements the two-case update (by which scheduler did more work on old
     jobs) and verifies the five marginal properties of the output plus the
     expansion bound; any failure raises CounterexampleError naming the broken
-    property."""
+    property. `e_alg` is passed on to `compute_work_split`."""
     s, ell = Fraction(s), Fraction(ell)
     new_ids = set(new_ids)
     eps = inst.epsilon
     kprime = ceil_inv(eps)
-    ws = compute_work_split(inst, s, ell, new_ids)
+    ws = compute_work_split(inst, s, ell, new_ids, e_alg)
     size = {i: inst.job(i).size for i in new_ids}
 
     if not is_forward(sigma):
@@ -553,7 +574,7 @@ def _verify_marginal_properties(ws: WorkSplit, h1, m1, hp, pre_opt):
 # --- the main loop -------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class IterationRecord:
     case: str
     s: Rat
@@ -565,6 +586,11 @@ class IterationRecord:
         for k, v in self.details.items():
             out[k] = rat_str(v) if isinstance(v, Fraction) else v
         return out
+
+    def copy(self) -> "IterationRecord":
+        """A record whose details, and the lists in them, are its own."""
+        details = {k: list(v) if isinstance(v, list) else v for k, v in self.details.items()}
+        return IterationRecord(self.case, self.s, self.s_next, details)
 
 
 @dataclass
@@ -614,12 +640,143 @@ def _canonical_at(
     return canonical_from_marginals(lv, rv, left_order, right_order)
 
 
+# --- one iteration, memoized on its t-free inputs (module docstring) -----------
+
+STEP_CACHE_SIZE = 8192
+
+
+class _Plan(NamedTuple):
+    """The t-free part of an iteration at (cur, s): the jobs unknown right
+    before the batch at s, the batch, the case and its stop candidate. The
+    candidate is the next release for `idle` (None: no later release), the
+    end of the solo known run for `known-run`, and the leader's knowledge
+    time b_s for `batch`."""
+
+    unknown: tuple[int, ...]
+    batch: tuple[int, ...]
+    case: str
+    stop: Rat | None
+    leader: int | None = None
+
+
+def _unknown_at(cur: Instance, s: Rat) -> tuple[int, ...]:
+    pre = _states(cur, "slf", s, cutoff="none")
+    return tuple(i for i, st in pre.items() if not st.known)
+
+
+def _check_magical(alg: Schedule, s: Rat, t: Rat, unknown) -> None:
+    """Inv1: s is magical for the pre-batch unknown jobs through t."""
+    hit = touched_jobs(alg, s, t).intersection(unknown)
+    if hit:
+        raise CounterexampleError("Inv1-magical", s=s, touched=sorted(hit))
+
+
+@lru_cache(maxsize=STEP_CACHE_SIZE)
+def _plan(inst: Instance, cur: Instance, s: Rat) -> _Plan:
+    """Inv2 and Inv3 at (cur, s), then the case and its stop candidate."""
+    unknown = _unknown_at(cur, s)
+    # Inv2: the working instance is s-equivalent to the original
+    if not check_t_equivalence(inst, cur, s):
+        raise CounterexampleError("Inv2-equivalence", s=s)
+    # Inv3: the canonical assignment right before the batch is valid
+    phi_s = prefix_expansion(_canonical_at(cur, s, "none", aligned=True))
+    if phi_s > ceil_inv(inst.epsilon):
+        raise CounterexampleError("Inv3-validity", s=s, phi=phi_s)
+
+    alg = _sched(cur, "slf")
+    batch = tuple(sorted(j.id for j in cur.jobs if j.release.time == s))
+    if batch:
+        leader = _leader_of(cur, batch)
+        b_s = alg.known_times().get(leader)
+        if b_s is None:
+            raise CounterexampleError("leader-knowledge-missing", leader=leader)
+        return _Plan(unknown, batch, "batch", b_s, leader)
+    post = _states(cur, "slf", s, cutoff="all")
+    if not post:
+        nxt = min((j.release.time for j in cur.jobs if j.release.time > s), default=None)
+        return _Plan(unknown, batch, "idle", nxt)
+    # known-run: the maximal run of solo known jobs from K(s)
+    known_now = {i for i, st in post.items() if st.known}
+    run_end = s
+    for _, end, job in alg.solo_runs(s):
+        if job not in known_now:
+            break
+        run_end = end
+    if run_end == s:
+        raise CounterexampleError("known-run-empty", s=s)
+    return _Plan(unknown, batch, "known-run", run_end)
+
+
+def _stop_point(plan: _Plan, alg: Schedule, s: Rat, t: Rat) -> Rat:
+    """Where the iteration planned at s stops for target t."""
+    if plan.case != "batch":
+        return t if plan.stop is None else min(plan.stop, t)
+    if plan.stop <= t:
+        return plan.stop
+    # the leader stays unknown through t: stop at its last touch
+    x = alg.last_touch(plan.leader, t)
+    if x is None:
+        raise CounterexampleError("last-touch-missing", leader=plan.leader, s=s)
+    return x
+
+
+@lru_cache(maxsize=STEP_CACHE_SIZE)
+def _advance(
+    inst: Instance, cur: Instance, s: Rat, x: Rat
+) -> tuple[IterationRecord, Instance, Rat]:
+    """The iteration planned at (cur, s), stopped at x: every lemma check of
+    the step, its record and the next state (cur', s')."""
+    plan = _plan(inst, cur, s)
+    if plan.case == "idle":
+        return IterationRecord("idle", s, x), cur, x
+    if plan.case == "known-run":
+        hp, _ = split(_canonical_at(cur, s, "none", aligned=True), x - s)
+        want = sorted(st.remaining for st in _states(cur, "slf", x, "none").values())
+        if want != sorted(hp.vols().values()):
+            raise CounterexampleError("srpt-lemma-marginals", s=s, s_next=x)
+        record = IterationRecord(
+            "known-run", s, x, {"phi_witness": prefix_expansion(hp)}
+        )
+        return record, cur, x
+    # a batch exactly at x is the next iteration's problem; moving it
+    # would change its elapsed time at x and break equivalence
+    movers = [j for j in cur.jobs if s < j.release.time < x]
+    if movers:
+        moved = move_jobs(cur, s, max(j.release.time for j in movers))
+        details = {"until": x, "jobs": sorted(j.id for j in movers)}
+        return IterationRecord("move", s, s, details), moved, s
+    e_alg = _sched(cur, "slf").elapsed_at(x)
+    if x == plan.stop:
+        case = "fast-forward-knowledge"
+    else:
+        case = "fast-forward-last-touch"
+        # every batch job is unknown or completed at x (knowledge exactly
+        # at x is the boundary case and counts as frozen-known, which the
+        # next iteration's known-run handles)
+        eps = cur.epsilon
+        for i in plan.batch:
+            p = cur.job(i).size
+            e = e_alg.get(i, ZERO)
+            if e < p and e > (1 - eps) * p:
+                raise CounterexampleError("batch-frozen-or-done", job=i, ell=x)
+    sigma = _canonical_at(cur, s, "none", aligned=True)
+    sigma_prime = update_valid_assignment(cur, plan.batch, s, x, sigma, e_alg)
+    details = {
+        "leader": plan.leader,
+        "batch": list(plan.batch),
+        "phi_witness": prefix_expansion(sigma_prime),
+    }
+    return IterationRecord(case, s, x, details), cur, x
+
+
 def create_valid_assignment(inst: Instance, t: Rat) -> Certificate:
     """Run the while-loop that produces the certificate for time t.
 
     Maintains a magical time s, a t-equivalent early-arriving instance, and a
     valid assignment at s; each iteration advances s (known-run or
-    fast-forward) or re-releases a batch earlier, exactly once per job.
+    fast-forward) or re-releases a batch earlier, exactly once per job. The
+    Inv1 window, the stop point, the iteration guard and the final check are
+    taken for t; the rest of each iteration comes from `_plan`/`_advance`.
     """
     t = Fraction(t)
     if t < 0:
@@ -629,10 +786,12 @@ def create_valid_assignment(inst: Instance, t: Rat) -> Certificate:
         raise ValueError("certificates need epsilon in (0, 1]")
     if not inst.all_declared:
         raise ValueError("certificates need declared sizes")
-    kprime = ceil_inv(eps)
     transcript: list[IterationRecord] = []
 
-    cur = inst
+    # step keys hold the equal instance the schedule cache already keeps,
+    # not one more parsed copy per call
+    root = _sched(inst, "slf").instance
+    cur = root
     s = ZERO
     if eps == 1:
         transcript.append(
@@ -646,109 +805,17 @@ def create_valid_assignment(inst: Instance, t: Rat) -> Certificate:
         iters += 1
         if iters > max_iter:
             raise CounterexampleError("termination", iterations=iters, s=s)
-
         alg = _sched(cur, "slf")
-
-        # Inv1: s is magical for the pre-batch unknown jobs
-        pre = _states(cur, "slf", s, cutoff="none")
-        u_s = {i for i, st in pre.items() if not st.known}
-        hit = touched_jobs(alg, s, t) & u_s
-        if hit:
-            raise CounterexampleError("Inv1-magical", s=s, touched=sorted(hit))
-        # Inv2: the working instance is s-equivalent to the original
-        if not check_t_equivalence(inst, cur, s):
-            raise CounterexampleError("Inv2-equivalence", s=s)
-        # Inv3: the canonical assignment right before the batch is valid
-        sigma = _canonical_at(cur, s, "none", aligned=True)
-        phi_s = prefix_expansion(sigma)
-        if phi_s > kprime:
-            raise CounterexampleError("Inv3-validity", s=s, phi=phi_s)
-
-        batch = sorted(j.id for j in cur.jobs if j.release.time == s)
-        if not batch:
-            post = _states(cur, "slf", s, cutoff="all")
-            if not post:
-                nxt = min(
-                    (j.release.time for j in cur.jobs if j.release.time > s),
-                    default=t,
-                )
-                s_next = min(nxt, t)
-                transcript.append(IterationRecord("idle", s, s_next))
-                s = s_next
-                continue
-            # known-run: walk maximal run of solo known jobs from K(s)
-            known_now = {i for i, st in post.items() if st.known}
-            cursor = s
-            for _, end, job in alg.solo_runs(s):
-                if cursor >= t or job not in known_now:
-                    break
-                cursor = end
-            if cursor == s:
-                raise CounterexampleError("known-run-empty", s=s)
-            s_next = min(cursor, t)
-            hp, _ = split(sigma, s_next - s)
-            post_states = _states(cur, "slf", s_next, cutoff="none")
-            want = sorted(st.remaining for st in post_states.values())
-            got = sorted(hp.vols().values())
-            if want != got:
-                raise CounterexampleError(
-                    "srpt-lemma-marginals", s=s, s_next=s_next
-                )
-            transcript.append(
-                IterationRecord(
-                    "known-run", s, s_next, {"phi_witness": prefix_expansion(hp)}
-                )
-            )
-            s = s_next
-            continue
-
-        leader = _leader_of(cur, batch)
-        b_s = alg.known_times().get(leader)
-        if b_s is None:
-            raise CounterexampleError("leader-knowledge-missing", leader=leader)
-
-        if b_s <= t:
-            ell, case = b_s, "fast-forward-knowledge"
-        else:
-            # the leader stays unknown through t: stop at its last touch
-            ell, case = alg.last_touch(leader, t), "fast-forward-last-touch"
-            if ell is None:
-                raise CounterexampleError("last-touch-missing", leader=leader, s=s)
-        # a batch exactly at ell is the next iteration's problem; moving it
-        # would change its elapsed time at ell and break equivalence
-        movers = [j for j in cur.jobs if s < j.release.time < ell]
-        if movers:
-            cur = move_jobs(cur, s, max(j.release.time for j in movers))
-            transcript.append(
-                IterationRecord(
-                    "move", s, s, {"until": ell, "jobs": sorted(j.id for j in movers)}
-                )
-            )
-            continue
-        if case == "fast-forward-last-touch":
-            # every batch job is unknown or completed at ell (knowledge
-            # exactly at ell is the boundary case and counts as frozen-known,
-            # which the next iteration's known-run handles)
-            e_now = alg.elapsed_at(ell)
-            for i in batch:
-                p = cur.job(i).size
-                e = e_now.get(i, ZERO)
-                if e < p and e > (1 - eps) * p:
-                    raise CounterexampleError("batch-frozen-or-done", job=i, ell=ell)
-        sigma_prime = update_valid_assignment(cur, batch, s, ell, sigma)
-        transcript.append(
-            IterationRecord(
-                case,
-                s,
-                ell,
-                {
-                    "leader": leader,
-                    "batch": batch,
-                    "phi_witness": prefix_expansion(sigma_prime),
-                },
-            )
-        )
-        s = ell
+        try:
+            plan = _plan(root, cur, s)
+        except Exception:
+            # Inv1 comes first in the check order, so it names the failure
+            # when it breaks too
+            _check_magical(alg, s, t, _unknown_at(cur, s))
+            raise
+        _check_magical(alg, s, t, plan.unknown)
+        record, cur, s = _advance(root, cur, s, _stop_point(plan, alg, s, t))
+        transcript.append(record.copy())
 
     final = _canonical_at(cur, t, "all")
     checked = check_assignment(final, eps)

@@ -4,7 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from slflab.assignment import EMPTY_GRAPH, graph, prefix_expansion
+from slflab import certifier
+from slflab.assignment import EMPTY_GRAPH, graph, graph_to_json, prefix_expansion
 from slflab.certifier import (
     Certificate,
     CounterexampleError,
@@ -14,6 +15,8 @@ from slflab.certifier import (
     move_jobs,
     update_valid_assignment,
     verify_certificate,
+    _advance,
+    _plan,
     _sched,
 )
 from slflab.core import Instance, Job, ReleaseTag
@@ -278,3 +281,86 @@ def test_certificate_json_roundtrip():
     assert doc["phi"] == "2"
     assert doc["valid"] is True
     assert {e["l"] for e in doc["assignment"]["edges"]} == {1, 2, 3, 4}
+
+
+def _event_times(inst):
+    return sorted(
+        set(_sched(inst, "slf").boundaries()) | set(_sched(inst, "srpt").boundaries())
+    )
+
+
+def _summary(cert):
+    """What a certificate says: the moved instance, phi, the graph and the
+    transcript, as comparable values."""
+    return (
+        cert.transformed,
+        cert.assignment.phi,
+        graph_to_json(cert.assignment.graph),
+        [r.to_json() for r in cert.transcript],
+    )
+
+
+def _clear_step_caches():
+    _plan.cache_clear()
+    _advance.cache_clear()
+
+
+def test_step_memo_matches_fresh_builds():
+    # criterion-5 shape: n in 1..12, eps = 1 included
+    rng = random.Random(46)
+    eps_choices = [F(1, 5), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(9, 10), F(1)]
+    shared = 0
+    for k in range(10):
+        inst = random_instance(rng, eps_choices[k % len(eps_choices)], rng.randint(1, 12))
+        times = _event_times(inst)
+        fresh = {}
+        for t in times:
+            _clear_step_caches()
+            fresh[t] = _summary(create_valid_assignment(inst, t))
+        shuffled = rng.sample(times, len(times))
+        for order in (times, times[::-1], shuffled):
+            _clear_step_caches()
+            for t in order:
+                assert _summary(create_valid_assignment(inst, t)) == fresh[t], (inst, t)
+            shared += _advance.cache_info().hits
+    assert shared > 0
+
+
+def test_warm_step_cache_keeps_per_target_checks(monkeypatch):
+    # an instance whose batch leader pauses at a last touch before t, so the
+    # next iteration's Inv1 window watches the (still unknown) leader
+    rng = random.Random(47)
+    for _ in range(200):
+        inst = random_instance(rng, F(rng.randint(1, 9), 10), rng.randint(2, 8))
+        times = _event_times(inst)
+        warm = {t: create_valid_assignment(inst, t) for t in times}
+        paused = [
+            (t, r.details["leader"])
+            for t, cert in warm.items()
+            for r in cert.transcript
+            if r.case == "fast-forward-last-touch" and r.s_next < t
+        ]
+        if paused:
+            break
+    else:
+        pytest.fail("no instance with a leader paused before its target")
+    t_bad, leader = paused[0]
+
+    real = certifier.touched_jobs
+
+    def touched(sched, start, end):
+        out = real(sched, start, end)
+        return out | {leader} if end == t_bad else out
+
+    monkeypatch.setattr(certifier, "touched_jobs", touched)
+    misses = (_plan.cache_info().misses, _advance.cache_info().misses)
+    for t in times:
+        if t == t_bad:
+            with pytest.raises(CounterexampleError) as err:
+                create_valid_assignment(inst, t)
+            assert err.value.check == "Inv1-magical"
+            assert leader in err.value.context["touched"]
+        else:
+            assert _summary(create_valid_assignment(inst, t)) == _summary(warm[t])
+    # every step came from the warm caches
+    assert (_plan.cache_info().misses, _advance.cache_info().misses) == misses
