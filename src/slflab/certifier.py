@@ -128,10 +128,7 @@ class WorkSplit:
     (s, ell]: the shared part, each side's excess, and the old-job volumes,
     with the queue states it was derived from (right before s and ell)."""
 
-    s: Rat
-    ell: Rat
     gamma: Rat
-    leader: int
     delta: dict[int, Rat]
     tau: dict[int, Rat]
     tau_star: dict[int, Rat]
@@ -208,7 +205,7 @@ def compute_work_split(
                 if e_alg.get(i, ZERO) < inst.job(i).size:
                     raise CounterexampleError("ff-degenerate-batch-alive", job=i)
         else:
-            if leader not in alg.rates_before(ell):
+            if leader not in alg.jobs_before(ell):
                 raise CounterexampleError(
                     "ff-pre-leader-touched", leader=leader, ell=ell
                 )
@@ -258,8 +255,8 @@ def compute_work_split(
         raise CounterexampleError("fact-nu", nu=nu, expected=expect_nu)
 
     # the optimum's partial job: the one it ran alone right before ell
-    before = opt.rates_before(ell)
-    z = next(iter(before)) if len(before) == 1 else None
+    before = opt.jobs_before(ell)
+    z = before[0] if len(before) == 1 else None
 
     if ell > s:
         one_over = Fraction(1, 1) / (1 - eps)
@@ -295,10 +292,7 @@ def compute_work_split(
                 raise CounterexampleError("alg-batch-cap", job=j)
 
     return WorkSplit(
-        s=s,
-        ell=ell,
         gamma=gamma,
-        leader=leader,
         delta=delta,
         tau=tau,
         tau_star=tau_star,

@@ -32,6 +32,7 @@ from .certifier import (
 from .core import (
     Instance,
     InstanceError,
+    as_rat,
     ceil_inv,
     parse_instance,
     parse_rat,
@@ -67,8 +68,13 @@ def _load_instance(path: str) -> Instance:
 def _load_forbidden(path: str | None) -> IntervalSet:
     if path is None:
         return EMPTY_INTERVALS
-    doc = json.loads(Path(path).read_text())
-    pairs = [(parse_rat(a), parse_rat(b)) for a, b in doc["intervals"]]
+    doc = json.loads(Path(path).read_text(), parse_float=Fraction)
+    windows = doc.get("intervals") if isinstance(doc, dict) else None
+    if not isinstance(windows, list) or not all(
+        isinstance(w, list) and len(w) == 2 for w in windows
+    ):
+        raise InstanceError("forbidden file needs an 'intervals' list of [start, end] pairs")
+    pairs = [(as_rat(a, "window start"), as_rat(b, "window end")) for a, b in windows]
     for a, b in pairs:
         if not 0 <= a < b:
             raise InstanceError(
@@ -241,10 +247,10 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _sweep_one(task) -> tuple[int, dict]:
-    idx, kind, params, policy, seed = task
+def _sweep_one(task) -> dict:
+    kind, params, policy, seed = task
     summary = lb_statistics(kind, params, 1, policy=policy, seed=seed)
-    return idx, {
+    return {
         "value": summary.values[0] if summary.values else None,
         "target": summary.target,
     }
@@ -253,6 +259,8 @@ def _sweep_one(task) -> tuple[int, dict]:
 def cmd_sweep(args) -> int:
     if args.samples < 0:
         raise InstanceError("samples must be >= 0")
+    if args.jobs < 1:
+        raise InstanceError("jobs must be >= 1")
     if args.kind == "geometric":
         # the geometric sampler fixes eps = 1/(2k), so --epsilon adds no rows
         if args.k < 1:
@@ -260,7 +268,7 @@ def cmd_sweep(args) -> int:
         eps_list = [Fraction(1, 2 * args.k)]
     else:
         eps_list = [parse_rat(e) for e in args.epsilon]
-    rows = []
+    eps_col = []
     tasks = []
     for eps in eps_list:
         if args.kind == "geometric":
@@ -272,26 +280,20 @@ def cmd_sweep(args) -> int:
         else:
             raise InstanceError(f"unknown sampler kind {args.kind}")
         for i in range(args.samples):
-            tasks.append((len(tasks), args.kind, params, args.policy, args.seed + i))
-            rows.append({"epsilon": rat_str(eps)})
-    results: dict[int, dict] = {}
+            tasks.append((args.kind, params, args.policy, args.seed + i))
+            eps_col.append(rat_str(eps))
+    # both maps return results in input order
     if args.jobs > 1 and tasks:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for i, payload in pool.map(_sweep_one, tasks):
-                results[i] = payload
+            results = list(pool.map(_sweep_one, tasks))
     else:
-        for task in tasks:
-            i, payload = _sweep_one(task)
-            results[i] = payload
+        results = list(map(_sweep_one, tasks))
     lines = ["epsilon,sample,value,target"]
-    for i, row in enumerate(rows):
-        payload = results[i]
-        lines.append(
-            f"{row['epsilon']},{i},{payload['value']},{payload['target']}"
-        )
+    for i, (eps_s, payload) in enumerate(zip(eps_col, results)):
+        lines.append(f"{eps_s},{i},{payload['value']},{payload['target']}")
     out = _outdir(args)
     (out / "sweep.csv").write_text("\n".join(lines) + "\n")
-    print(f"wrote {out / 'sweep.csv'} ({len(rows)} rows)")
+    print(f"wrote {out / 'sweep.csv'} ({len(lines) - 1} rows)")
     return 0
 
 

@@ -123,7 +123,9 @@ def parse_instance(text: str) -> Instance:
         raise InstanceError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict) or "epsilon" not in doc or "jobs" not in doc:
         raise InstanceError("instance document needs 'epsilon' and 'jobs'")
-    eps = _as_rat(doc["epsilon"], "epsilon")
+    eps = as_rat(doc["epsilon"], "epsilon")
+    if not isinstance(doc["jobs"], list):
+        raise InstanceError("'jobs' must be a list")
     jobs = []
     for entry in doc["jobs"]:
         if not isinstance(entry, dict):
@@ -132,19 +134,20 @@ def parse_instance(text: str) -> Instance:
         if unknown:
             raise InstanceError(f"unknown job fields: {sorted(unknown)}")
         jid = entry.get("id")
-        if not isinstance(jid, int):
+        if type(jid) is not int:  # bool is an int subclass
             raise InstanceError("job id must be an integer")
-        release = _as_rat(entry.get("release", 0), f"job {jid} release")
+        release = as_rat(entry.get("release", 0), f"job {jid} release")
         epoch = entry.get("epoch", 0)
-        if not isinstance(epoch, int):
+        if type(epoch) is not int:
             raise InstanceError(f"job {jid}: epoch must be an integer")
         raw_size = entry.get("size")
-        size = None if raw_size is None else _as_rat(raw_size, f"job {jid} size")
+        size = None if raw_size is None else as_rat(raw_size, f"job {jid} size")
         jobs.append(Job(jid, ReleaseTag(release, epoch), size))
     return Instance(eps, tuple(jobs))
 
 
-def _as_rat(value, what: str) -> Rat:
+def as_rat(value, what: str) -> Rat:
+    """A JSON number (read with parse_float=Fraction) or rat-string, exactly."""
     if isinstance(value, Fraction):  # exact decimal via parse_float
         return value
     if isinstance(value, bool):

@@ -11,13 +11,17 @@ are grouped and advance through a shared accumulator, so a segment costs
 O(log n) bookkeeping regardless of group size. rr is the one-group case of
 this pool step: its single group runs at offset 0 and never pauses.
 
+Every policy runs one job or shares the speed equally in one pool, so a
+`Segment` is (start, end, rate, jobs), and a reader multiplies once per
+segment. `Schedule.jobs_before(t)` names the jobs that ran right before t.
+
 `Schedule.elapsed_at` (and `state_at` on top of it) answers from a checkpoint
 index of cumulative elapsed work. The index is built by a schedule's first
 query, never by `simulate`, so runs that only read completions pay nothing.
-A checkpoint is taken once the rate entries replayed since the last one are
+A checkpoint is taken once the job entries replayed since the last one are
 at least the size of the running elapsed dict. The checkpoints then hold no
-more entries than the segments themselves, and a query copies one
-checkpoint and replays fewer than 2n rate entries past it (n jobs): O(n)
+more entries than the segments' job tuples, and a query copies one
+checkpoint and replays fewer than 2n job entries past it (n jobs): O(n)
 work instead of a walk from time 0.
 
 Segments tile [0, end_time] in time order, each starting where the previous
@@ -91,7 +95,14 @@ class Event:
 class Segment:
     start: Rat
     end: Rat
-    rates: dict  # job id -> Rat, work units per time unit
+    rate: Rat  # work units per time unit of each job; 0 exactly when idle
+    jobs: tuple[int, ...]  # in the engine's member order; empty when idle
+
+    @property
+    def rates(self) -> dict[int, Rat]:
+        """Job id -> rate, built per read: the package never reads it; the
+        benchmark's rate-entry and denominator counts and tests do."""
+        return dict.fromkeys(self.jobs, self.rate)
 
 
 _END = attrgetter("end")
@@ -140,9 +151,9 @@ class Schedule:
         for seg in islice(self.segments, seg_idx[c], hold + 1):
             if seg.start >= t:
                 break
-            dur = (seg.end if seg.end <= t else t) - seg.start
-            for jid, rate in seg.rates.items():
-                elapsed[jid] = elapsed.get(jid, ZERO) + rate * dur
+            work = seg.rate * ((seg.end if seg.end <= t else t) - seg.start)
+            for jid in seg.jobs:
+                elapsed[jid] = elapsed.get(jid, ZERO) + work
         return elapsed
 
     def _index(self) -> tuple[list[int], list[dict[int, Rat]]]:
@@ -154,10 +165,10 @@ class Schedule:
             running: dict[int, Rat] = {}
             since = 0
             for i, seg in enumerate(self.segments, 1):
-                dur = seg.end - seg.start
-                for jid, rate in seg.rates.items():
-                    running[jid] = running.get(jid, ZERO) + rate * dur
-                since += len(seg.rates)
+                work = seg.rate * (seg.end - seg.start)
+                for jid in seg.jobs:
+                    running[jid] = running.get(jid, ZERO) + work
+                since += len(seg.jobs)
                 if since and since >= len(running):
                     seg_idx.append(i)
                     snaps.append(dict(running))
@@ -171,29 +182,29 @@ class Schedule:
         """Segments with end > t, in time order."""
         return islice(self.segments, bisect_right(self.segments, t, key=_END), None)
 
-    def rates_before(self, t: Rat) -> dict[int, Rat]:
-        """Rates of the segment with start < t <= end (the work right before
+    def jobs_before(self, t: Rat) -> tuple[int, ...]:
+        """Jobs of the segment with start < t <= end (the work right before
         t); empty when that segment is idle or t is outside (0, end_time]."""
         i = bisect_left(self.segments, t, key=_END)
         if i < len(self.segments) and self.segments[i].start < t:
-            return self.segments[i].rates
-        return {}
+            return self.segments[i].jobs
+        return ()
 
     def last_touch(self, job: int, t: Rat) -> Rat | None:
         """The end, capped at t, of the last segment starting before t that
-        gives `job` positive rate; None if the job does not run before t."""
+        runs `job`; None if the job does not run before t."""
         i = bisect_left(self.segments, t, key=_END)
         for seg in reversed(self.segments[: i + 1]):
-            if seg.start < t and seg.rates.get(job, ZERO) > 0:
+            if seg.start < t and job in seg.jobs:
                 return min(seg.end, t)
         return None
 
     def solo_runs(self, start: Rat):
         """(start, end, job) for each segment with end > `start`, in time
-        order; `job` is the only job receiving rate, or None when the
-        segment is idle or shared."""
+        order; `job` is the only job that runs, or None when the segment is
+        idle or shared."""
         for seg in self._segments_after(start):
-            job = next(iter(seg.rates)) if len(seg.rates) == 1 else None
+            job = seg.jobs[0] if len(seg.jobs) == 1 else None
             yield seg.start, seg.end, job
 
     def known_times(self) -> dict[int, Rat]:
@@ -207,14 +218,15 @@ class Schedule:
         out: dict[int, Rat] = {}
         for seg in self._segments_after(after):
             lo = max(seg.start, after)
-            for jid, rate in seg.rates.items():
+            work = seg.rate * (seg.end - lo)
+            for jid in seg.jobs:
                 if jid not in levels or jid in out:
                     continue
                 need = levels[jid] - done.get(jid, ZERO)
-                if need <= rate * (seg.end - lo):
-                    out[jid] = lo + need / rate
+                if need <= work:
+                    out[jid] = lo + need / seg.rate
                 else:
-                    done[jid] = done.get(jid, ZERO) + rate * (seg.end - lo)
+                    done[jid] = done.get(jid, ZERO) + work
             if len(out) == len(levels):
                 break
         return out
@@ -430,21 +442,22 @@ def simulate(
 
     # --- allocation for the segment starting at t ---------------------------
 
-    def choose() -> tuple[dict, str]:
+    def choose() -> tuple[Rat, tuple[int, ...], str]:
+        """(rate, jobs, regime) of the segment starting at t."""
         nonlocal solo, running
         if in_window():
             freeze_solo()
             if policy in ("slf", "setf"):
                 pause_running()
-            return {}, "idle"
+            return ZERO, (), "idle"
         if n_active == 0:
-            return {}, "idle"
+            return ZERO, (), "idle"
         if srpt_like:
             freeze_solo()
             top = peek_known()
             assert top is not None
             solo = top[1]
-            return {solo: speed}, "solo"
+            return speed, (solo,), "solo"
         # the lowest-elapsed group runs (rr's one group never has tiers)
         if running is not None and tier_vals and tier_vals[0] < run_level():
             pause_running()
@@ -460,19 +473,17 @@ def simulate(
                 if level is None or top[0] * (1 - eps) <= eps * level:
                     pause_running()
                     solo = top[1]
-                    return {solo: speed}, "solo"
+                    return speed, (solo,), "solo"
         if running is None:
             activate_tier()
         elif tier_vals and tier_vals[0] == run_level():
             extra = tiers.pop(tier_vals.pop(0))
             running.absorb(extra)
-        k = len(running.members)
-        rate = speed / k
-        return {jid: rate for jid in running.members}, "pool"
+        return speed / len(running.members), tuple(running.members), "pool"
 
     # --- earliest boundary after t for the chosen regime --------------------
 
-    def next_boundary(regime: str) -> Rat:
+    def next_boundary(regime: str, rate: Rat) -> Rat:
         cands: list[Rat] = []
         if next_arrival_idx < len(arrival_times):
             cands.append(arrival_times[next_arrival_idx])
@@ -492,7 +503,6 @@ def simulate(
                     cands.append(t + gap / speed)
         elif regime == "pool":
             assert running is not None
-            rate = speed / len(running.members)
             level = run_level()
             kk = group_peek(running.know, running)
             if kk is not None:
@@ -532,17 +542,17 @@ def simulate(
         if n_active == 0 and next_arrival_idx >= len(arrival_times):
             break
 
-        rates, regime = choose()
-        t_next = next_boundary(regime)
+        rate, jobs, regime = choose()
+        t_next = next_boundary(regime, rate)
         assert t_next > t, "no progress at a boundary"
         start = t
 
         if regime == "pool":
-            acc += (t_next - t) * (speed / len(rates))
+            acc += (t_next - t) * rate
         elif regime == "solo":
-            elapsed[solo] += (t_next - t) * speed
+            elapsed[solo] += (t_next - t) * rate
         t = t_next
-        segments.append(Segment(start, t, rates))
+        segments.append(Segment(start, t, rate, jobs))
 
         marked = False
         if window_idx < len(windows) and t in windows[window_idx]:
@@ -661,7 +671,7 @@ def state_at(
 
 
 def touched_jobs(sched: Schedule, start: Rat, end: Rat) -> set[int]:
-    """Jobs receiving positive rate on a positive-measure subset of (start, end]."""
+    """Jobs that run on a positive-measure subset of (start, end]."""
     start, end = Fraction(start), Fraction(end)
     if end < start:
         raise SimulationError("interval must have start <= end")
@@ -669,7 +679,7 @@ def touched_jobs(sched: Schedule, start: Rat, end: Rat) -> set[int]:
     for seg in sched._segments_after(start) if end > start else ():
         if seg.start >= end:
             break
-        out.update(jid for jid, rate in seg.rates.items() if rate > 0)
+        out.update(seg.jobs)
     return out
 
 
@@ -678,12 +688,11 @@ def export_segments_csv(sched: Schedule) -> str:
 
     lines = ["start,end,job_id,rate"]
     for seg in sched.segments:
-        if not seg.rates:
-            lines.append(f"{rat_str(seg.start)},{rat_str(seg.end)},,0")
-        for jid in sorted(seg.rates):
-            lines.append(
-                f"{rat_str(seg.start)},{rat_str(seg.end)},{jid},{rat_str(seg.rates[jid])}"
-            )
+        span = f"{rat_str(seg.start)},{rat_str(seg.end)}"
+        if not seg.jobs:
+            lines.append(f"{span},,0")
+        rate = rat_str(seg.rate)
+        lines.extend(f"{span},{jid},{rate}" for jid in sorted(seg.jobs))
     return "\n".join(lines) + "\n"
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from slflab.adversary import (
     AdversaryError,
+    _count_pair,
     deterministic_lb_run,
     exp_simultaneous_sample,
     lb_statistics,
@@ -147,3 +148,20 @@ def test_small_flow_ratio_against_bound():
         alg = total_flow_time(simulate(inst, "slf"), inst)
         opt = total_flow_time(simulate(inst, "srpt"), inst)
         assert alg <= (2 - F(1, 2)) * opt
+
+
+def test_criterion_10_size_three_jobs_cross_one_unit():
+    # criterion 10's sawtooth: at tau, slf has raised the surviving jobs to
+    # about one level L, so size-3 jobs keep 3 - L. L passes 2 between
+    # n = 64 and n = 128, and those jobs stop counting in delta(tau, 1)
+    for k, counted in ((6, True), (7, False)):
+        for i in range(3):
+            inst, tau = randomized_lb_sample(k, 1010 * 1_000_003 + i)
+            elapsed = simulate(inst, "slf", horizon=F(tau)).final_elapsed
+            threes = [j for j in inst.jobs if j.size == 3]
+            assert threes, (k, i)
+            for j in threes:
+                assert (j.size - elapsed[j.id] >= 1) == counted, (k, i, j.id)
+            dd, _ = _count_pair(inst, "slf", F(tau))
+            longer = sum(1 for j in inst.jobs if j.size > 3)
+            assert dd == longer + (len(threes) if counted else 0), (k, i)

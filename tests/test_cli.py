@@ -27,9 +27,34 @@ def test_simulate_toy(tmp_path, capsys):
     assert main(["simulate", str(inst), "--policy", "slf", "--out", str(out)]) == 0
     metrics = json.loads((out / "metrics.json").read_text())
     assert metrics["flow"] == "66"
-    csv = (out / "schedule.csv").read_text().splitlines()
-    assert csv[0] == "start,end,job_id,rate"
-    assert len(csv) > 6
+    # one row per (segment, job), jobs in id order; pinned byte for byte
+    assert (out / "schedule.csv").read_text() == (
+        "start,end,job_id,rate\n"
+        "0,3,1,1/6\n"
+        "0,3,2,1/6\n"
+        "0,3,3,1/6\n"
+        "0,3,4,1/6\n"
+        "0,3,5,1/6\n"
+        "0,3,6,1/6\n"
+        "3,7/2,6,1\n"
+        "7/2,6,1,1/5\n"
+        "7/2,6,2,1/5\n"
+        "7/2,6,3,1/5\n"
+        "7/2,6,4,1/5\n"
+        "7/2,6,5,1/5\n"
+        "6,7,5,1\n"
+        "7,9,1,1/4\n"
+        "7,9,2,1/4\n"
+        "7,9,3,1/4\n"
+        "7,9,4,1/4\n"
+        "9,21/2,3,1\n"
+        "21/2,12,4,1\n"
+        "12,13,1,1/2\n"
+        "12,13,2,1/2\n"
+        "13,15,2,1\n"
+        "15,31/2,1,1\n"
+        "31/2,18,1,1\n"
+    )
     events = (out / "events.jsonl").read_text().splitlines()
     kinds = {json.loads(line)["kind"] for line in events}
     assert {"arrival", "known", "completion"} <= kinds
@@ -48,6 +73,20 @@ def test_missing_file_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"epsilon":"2","jobs":[]}')
     assert main(["simulate", str(bad)]) == 2
+
+
+def test_malformed_instance_exit_2(tmp_path):
+    path = tmp_path / "bad.json"
+    job = {"id": 1, "release": "0", "size": "1"}
+    docs = [
+        {"epsilon": "1/2", "jobs": 5},
+        {"epsilon": "1/2", "jobs": {"id": 1}},
+        {"epsilon": "1/2", "jobs": [{**job, "id": True}]},
+        {"epsilon": "1/2", "jobs": [{**job, "epoch": True}]},
+    ]
+    for doc in docs:
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2, doc
 
 
 def test_compare_toy(tmp_path):
@@ -153,10 +192,20 @@ def test_malformed_forbidden_window_rejected(tmp_path):
         path.write_text(json.dumps({"intervals": pairs}))
         argv = ["simulate", str(inst), "--forbidden", str(path), "--out", str(out)]
         assert main(argv) == 2, pairs
-    path.write_text(json.dumps({"intervals": [["0", "1"], ["1", "5/2"]]}))
-    assert main(["simulate", str(inst), "--forbidden", str(path), "--out", str(out)]) == 0
-    # the windows delay every completion by the 5/2 forced idle
-    assert json.loads((out / "metrics.json").read_text())["flow"] == "81"
+    # a file that is not an intervals list of pairs is bad input, not a crash
+    for text in ('{"intervals": 3}', "[1, 2]", '{"intervals": [3]}', '{"intervals": [[1]]}'):
+        path.write_text(text)
+        argv = ["simulate", str(inst), "--forbidden", str(path), "--out", str(out)]
+        assert main(argv) == 2, text
+    # endpoints follow the instance rules: decimals are exact, bools are not numbers
+    for windows in ([["0", "1"], ["1", "5/2"]], [[0, 1], [1.0, 2.5]], [["0", "1.0"], [1, "2.5"]]):
+        path.write_text(json.dumps({"intervals": windows}))
+        argv = ["simulate", str(inst), "--forbidden", str(path), "--out", str(out)]
+        assert main(argv) == 0, windows
+        # the windows delay every completion by the 5/2 forced idle
+        assert json.loads((out / "metrics.json").read_text())["flow"] == "81"
+    path.write_text('{"intervals": [[false, true]]}')
+    assert main(["simulate", str(inst), "--forbidden", str(path), "--out", str(out)]) == 2
 
 
 def test_sample_deterministic(tmp_path):
@@ -243,6 +292,12 @@ def test_sweep(tmp_path):
     rows = (geo / "sweep.csv").read_text().splitlines()
     assert len(rows) == 3
     assert [r.split(",")[:2] for r in rows[1:]] == [["1/4", "0"], ["1/4", "1"]]
+    # fewer than one worker is bad input, not a silent serial run
+    zero = tmp_path / "jobs0"
+    argv = ["sweep", "--kind", "exp", "--samples", "1", "--seed", "1", "--out", str(zero)]
+    assert main(argv + ["--jobs", "0"]) == 2
+    assert main(argv + ["--jobs", "-2"]) == 2
+    assert not zero.exists()
     # an empty --epsilon list is a usage error, not a crash in the sampler
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--kind", "exp", "--epsilon", "--samples", "1", "--seed", "1"])

@@ -6,6 +6,8 @@ import pytest
 from slflab.core import Instance, Job, ReleaseTag, scale_instance
 from slflab.policies import allocation_for
 from slflab.sim import (
+    EMPTY_INTERVALS,
+    POLICIES,
     IntervalSet,
     SimulationError,
     simulate,
@@ -78,21 +80,29 @@ def test_touched_jobs():
 
 def test_work_conservation_and_event_exactness():
     rng = random.Random(3)
+    window = IntervalSet.from_pairs([(F(1), F(5, 2))])
     for _ in range(60):
         inst = random_instance(rng, F(rng.randint(1, 9), 10), rng.randint(1, 9))
-        sched = simulate(inst, "slf")
-        # conservation: every segment with work sums to the speed
-        t = F(0)
-        for seg in sched.segments:
-            assert seg.start == t
-            t = seg.end
-            if seg.rates:
-                assert sum(seg.rates.values()) == 1
-        # completions exact: integrate and compare
-        elapsed = sched.elapsed_at(sched.end_time)
-        for j in inst.jobs:
-            assert elapsed[j.id] == j.size
-            assert sched.completions[j.id] <= sched.end_time
+        for policy in POLICIES:
+            for speed, forbidden in ((F(1), EMPTY_INTERVALS), (F(3, 2), window)):
+                sched = simulate(inst, policy, speed=speed, forbidden=forbidden)
+                case = (policy, speed, bool(forbidden))
+                # conservation: one rate per segment, shared by distinct jobs
+                # that together receive the speed; idle exactly at rate 0
+                t = F(0)
+                for seg in sched.segments:
+                    assert seg.start == t, case
+                    t = seg.end
+                    assert (seg.rate == 0) == (not seg.jobs), case
+                    if seg.jobs:
+                        assert seg.rate * len(seg.jobs) == speed, case
+                    assert len(set(seg.jobs)) == len(seg.jobs), case
+                    assert seg.rates == dict.fromkeys(seg.jobs, seg.rate), case
+                # completions exact: integrate and compare
+                elapsed = sched.elapsed_at(sched.end_time)
+                for j in inst.jobs:
+                    assert elapsed[j.id] == j.size, case
+                    assert sched.completions[j.id] <= sched.end_time, case
 
 
 def test_horizon_cut_matches_full_run():
@@ -234,8 +244,8 @@ def test_schedule_queries_match_plain_scans():
                     assert work(sched.end_time) < level
             # the bisected queries agree with scans over every segment
             for t in probes + [sched.end_time + 1]:
-                cover = [seg.rates for seg in segs if seg.start < t <= seg.end]
-                assert sched.rates_before(t) == (cover[0] if cover else {})
+                cover = [seg.jobs for seg in segs if seg.start < t <= seg.end]
+                assert sched.jobs_before(t) == (cover[0] if cover else ())
                 for j in inst.jobs:
                     ends = [
                         min(seg.end, t)
