@@ -130,11 +130,11 @@ def cmd_compare(args) -> int:
     inst = _load_instance(args.instance)
     if args.epsilon is not None:
         inst = Instance(parse_rat(args.epsilon), inst.jobs)
+    if inst.epsilon <= 0:
+        raise InstanceError("compare needs epsilon > 0")
+    rho = Fraction(ceil_inv(inst.epsilon))
     alg = simulate(inst, "slf")
     opt = simulate(inst, "srpt")
-    rho = Fraction(ceil_inv(inst.epsilon)) if inst.epsilon > 0 else None
-    if rho is None:
-        raise InstanceError("compare needs epsilon > 0")
     report = local_competitiveness(alg, opt, rho)
     flow_alg = total_flow_time(alg, inst) if inst.jobs else Fraction(0)
     flow_opt = total_flow_time(opt, inst) if inst.jobs else Fraction(0)

@@ -6,6 +6,7 @@ import heapq
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 
 from .core import Instance, Rat, rat_str
 from .sim import Schedule
@@ -61,13 +62,11 @@ def count_profile(*schedules: Schedule) -> list[tuple[Rat, tuple[int, ...]]]:
     schedules, in time order.
 
     Active counts are piecewise constant between boundaries, so these rows
-    cover all times.
+    cover all times. The merged boundaries are deduplicated once and each
+    schedule answers them in one forward walk (`Schedule.active_counts`).
     """
-    rows: list[tuple[Rat, tuple[int, ...]]] = []
-    for t in heapq.merge(*(s.boundaries() for s in schedules)):
-        if not rows or rows[-1][0] != t:
-            rows.append((t, tuple(s.active_count(t) for s in schedules)))
-    return rows
+    times = [t for t, _ in groupby(heapq.merge(*(s.boundaries() for s in schedules)))]
+    return list(zip(times, zip(*(s.active_counts(times) for s in schedules))))
 
 
 def local_competitiveness(alg: Schedule, opt: Schedule, rho: Rat) -> CompetitivenessReport:

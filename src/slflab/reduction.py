@@ -108,16 +108,30 @@ class ChainReport:
 def setfi_vs_setf(plain: Schedule, idled: Schedule) -> ChainReport:
     """Per-job elapsed dominance of forced-idle SETF (`idled`) under plain
     SETF (`plain`) on the same instance, and the count inequality
-    |SETF(t)| <= |SETFI(t)|, at all event times."""
+    |SETF(t)| <= |SETFI(t)|, at all event times.
+
+    One forward walk: two running elapsed dicts take each schedule's
+    `elapsed_changes`, and only the jobs that changed at t are compared,
+    since a job that did not change keeps its verdict. At the first
+    violating t the witness is the violator first in instance job order."""
     checks = {"elapsed-dominance": True, "count": True}
     witness: dict = {}
-    for t, (n_plain, n_idled) in count_profile(plain, idled):
-        ei = idled.elapsed_at(t)
-        ep = plain.elapsed_at(t)
-        for j in plain.instance.jobs:
-            if ei.get(j.id, ZERO) > ep.get(j.id, ZERO):
-                checks["elapsed-dominance"] = False
-                witness.setdefault("elapsed", (t, j.id))
+    rows = count_profile(plain, idled)
+    times = [t for t, _ in rows]
+    ep: dict[int, Rat] = {}
+    ei: dict[int, Rat] = {}
+    for (t, (n_plain, n_idled)), dp, di in zip(
+        rows, plain.elapsed_changes(times), idled.elapsed_changes(times)
+    ):
+        ep.update(dp)
+        ei.update(di)
+        if "elapsed" not in witness:
+            bad = {j for j in (*dp, *di) if ei.get(j, ZERO) > ep.get(j, ZERO)}
+            if bad:
+                first = next((j.id for j in plain.instance.jobs if j.id in bad), None)
+                if first is not None:
+                    checks["elapsed-dominance"] = False
+                    witness["elapsed"] = (t, first)
         if n_plain > n_idled:
             checks["count"] = False
             witness.setdefault("count", t)

@@ -15,14 +15,22 @@ Every policy runs one job or shares the speed equally in one pool, so a
 `Segment` is (start, end, rate, jobs), and a reader multiplies once per
 segment. `Schedule.jobs_before(t)` names the jobs that ran right before t.
 
-`Schedule.elapsed_at` (and `state_at` on top of it) answers from a checkpoint
-index of cumulative elapsed work. The index is built by a schedule's first
+Two kinds of query read the segments. Random access, for a time asked on
+its own: `Schedule.elapsed_at` (and `state_at` on top of it) answers from a
+checkpoint index of cumulative elapsed work, and `active_count` bisects the
+sorted release and completion times. The index is built by a schedule's first
 query, never by `simulate`, so runs that only read completions pay nothing.
 A checkpoint is taken once the job entries replayed since the last one are
 at least the size of the running elapsed dict. The checkpoints then hold no
 more entries than the segments' job tuples, and a query copies one
 checkpoint and replays fewer than 2n job entries past it (n jobs): O(n)
 work instead of a walk from time 0.
+
+Ascending times, for a whole sorted list at once: `active_counts` and
+`elapsed_changes` answer it in one forward walk, with no index and no copy
+per time. `elapsed_changes` yields only the jobs whose elapsed work changed
+since the previous time, so a caller that keeps a running dict compares
+only those. `metrics.count_profile` and `reduction.setfi_vs_setf` use these.
 
 Segments tile [0, end_time] in time order, each starting where the previous
 one ends, so `Schedule.boundaries` is 0 followed by the segment ends, with
@@ -177,6 +185,49 @@ class Schedule:
         return self._checkpoints
 
     # other modules read segments only through these queries
+
+    def active_counts(self, times):
+        """Yield `active_count(t)` for each t of `times`, which must be in
+        ascending order: one forward walk over the sorted release and
+        completion times, not two bisects per t."""
+        rel, comp = self._release_times, self._completion_times
+        r = c = 0
+        for t in times:
+            while r < len(rel) and rel[r] <= t:
+                r += 1
+            while c < len(comp) and comp[c] <= t:
+                c += 1
+            yield r - c
+
+    def elapsed_changes(self, times):
+        """Yield, for each t of `times` (ascending), {job: elapsed at t} for
+        the jobs whose elapsed work changed since the previous t (since 0 for
+        the first t); applying every yield in turn to one dict gives
+        `elapsed_at(t)`. One forward walk: whole segments ending at or before
+        t join a running dict, the segment holding t is counted up to t
+        without being stored, and nothing is copied per t."""
+        segs = self.segments
+        done: dict[int, Rat] = {}
+        i = 0
+        prev = None
+        for t in times:
+            changed: dict[int, Rat] = {}
+            if t == prev:
+                yield changed
+                continue
+            prev = t
+            while i < len(segs) and segs[i].end <= t:
+                seg = segs[i]
+                work = seg.rate * (seg.end - seg.start)
+                for jid in seg.jobs:
+                    changed[jid] = done[jid] = done.get(jid, ZERO) + work
+                i += 1
+            if i < len(segs) and segs[i].start < t:
+                seg = segs[i]
+                work = seg.rate * (t - seg.start)
+                for jid in seg.jobs:
+                    changed[jid] = done.get(jid, ZERO) + work
+            yield changed
 
     def _segments_after(self, t: Rat):
         """Segments with end > t, in time order."""

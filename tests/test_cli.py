@@ -100,6 +100,17 @@ def test_compare_toy(tmp_path):
     assert counts[0] == "t,count_alg,count_opt"
 
 
+def test_compare_rejects_zero_epsilon_first(tmp_path, capsys):
+    # the epsilon check comes before any simulation, so an undeclared job
+    # does not hide it behind the engine's horizon error
+    path = tmp_path / "eps0.json"
+    for size in ("1", None):
+        job = {"id": 1, "release": "0", "size": size}
+        path.write_text(json.dumps({"epsilon": "0", "jobs": [job]}))
+        assert main(["compare", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "compare needs epsilon > 0" in capsys.readouterr().err, size
+
+
 def test_certify_toy(tmp_path):
     inst = write_toy(tmp_path)
     out = tmp_path / "cert"

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from slflab.core import Instance, Job, ReleaseTag
+from slflab.metrics import count_profile
 from slflab.reduction import (
     ReductionError,
     WaterFillingConfig,
@@ -13,7 +14,7 @@ from slflab.reduction import (
     water_filling_dominance,
     water_filling_trajectories,
 )
-from slflab.sim import IntervalSet, simulate
+from slflab.sim import POLICIES, IntervalSet, Schedule, simulate
 
 from .helpers import random_instance, toy_instance
 
@@ -92,6 +93,81 @@ def test_setfi_dominance_random():
         idled = simulate(inst, "setf", forbidden=IntervalSet.from_pairs([(a, b)]))
         rep = setfi_vs_setf(simulate(inst, "setf"), idled)
         assert rep.ok, rep.witness
+
+
+def _setfi_vs_setf_per_boundary(plain, idled):
+    """Reference: the per-boundary definition of setfi_vs_setf, built from
+    the random-access queries elapsed_at and active_count."""
+    checks = {"elapsed-dominance": True, "count": True}
+    witness: dict = {}
+    for t in sorted(set(plain.boundaries()) | set(idled.boundaries())):
+        ei = idled.elapsed_at(t)
+        ep = plain.elapsed_at(t)
+        for j in plain.instance.jobs:
+            if ei.get(j.id, F(0)) > ep.get(j.id, F(0)):
+                checks["elapsed-dominance"] = False
+                witness.setdefault("elapsed", (t, j.id))
+        if plain.active_count(t) > idled.active_count(t):
+            checks["count"] = False
+            witness.setdefault("count", t)
+    return all(checks.values()), checks, witness
+
+
+def test_setfi_vs_setf_matches_per_boundary_definition():
+    # any policy on the plain side, setf/rr with a random forbidden window on
+    # the idled side; each pair is also passed swapped, so about half violate
+    rng = random.Random(54)
+    failed = {"elapsed-dominance": 0, "count": 0}
+    for _ in range(25):
+        inst = random_instance(rng, F(rng.randint(1, 9), 10), rng.randint(1, 7))
+        # job order, not id order, picks among violators at one time
+        inst = inst.with_jobs(rng.sample(inst.jobs, len(inst.jobs)))
+        a = F(rng.randint(0, 8), rng.randint(1, 2))
+        window = IntervalSet.from_pairs([(a, a + F(rng.randint(1, 5), rng.randint(1, 2)))])
+        for policy in POLICIES:
+            plain = simulate(inst, policy)
+            for idled_policy in ("setf", "rr"):
+                idled = simulate(inst, idled_policy, forbidden=window)
+                for x, y in ((plain, idled), (idled, plain)):
+                    rep = setfi_vs_setf(x, y)
+                    want = _setfi_vs_setf_per_boundary(x, y)
+                    assert (rep.ok, rep.checks, rep.witness) == want, (policy, idled_policy)
+                    for name, ok in rep.checks.items():
+                        failed[name] += not ok
+    assert min(failed.values()) >= 50, failed
+
+
+def test_setfi_vs_setf_violation_witnesses():
+    # job 2 (size 1) is listed before job 1 (size 2); the "plain" side idles
+    # on [0, 1), so at t = 1 both jobs have more work on the other side
+    inst = Instance(F(1, 2), (Job(2, ReleaseTag(F(0)), F(1)), Job(1, ReleaseTag(F(0)), F(2))))
+    late = simulate(inst, "setf", forbidden=IntervalSet.from_pairs([(F(0), F(1))]))
+    rep = setfi_vs_setf(late, simulate(inst, "setf"))
+    assert not rep.ok
+    assert rep.checks == {"elapsed-dominance": False, "count": False}
+    # the first violator in job order; the count breaks when job 2 finishes
+    # at t = 2 on the unidled side and only at t = 3 on the idled one
+    assert rep.witness == {"elapsed": (F(1), 2), "count": F(2)}
+
+
+def test_chain_checks_use_forward_walks_only(monkeypatch):
+    # reduction_check and count_profile answer every boundary in one forward
+    # walk; per-boundary random access must not creep back into them
+    def no_random_access(self, t):
+        raise AssertionError("per-boundary random-access query")
+
+    rng = random.Random(55)
+    inst = random_instance(rng, F(1, 2), 7)
+    schedules = [simulate(inst, policy) for policy in POLICIES]
+    want = [
+        (t, tuple(s.active_count(t) for s in schedules))
+        for t in sorted({t for s in schedules for t in s.boundaries()})
+    ]
+    monkeypatch.setattr(Schedule, "elapsed_at", no_random_access)
+    monkeypatch.setattr(Schedule, "active_count", no_random_access)
+    assert count_profile(*schedules) == want
+    rep = reduction_check(inst, F(1, 2))
+    assert rep.ok, (rep.checks, rep.witness)
 
 
 def test_known_work_intervals_toy():

@@ -329,3 +329,36 @@ def test_indexed_elapsed_matches_plain_walk():
                     assert {
                         i: (st.elapsed, st.remaining, st.known) for i, st in states.items()
                     } == _walk_states(inst, want, t, cutoff), (policy, t, cutoff)
+
+
+def test_forward_cursors_match_random_access_queries():
+    # active_counts and elapsed_changes answer ascending times in one walk
+    # and agree with active_count and elapsed_at at every probe
+    rng = random.Random(12)
+    window = IntervalSet.from_pairs([(F(1), F(5, 2))])
+    for trial in range(20):
+        inst = random_instance(rng, F(rng.randint(1, 9), 10), rng.randint(1, 9))
+        horizon = F(rng.randint(1, 40), 2) if trial % 3 == 0 else None
+        for policy in POLICIES:
+            for speed in (F(1), F(3, 2)):
+                for forbidden in (EMPTY_INTERVALS, window):
+                    case = (trial, policy, speed, bool(forbidden))
+                    sched = simulate(
+                        inst, policy, speed=speed, forbidden=forbidden, horizon=horizon
+                    )
+                    times = sched.boundaries()
+                    mids = [(x + y) / 2 for x, y in zip(times, times[1:])]
+                    repeats = rng.sample(times + mids, min(3, len(times)))
+                    probes = sorted(
+                        [F(0), *times, *mids, *repeats, sched.end_time + F(1, 3),
+                         sched.end_time + 50]
+                    )
+                    counts = list(sched.active_counts(probes))
+                    assert counts == [sched.active_count(t) for t in probes], case
+                    elapsed: dict = {}
+                    for t, changed in zip(probes, sched.elapsed_changes(probes)):
+                        # only jobs whose elapsed work moved since the last probe
+                        for jid, e in changed.items():
+                            assert elapsed.get(jid, F(0)) != e, (case, t, jid)
+                        elapsed.update(changed)
+                        assert elapsed == sched.elapsed_at(t), (case, t)
