@@ -28,10 +28,6 @@ class AdversaryError(ValueError):
     pass
 
 
-def _ceil_frac(x: Rat) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
 # --- deterministic round adversary --------------------------------------------
 
 
@@ -87,9 +83,8 @@ def deterministic_lb_run(
         raise AdversaryError("policy must interact via the clairvoyance interface")
     if rounds < 0 or tail_m < 0:
         raise AdversaryError("rounds and tail length must be >= 0")
-    k = _ceil_frac((1 - epsilon) / epsilon)
-    kp = k + 1
-    assert kp == ceil_inv(epsilon)
+    kp = ceil_inv(epsilon)
+    k = kp - 1
 
     jobs: list[Job] = []
     next_id = 1

@@ -11,6 +11,16 @@ are grouped and advance through a shared accumulator, so a segment costs
 O(log n) bookkeeping regardless of group size. rr is the one-group case of
 this pool step: its single group runs at offset 0 and never pauses.
 
+The jobs that may run alone wait in one min-heap by (remaining, id), one
+entry per waiting job: slf's known jobs, or every job under srpt (and slf at
+eps = 1). The job running alone leaves the heap and returns, with its new
+remaining, when it is preempted.
+
+A job whose size is known at elapsed 0 (eps = 1) is logged `known` on
+arrival, under every policy. A segment end that logs no event of its own
+(forbidden, known, completion), has no arrival and is not the horizon logs
+`mode`: the allocation changes there.
+
 Every policy runs one job or shares the speed equally in one pool, so a
 `Segment` is (start, end, rate, jobs), and a reader multiplies once per
 segment. `Schedule.jobs_before(t)` names the jobs that ran right before t.
@@ -358,10 +368,9 @@ def simulate(
     tiers: dict[Rat, _Group] = {}  # paused groups by elapsed level (slf/setf)
     tier_vals: list[Rat] = []
 
-    # known active jobs (slf) or all active (srpt-like): lazy min-heap by (r, id)
-    known_set: set[int] = set()
+    # waiting known jobs (slf) or all waiting jobs (srpt-like), one entry
+    # each: min-heap by (remaining, id); the solo job is out of it
     kn_heap: list[tuple[Rat, int]] = []
-    heap_rem: dict[int, Rat] = {}
     solo: int | None = None
 
     # rr: a member's elapsed is rr_off + acc, so its heap keys are levels of
@@ -378,17 +387,12 @@ def simulate(
         return size[jid] - elapsed[jid]
 
     def push_known(jid: int) -> None:
-        r = remaining_of(jid)
-        heap_rem[jid] = r
-        heapq.heappush(kn_heap, (r, jid))
+        heapq.heappush(kn_heap, (remaining_of(jid), jid))
 
-    def peek_known() -> tuple[Rat, int] | None:
-        while kn_heap:
-            r, jid = kn_heap[0]
-            if jid in known_set and heap_rem.get(jid) == r:
-                return r, jid
-            heapq.heappop(kn_heap)
-        return None
+    def run_solo() -> int:
+        nonlocal solo
+        solo = heapq.heappop(kn_heap)[1]
+        return solo
 
     def run_level() -> Rat:
         assert running is not None and running.off is not None
@@ -404,15 +408,13 @@ def simulate(
             tiers[group.level] = group
             insort(tier_vals, group.level)
 
-    def new_group(ids: list[int], level: Rat) -> _Group:
-        g = _Group(set(ids), level)
-        for jid in ids:
-            p = size[jid]
-            if p is None:
-                continue
+    def new_group(jid: int) -> _Group:
+        g = _Group({jid}, ZERO)
+        p = size[jid]
+        if p is not None:
             if jid in thr and jid not in known_logged:
-                heapq.heappush(g.know, (thr[jid], jid))
-            heapq.heappush(g.comp, (p, jid))
+                g.know.append((thr[jid], jid))
+            g.comp.append((p, jid))
         return g
 
     def group_peek(heap: list[tuple[Rat, int]], g: _Group) -> Rat | None:
@@ -436,19 +438,11 @@ def simulate(
         value = tier_vals.pop(0)
         running = tiers.pop(value)
         running.off = value - acc
-        # absorb any group that sits exactly at the running level
-        while tier_vals and tier_vals[0] == value:
-            extra = tiers.pop(tier_vals.pop(0))
-            running.absorb(extra)
 
     def complete(jid: int) -> None:
-        nonlocal n_active, solo
+        nonlocal n_active
         completions[jid] = t
-        known_set.discard(jid)
-        heap_rem.pop(jid, None)
         n_active -= 1
-        if solo == jid:
-            solo = None
         log("completion", jid)
 
     def mark_known(jid: int) -> None:
@@ -461,14 +455,11 @@ def simulate(
         n_active += 1
         elapsed[jid] = ZERO
         log("arrival", jid)
+        if thr.get(jid) == 0:  # eps == 1: known on arrival, for every policy
+            mark_known(jid)
         if srpt_like:
-            known_set.add(jid)
             push_known(jid)
-            if policy == "slf":  # eps == 1: sizes known on arrival
-                mark_known(jid)
         elif policy == "rr":
-            if jid in thr and thr[jid] <= 0:  # eps == 1: known on arrival
-                mark_known(jid)
             rr_off[jid] = -acc
             assert running is not None
             running.members.add(jid)
@@ -478,9 +469,7 @@ def simulate(
                     heapq.heappush(running.know, (thr[jid] - rr_off[jid], jid))
                 heapq.heappush(running.comp, (p - rr_off[jid], jid))
         else:  # slf (eps < 1) / setf: a fresh zero-elapsed tier
-            if jid in thr and thr[jid] <= 0:  # eps == 1 setf: known on arrival
-                mark_known(jid)
-            add_tier(new_group([jid], ZERO))
+            add_tier(new_group(jid))
 
     def freeze_solo() -> None:
         nonlocal solo
@@ -495,7 +484,7 @@ def simulate(
 
     def choose() -> tuple[Rat, tuple[int, ...], str]:
         """(rate, jobs, regime) of the segment starting at t."""
-        nonlocal solo, running
+        nonlocal running
         if in_window():
             freeze_solo()
             if policy in ("slf", "setf"):
@@ -505,26 +494,21 @@ def simulate(
             return ZERO, (), "idle"
         if srpt_like:
             freeze_solo()
-            top = peek_known()
-            assert top is not None
-            solo = top[1]
-            return speed, (solo,), "solo"
+            return speed, (run_solo(),), "solo"
         # the lowest-elapsed group runs (rr's one group never has tiers)
         if running is not None and tier_vals and tier_vals[0] < run_level():
             pause_running()
         if policy == "slf":
             freeze_solo()
-            top = peek_known()
-            if top is not None:
+            if kn_heap:
                 level = run_level() if running is not None else None
                 if tier_vals and (level is None or tier_vals[0] < level):
                     level = tier_vals[0]
                 # run the known argmin when its remaining time is at most the
                 # least lower-bound estimate of the unknown jobs (ties: known)
-                if level is None or top[0] * (1 - eps) <= eps * level:
+                if level is None or kn_heap[0][0] * (1 - eps) <= eps * level:
                     pause_running()
-                    solo = top[1]
-                    return speed, (solo,), "solo"
+                    return speed, (run_solo(),), "solo"
         if running is None:
             activate_tier()
         elif tier_vals and tier_vals[0] == run_level():
@@ -549,9 +533,7 @@ def simulate(
             assert solo is not None
             cands.append(t + remaining_of(solo) / speed)
             if solo in thr and solo not in known_logged:
-                gap = thr[solo] - elapsed[solo]
-                if gap > 0:
-                    cands.append(t + gap / speed)
+                cands.append(t + (thr[solo] - elapsed[solo]) / speed)
         elif regime == "pool":
             assert running is not None
             level = run_level()
@@ -563,11 +545,9 @@ def simulate(
                 cands.append(t + (ck - level) / rate)
             if tier_vals:
                 cands.append(t + (tier_vals[0] - level) / rate)
-            if policy == "slf" and eps > 0:
-                top = peek_known()
-                if top is not None:
-                    # estimates tie when the pool level reaches r*(1-e)/e
-                    cands.append(t + (top[0] * (1 - eps) / eps - level) / rate)
+            if policy == "slf" and eps > 0 and kn_heap:
+                # estimates tie when the pool level reaches r*(1-e)/e
+                cands.append(t + (kn_heap[0][0] * (1 - eps) / eps - level) / rate)
         assert cands, "stalled: no candidate boundary"
         return min(cands)
 
@@ -604,11 +584,9 @@ def simulate(
             elapsed[solo] += (t_next - t) * rate
         t = t_next
         segments.append(Segment(start, t, rate, jobs))
-
-        marked = False
+        n_events = len(events)
         if window_idx < len(windows) and t in windows[window_idx]:
             log("forbidden")
-            marked = True
 
         if regime == "pool":
             g = running
@@ -619,11 +597,9 @@ def simulate(
                     break
                 _, jid = heapq.heappop(g.know)
                 mark_known(jid)
-                marked = True
                 if policy == "slf":
                     g.members.discard(jid)
                     elapsed[jid] = level
-                    known_set.add(jid)
                     push_known(jid)
             while True:
                 ck = group_peek(g.comp, g)
@@ -635,7 +611,6 @@ def simulate(
                 g.members.discard(jid)
                 elapsed[jid] = size[jid]
                 complete(jid)
-                marked = True
             if not g.members and policy != "rr":
                 running = None
         elif regime == "solo":
@@ -643,20 +618,16 @@ def simulate(
             assert jid is not None
             if jid in thr and jid not in known_logged and elapsed[jid] >= thr[jid]:
                 mark_known(jid)
-                marked = True
             if remaining_of(jid) == 0:
                 complete(jid)
-                marked = True
+                solo = None
 
-        if (
-            next_arrival_idx < len(arrival_times)
-            and arrival_times[next_arrival_idx] == t
-        ):
-            marked = True  # arrivals are logged at the top of the loop
-        if horizon is not None and t == horizon:
-            marked = True
-        if not marked:
-            log("mode")
+        # a boundary with no event of its own, no arrival (logged at the top
+        # of the loop) and short of the horizon is a change of allocation
+        if len(events) == n_events and (horizon is None or t != horizon):
+            i = next_arrival_idx
+            if i == len(arrival_times) or arrival_times[i] != t:
+                log("mode")
 
     # materialize group members for the final snapshot
     final_elapsed = dict(elapsed)

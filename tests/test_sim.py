@@ -204,18 +204,41 @@ def test_knowledge_monotone_and_events():
 
 
 def test_eps_one_known_on_arrival():
-    inst = Instance(F(1), (Job(1, ReleaseTag(F(2)), F(3)),))
-    sched = simulate(inst, "slf")
-    assert [(e.t, e.kind) for e in sched.events if e.job == 1][:2] == [
-        (F(2), "arrival"),
-        (F(2), "known"),
-    ]
+    # at eps = 1 every policy logs `known` right after the job's arrival,
+    # also for a job that waits past a horizon: srpt runs job 2, then job 3
+    # from t = 1, then job 1 from t = 3
+    single = Instance(F(1), (Job(1, ReleaseTag(F(2)), F(3)),))
+    inst = Instance(
+        F(1),
+        (
+            Job(1, ReleaseTag(F(0)), F(3)),
+            Job(2, ReleaseTag(F(0)), F(1)),
+            Job(3, ReleaseTag(F(1, 2)), F(2)),
+        ),
+    )
+    releases = {j.id: j.release.time for j in inst.jobs}
+    assert simulate(inst, "srpt", horizon=F(2)).final_elapsed[1] == 0
+    for policy in POLICIES:
+        sched = simulate(single, policy)
+        assert [(e.t, e.kind) for e in sched.events if e.job == 1][:2] == [
+            (F(2), "arrival"),
+            (F(2), "known"),
+        ], policy
+        for horizon in (None, F(2)):
+            sched = simulate(inst, policy, horizon=horizon)
+            assert sched.known_times() == releases, (policy, horizon)
+            for j in inst.jobs:
+                at = [e.kind for e in sched.events if e.job == j.id]
+                assert at[:2] == ["arrival", "known"], (policy, horizon, j.id)
 
 
 def test_schedule_queries_match_plain_scans():
     rng = random.Random(9)
-    for _ in range(25):
-        inst = random_instance(rng, F(rng.randint(1, 9), 10), rng.randint(1, 7))
+    for trial in range(25):
+        eps = F(rng.randint(1, 9), 10)
+        if trial % 4 == 0:
+            eps = F(1)  # sizes known on arrival, for every policy
+        inst = random_instance(rng, eps, rng.randint(1, 7))
         for policy in ("slf", "srpt", "setf", "rr"):
             sched = simulate(inst, policy)
             segs = sched.segments
@@ -362,3 +385,38 @@ def test_forward_cursors_match_random_access_queries():
                             assert elapsed.get(jid, F(0)) != e, (case, t, jid)
                         elapsed.update(changed)
                         assert elapsed == sched.elapsed_at(t), (case, t)
+
+
+def test_event_log_marks_every_boundary():
+    # a segment end logs exactly one `mode` event unless another event
+    # (forbidden, known, completion, arrival) shares its time or it is the
+    # horizon; every event sits at 0, a release or a segment end
+    rng = random.Random(13)
+    windows = (
+        EMPTY_INTERVALS,
+        IntervalSet.from_pairs([(F(1), F(5, 2))]),
+        IntervalSet.from_pairs([(F(1, 2), F(2)), (F(4), F(11, 2))]),
+    )
+    for trial in range(30):
+        inst = random_instance(rng, F(rng.randint(0, 10), 10), rng.randint(1, 8))
+        horizon = F(rng.randint(1, 30), 2) if trial % 2 else None
+        releases = {j.release.time for j in inst.jobs}
+        for policy in POLICIES:
+            for speed in (F(1), F(3, 2)):
+                for forbidden in windows:
+                    case = (trial, policy, speed, forbidden)
+                    sched = simulate(
+                        inst, policy, speed=speed, forbidden=forbidden, horizon=horizon
+                    )
+                    ends = {seg.end for seg in sched.segments}
+                    kinds: dict = {}
+                    for ev in sched.events:
+                        assert ev.t == 0 or ev.t in releases or ev.t in ends, case
+                        kinds.setdefault(ev.t, []).append(ev.kind)
+                    for t in ends:
+                        at = kinds.get(t, [])
+                        others = [k for k in at if k != "mode"]
+                        want = 0 if others or t == horizon else 1
+                        assert at.count("mode") == want, (case, t, at)
+                    modes = {ev.t for ev in sched.events if ev.kind == "mode"}
+                    assert modes <= ends, case
