@@ -13,8 +13,24 @@ this pool step: its single group runs at offset 0 and never pauses.
 
 The jobs that may run alone wait in one min-heap by (remaining, id), one
 entry per waiting job: slf's known jobs, or every job under srpt (and slf at
-eps = 1). The job running alone leaves the heap and returns, with its new
-remaining, when it is preempted.
+eps = 1). The job running alone leaves the heap and keeps the machine until
+it completes or a batch arrives; only an arrival returns it to the heap,
+with its new remaining. Between arrivals its (remaining, id) only shrinks,
+so it stays the minimum, and under slf the paused pool makes no job known.
+A forbidden window idles the machine with the job still held.
+
+A tier group's heaps (slf, setf) key a job by its integer rank in (size, id)
+order, sorted once per run; for eps < 1 that is also the (threshold, id)
+order, so heap moves compare integers and a Fraction level is read only at
+the top. rr's one group keys by the level of its accumulator, which depends
+on when the job arrived.
+
+A boundary takes one conversion from work to time. The run's own next event
+is the minimum of its targets in work units: the solo job's threshold or
+size, or the pool's next knowledge, completion or tier level and slf's tie
+level. It is divided by the rate once and compared with the next arrival,
+the horizon and the window edge; when it wins, the group accumulator or the
+solo job's elapsed advances by exactly that work.
 
 A job whose size is known at elapsed 0 (eps = 1) is logged `known` on
 arrival, under every policy. A segment end that logs no event of its own
@@ -254,8 +270,9 @@ class Schedule:
     def last_touch(self, job: int, t: Rat) -> Rat | None:
         """The end, capped at t, of the last segment starting before t that
         runs `job`; None if the job does not run before t."""
-        i = bisect_left(self.segments, t, key=_END)
-        for seg in reversed(self.segments[: i + 1]):
+        segs = self.segments
+        for i in range(min(bisect_left(segs, t, key=_END), len(segs) - 1), -1, -1):
+            seg = segs[i]
             if seg.start < t and job in seg.jobs:
                 return min(seg.end, t)
         return None
@@ -296,16 +313,17 @@ class Schedule:
 class _Group:
     """Jobs sharing one elapsed level, advanced in fluid round-robin.
 
-    Heaps carry absolute thresholds (knowledge level, completion level), so a
-    group can be paused and resumed in O(1) without re-keying.
+    The heaps hold (key, id) entries whose keys never change, so a group can
+    be paused and resumed in O(1) without re-keying; the level a top entry
+    waits for is looked up by id (see `know_at` and `comp_at` in `simulate`).
     """
 
     __slots__ = ("members", "know", "comp", "level", "off")
 
     def __init__(self, members: set[int], level: Rat):
         self.members = members
-        self.know: list[tuple[Rat, int]] = []
-        self.comp: list[tuple[Rat, int]] = []
+        self.know: list[tuple] = []
+        self.comp: list[tuple] = []
         self.level = level  # static elapsed while paused
         self.off: Rat | None = None  # level = off + acc while running
 
@@ -347,6 +365,27 @@ def simulate(
     size = {j.id: j.size for j in inst.jobs}
     # knowledge threshold: known iff elapsed >= (1-eps) * p (declared, eps > 0)
     thr = {j.id: (1 - eps) * j.size for j in inst.jobs if j.size is not None and eps > 0}
+    # slf: a known job with remaining r ties the unknown jobs at level
+    # r * tie_ratio
+    tie_ratio = (1 - eps) / eps if eps > 0 else None
+
+    # Group heap keys, and where the level of a key is read. A tier group
+    # (slf, setf) keys a job by its rank in (size, id) order, which for eps < 1
+    # is also the (threshold, id) order, and reads thr / size at the top. rr's
+    # one group keys by the level of acc that depends on the arrival time.
+    know_at, comp_at = thr, size
+    if policy == "rr":
+        know_at, comp_at = {}, {}
+    elif not srpt_like:
+
+        def size_key(jid: int) -> tuple[int, Rat]:
+            # floor(p * 2**64) orders the sizes it tells apart with one
+            # integer comparison; only equal floors compare the Fractions
+            p = size[jid]
+            return (p.numerator << 64) // p.denominator, p
+
+        declared = sorted(jid for jid, p in size.items() if p is not None)
+        rank = {jid: r for r, jid in enumerate(sorted(declared, key=size_key))}
 
     batches: dict[Rat, list[int]] = {}
     for j in sorted(inst.jobs, key=lambda j: (j.release, j.id)):
@@ -373,8 +412,8 @@ def simulate(
     kn_heap: list[tuple[Rat, int]] = []
     solo: int | None = None
 
-    # rr: a member's elapsed is rr_off + acc, so its heap keys are levels of
-    # acc; read only on arrival and by the final snapshot of a cut run
+    # rr: a member's elapsed is rr_off + acc; read only by the final
+    # snapshot of a cut run
     rr_off: dict[int, Rat] = {}
 
     segments: list[Segment] = []
@@ -383,16 +422,8 @@ def simulate(
     def log(kind: str, job: int | None = None) -> None:
         events.append(Event(t, kind, job))
 
-    def remaining_of(jid: int) -> Rat:
-        return size[jid] - elapsed[jid]
-
     def push_known(jid: int) -> None:
-        heapq.heappush(kn_heap, (remaining_of(jid), jid))
-
-    def run_solo() -> int:
-        nonlocal solo
-        solo = heapq.heappop(kn_heap)[1]
-        return solo
+        heapq.heappush(kn_heap, (size[jid] - elapsed[jid], jid))
 
     def run_level() -> Rat:
         assert running is not None and running.off is not None
@@ -410,34 +441,37 @@ def simulate(
 
     def new_group(jid: int) -> _Group:
         g = _Group({jid}, ZERO)
-        p = size[jid]
-        if p is not None:
+        if size[jid] is not None:
+            key = (rank[jid], jid)
             if jid in thr and jid not in known_logged:
-                g.know.append((thr[jid], jid))
-            g.comp.append((p, jid))
+                g.know.append(key)
+            g.comp.append(key)
         return g
 
-    def group_peek(heap: list[tuple[Rat, int]], g: _Group) -> Rat | None:
+    def group_peek(heap: list[tuple], g: _Group, level_of: dict[int, Rat]) -> Rat | None:
+        """The level the first member of `heap` waits for; drops the entries
+        of jobs that left `g` on the way."""
         while heap:
-            key, jid = heap[0]
+            jid = heap[0][1]
             if jid in g.members:
-                return key
+                return level_of[jid]
             heapq.heappop(heap)
         return None
 
-    def pause_running() -> None:
+    def pause_running(level: Rat) -> None:
         nonlocal running
-        if running is not None:
-            running.level = run_level()
-            add_tier(running)
-            running = None
+        assert running is not None
+        running.level = level
+        add_tier(running)
+        running = None
 
-    def activate_tier() -> None:
+    def activate_tier() -> Rat:
         nonlocal running
         assert running is None
         value = tier_vals.pop(0)
         running = tiers.pop(value)
         running.off = value - acc
+        return value
 
     def complete(jid: int) -> None:
         nonlocal n_active
@@ -451,7 +485,10 @@ def simulate(
             log("known", jid)
 
     def arrive(jid: int) -> None:
-        nonlocal n_active
+        nonlocal n_active, solo
+        if solo is not None:  # an arrival is what ends a solo run early
+            push_known(solo)
+            solo = None
         n_active += 1
         elapsed[jid] = ZERO
         log("arrival", jid)
@@ -466,90 +503,79 @@ def simulate(
             p = size[jid]
             if p is not None:
                 if jid in thr and jid not in known_logged:
-                    heapq.heappush(running.know, (thr[jid] - rr_off[jid], jid))
-                heapq.heappush(running.comp, (p - rr_off[jid], jid))
+                    know_at[jid] = thr[jid] + acc
+                    heapq.heappush(running.know, (know_at[jid], jid))
+                comp_at[jid] = p + acc
+                heapq.heappush(running.comp, (comp_at[jid], jid))
         else:  # slf (eps < 1) / setf: a fresh zero-elapsed tier
             add_tier(new_group(jid))
-
-    def freeze_solo() -> None:
-        nonlocal solo
-        if solo is not None:
-            push_known(solo)
-            solo = None
 
     def in_window() -> bool:
         return window_idx < len(windows) and windows[window_idx][0] <= t
 
     # --- allocation for the segment starting at t ---------------------------
 
-    def choose() -> tuple[Rat, tuple[int, ...], str]:
-        """(rate, jobs, regime) of the segment starting at t."""
-        nonlocal running
+    def choose() -> tuple[Rat, tuple[int, ...], str, Rat | None, Rat | None]:
+        """(rate, jobs, regime, goal, work) of the segment starting at t.
+
+        goal is the elapsed (solo) or group level (pool) at which the run's
+        own next event falls, and work the per-job work up to it; both are
+        None when no such event is pending.
+        """
+        nonlocal running, solo
         if in_window():
-            freeze_solo()
-            if policy in ("slf", "setf"):
-                pause_running()
-            return ZERO, (), "idle"
-        if n_active == 0:
-            return ZERO, (), "idle"
-        if srpt_like:
-            freeze_solo()
-            return speed, (run_solo(),), "solo"
-        # the lowest-elapsed group runs (rr's one group never has tiers)
-        if running is not None and tier_vals and tier_vals[0] < run_level():
-            pause_running()
-        if policy == "slf":
-            freeze_solo()
-            if kn_heap:
-                level = run_level() if running is not None else None
-                if tier_vals and (level is None or tier_vals[0] < level):
-                    level = tier_vals[0]
+            if policy in ("slf", "setf") and running is not None:
+                pause_running(run_level())
+            return ZERO, (), "idle", None, None
+        level = tie = None
+        if solo is None and n_active == 0:
+            return ZERO, (), "idle", None, None
+        if solo is None and srpt_like:
+            solo = heapq.heappop(kn_heap)[1]
+        elif solo is None:
+            # the lowest-elapsed group runs (rr's one group never has tiers)
+            if running is not None:
+                level = run_level()
+                if tier_vals and tier_vals[0] < level:
+                    pause_running(level)
+                    level = None
+            if policy == "slf" and kn_heap:
+                least = tier_vals[0] if level is None and tier_vals else level
+                tie = kn_heap[0][0] * tie_ratio
                 # run the known argmin when its remaining time is at most the
                 # least lower-bound estimate of the unknown jobs (ties: known)
-                if level is None or kn_heap[0][0] * (1 - eps) <= eps * level:
-                    pause_running()
-                    return speed, (run_solo(),), "solo"
-        if running is None:
-            activate_tier()
-        elif tier_vals and tier_vals[0] == run_level():
-            extra = tiers.pop(tier_vals.pop(0))
-            running.absorb(extra)
-        return speed / len(running.members), tuple(running.members), "pool"
-
-    # --- earliest boundary after t for the chosen regime --------------------
-
-    def next_boundary(regime: str, rate: Rat) -> Rat:
-        cands: list[Rat] = []
-        if next_arrival_idx < len(arrival_times):
-            cands.append(arrival_times[next_arrival_idx])
-        if horizon is not None:
-            cands.append(horizon)
-        if regime == "idle":
-            if in_window():
-                cands.append(windows[window_idx][1])
-        elif window_idx < len(windows):
-            cands.append(windows[window_idx][0])
-        if regime == "solo":
-            assert solo is not None
-            cands.append(t + remaining_of(solo) / speed)
+                if least is None or tie <= least:
+                    if level is not None:
+                        pause_running(level)
+                    solo = heapq.heappop(kn_heap)[1]
+        if solo is not None:
+            # the solo job keeps the machine until it completes or a batch
+            # arrives: its (remaining, id) only shrinks, and under slf the
+            # paused pool makes no job known
             if solo in thr and solo not in known_logged:
-                cands.append(t + (thr[solo] - elapsed[solo]) / speed)
-        elif regime == "pool":
-            assert running is not None
-            level = run_level()
-            kk = group_peek(running.know, running)
-            if kk is not None:
-                cands.append(t + (kk - level) / rate)
-            ck = group_peek(running.comp, running)
-            if ck is not None:
-                cands.append(t + (ck - level) / rate)
-            if tier_vals:
-                cands.append(t + (tier_vals[0] - level) / rate)
-            if policy == "slf" and eps > 0 and kn_heap:
-                # estimates tie when the pool level reaches r*(1-e)/e
-                cands.append(t + (kn_heap[0][0] * (1 - eps) / eps - level) / rate)
-        assert cands, "stalled: no candidate boundary"
-        return min(cands)
+                goal = thr[solo]
+            else:
+                goal = size[solo]
+            return speed, (solo,), "solo", goal, goal - elapsed[solo]
+        if level is None:
+            level = activate_tier()
+        elif tier_vals and tier_vals[0] == level:
+            running.absorb(tiers.pop(tier_vals.pop(0)))
+        goals = [
+            x
+            for x in (
+                group_peek(running.know, running, know_at),
+                group_peek(running.comp, running, comp_at),
+                tier_vals[0] if tier_vals else None,
+                tie,  # slf: the estimates tie at this level
+            )
+            if x is not None
+        ]
+        rate = speed / len(running.members)
+        if not goals:
+            return rate, tuple(running.members), "pool", None, None
+        goal = min(goals)
+        return rate, tuple(running.members), "pool", goal, goal - level
 
     # --- main loop -----------------------------------------------------------
 
@@ -573,53 +599,68 @@ def simulate(
         if n_active == 0 and next_arrival_idx >= len(arrival_times):
             break
 
-        rate, jobs, regime = choose()
-        t_next = next_boundary(regime, rate)
-        assert t_next > t, "no progress at a boundary"
-        start = t
-
+        rate, jobs, regime, goal, work = choose()
+        # the first boundary set from outside the run: arrival, horizon or
+        # window edge; the run's own goal takes one conversion to time
+        outside: list[Rat] = []
+        if next_arrival_idx < len(arrival_times):
+            outside.append(arrival_times[next_arrival_idx])
+        if horizon is not None:
+            outside.append(horizon)
+        if regime == "idle":
+            if in_window():
+                outside.append(windows[window_idx][1])
+        elif window_idx < len(windows):
+            outside.append(windows[window_idx][0])
+        stop = min(outside) if outside else None
+        hit = False
+        if work is not None:
+            t_hit = t + work / rate
+            if stop is None or t_hit <= stop:
+                stop, hit = t_hit, True
+        assert stop is not None, "stalled: no candidate boundary"
+        assert stop > t, "no progress at a boundary"
+        # reaching the goal advances by the work already known, exactly
         if regime == "pool":
-            acc += (t_next - t) * rate
+            acc += work if hit else (stop - t) * rate
         elif regime == "solo":
-            elapsed[solo] += (t_next - t) * rate
-        t = t_next
+            elapsed[solo] = goal if hit else elapsed[solo] + (stop - t) * rate
+        start, t = t, stop
         segments.append(Segment(start, t, rate, jobs))
         n_events = len(events)
         if window_idx < len(windows) and t in windows[window_idx]:
             log("forbidden")
 
-        if regime == "pool":
+        if hit and regime == "pool":
             g = running
-            level = run_level()
             while True:
-                kk = group_peek(g.know, g)
-                if kk is None or kk > level:
+                kk = group_peek(g.know, g, know_at)
+                if kk is None or kk > goal:
                     break
-                _, jid = heapq.heappop(g.know)
+                jid = heapq.heappop(g.know)[1]
                 mark_known(jid)
                 if policy == "slf":
                     g.members.discard(jid)
-                    elapsed[jid] = level
+                    elapsed[jid] = goal
                     push_known(jid)
             while True:
-                ck = group_peek(g.comp, g)
-                if ck is None or ck > level:
+                ck = group_peek(g.comp, g, comp_at)
+                if ck is None or ck > goal:
                     break
-                _, jid = heapq.heappop(g.comp)
+                jid = heapq.heappop(g.comp)[1]
                 # keys are absolute levels, so reaching one means the job is done
-                assert ck == level
+                assert ck == goal
                 g.members.discard(jid)
                 elapsed[jid] = size[jid]
                 complete(jid)
             if not g.members and policy != "rr":
                 running = None
-        elif regime == "solo":
-            jid = solo
-            assert jid is not None
-            if jid in thr and jid not in known_logged and elapsed[jid] >= thr[jid]:
-                mark_known(jid)
-            if remaining_of(jid) == 0:
-                complete(jid)
+        elif hit and regime == "solo":
+            # the goal was the threshold while unknown, else the size
+            if solo in thr and solo not in known_logged:
+                mark_known(solo)
+            else:
+                complete(solo)
                 solo = None
 
         # a boundary with no event of its own, no arrival (logged at the top

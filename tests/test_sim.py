@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -10,6 +11,8 @@ from slflab.sim import (
     POLICIES,
     IntervalSet,
     SimulationError,
+    export_events_jsonl,
+    export_segments_csv,
     simulate,
     state_at,
     touched_jobs,
@@ -166,6 +169,44 @@ def test_forbidden_idling():
     assert sched.completions[1] == F(3)
     idle = [seg for seg in sched.segments if not seg.rates]
     assert idle and idle[0].start == F(1) and idle[0].end == F(2)
+
+
+def _runs(sched):
+    return [(seg.start, seg.end, seg.jobs) for seg in sched.segments]
+
+
+def test_solo_job_resumes_after_forbidden_window():
+    # srpt holds job 1 through the idle window [1, 2) and resumes it at 2
+    inst = Instance(F(0), (Job(1, ReleaseTag(F(0)), F(3)), Job(2, ReleaseTag(F(0)), F(5))))
+    sched = simulate(inst, "srpt", forbidden=IntervalSet.from_pairs([(F(1), F(2))]))
+    assert _runs(sched) == [(0, 1, (1,)), (1, 2, ()), (2, 4, (1,)), (4, 9, (2,))]
+
+
+def test_arrival_with_equal_remaining_preempts_by_id():
+    # at t = 1 the running job and the arrival both have remaining 2: the
+    # lower id runs, whichever of the two it is
+    lower = Instance(F(0), (Job(2, ReleaseTag(F(0)), F(3)), Job(1, ReleaseTag(F(1)), F(2))))
+    assert _runs(simulate(lower, "srpt")) == [(0, 1, (2,)), (1, 3, (1,)), (3, 5, (2,))]
+    higher = Instance(F(0), (Job(1, ReleaseTag(F(0)), F(3)), Job(2, ReleaseTag(F(1)), F(2))))
+    assert _runs(simulate(higher, "srpt")) == [(0, 1, (1,)), (1, 3, (1,)), (3, 5, (2,))]
+
+
+def test_slf_solo_known_job_yields_to_unknown_arrival():
+    # job 1 is known from t = 1 and runs alone; job 2 arrives unknown at level
+    # 0 < 1/2 * (1 - eps) / eps and runs until the estimates tie at t = 2
+    inst = Instance(
+        F(1, 2), (Job(1, ReleaseTag(F(0)), F(2)), Job(2, ReleaseTag(F(3, 2)), F(4)))
+    )
+    sched = simulate(inst, "slf")
+    assert _runs(sched) == [
+        (0, 1, (1,)),
+        (1, F(3, 2), (1,)),
+        (F(3, 2), 2, (2,)),
+        (2, F(5, 2), (1,)),
+        (F(5, 2), 4, (2,)),
+        (4, 6, (2,)),
+    ]
+    assert sched.known_times() == {1: F(1), 2: F(4)}
 
 
 def test_undeclared_jobs():
@@ -420,3 +461,50 @@ def test_event_log_marks_every_boundary():
                         assert at.count("mode") == want, (case, t, at)
                     modes = {ev.t for ev in sched.events if ev.kind == "mode"}
                     assert modes <= ends, case
+
+
+# sha256 of every export of the fixed set in test_pinned_schedules_digest
+PINNED_DIGEST = (
+    "e1eecdd4049efdddb7b6223e3d98d797f1e4ca4a51820de2dbc09d2bf3f62656"
+)
+
+
+def test_pinned_schedules_digest():
+    # the exact bytes of each schedule over a fixed random set: all four
+    # policies, eps 0..1, speed 1 and 3/2, forbidden windows, horizon cuts,
+    # re-released epochs and undeclared jobs; an engine rewrite that keeps
+    # the digest keeps every schedule byte-identical
+    rng = random.Random(14)
+    windows = (
+        EMPTY_INTERVALS,
+        IntervalSet.from_pairs([(F(1), F(5, 2))]),
+        IntervalSet.from_pairs([(F(1, 2), F(2)), (F(4), F(11, 2))]),
+    )
+    h = hashlib.sha256()
+    for trial in range(48):
+        eps = (F(0), F(1))[trial % 2] if trial % 3 == 0 else F(rng.randint(1, 9), 10)
+        inst = random_instance(rng, eps, rng.randint(1, 12))
+        if trial % 4 == 1:
+            inst = inst.with_jobs(
+                Job(j.id, ReleaseTag(j.release.time, j.id % 2), j.size) for j in inst.jobs
+            )
+        undeclared = trial % 8 == 5
+        if undeclared:
+            inst = inst.with_jobs(
+                Job(j.id, j.release, None if j.id == 1 else j.size) for j in inst.jobs
+            )
+        horizon = F(rng.randint(1, 30), 2) if undeclared or trial % 3 == 1 else None
+        for policy in POLICIES:
+            if undeclared and (policy == "srpt" or (policy == "slf" and eps == 1)):
+                continue
+            for speed in (F(1), F(3, 2)):
+                forbidden = windows[(trial + len(policy)) % 3]
+                sched = simulate(
+                    inst, policy, speed=speed, forbidden=forbidden, horizon=horizon
+                )
+                h.update(export_segments_csv(sched).encode())
+                h.update(export_events_jsonl(sched).encode())
+                for part in (sched.completions, sched.final_elapsed):
+                    h.update(repr(sorted(part.items())).encode())
+                h.update(repr(sched.end_time).encode())
+    assert h.hexdigest() == PINNED_DIGEST
