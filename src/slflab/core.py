@@ -29,7 +29,14 @@ def parse_rat(text: str | int) -> Rat:
         return Fraction(text)
     if not isinstance(text, str) or not _RAT_RE.match(text.strip()):
         raise InstanceError(f"not a rational literal: {text!r}")
-    return Fraction(text.strip())
+    # the pattern has validated the text: build from ints, which skips
+    # Fraction's own string parser; only decimals go through it
+    num, slash, den = text.strip().partition("/")
+    if slash:
+        return Fraction(int(num), int(den))
+    if "." in num:
+        return Fraction(num)
+    return Fraction(int(num))
 
 
 def rat_str(x: Rat) -> str:

@@ -42,15 +42,20 @@ Every policy runs one job or shares the speed equally in one pool, so a
 segment. `Schedule.jobs_before(t)` names the jobs that ran right before t.
 
 Two kinds of query read the segments. Random access, for a time asked on
-its own: `Schedule.elapsed_at` (and `state_at` on top of it) answers from a
-checkpoint index of cumulative elapsed work, and `active_count` bisects the
-sorted release and completion times. The index is built by a schedule's first
-query, never by `simulate`, so runs that only read completions pay nothing.
+its own: `Schedule.elapsed_at` answers from a checkpoint index of cumulative
+elapsed work, and `active_count` bisects the sorted release and completion
+times. The index is built by a schedule's first query, never by `simulate`,
+so runs that only read completions pay nothing.
 A checkpoint is taken once the job entries replayed since the last one are
 at least the size of the running elapsed dict. The checkpoints then hold no
 more entries than the segments' job tuples, and a query copies one
 checkpoint and replays fewer than 2n job entries past it (n jobs): O(n)
 work instead of a walk from time 0.
+
+`state_at` is its argument checks, then one `elapsed_at` walk, then the
+builder `states_from_elapsed`, which turns an elapsed map at t into job
+states. A caller that already holds the elapsed map (the certifier's
+snapshot cache) calls the builder alone and walks no second time.
 
 Ascending times, for a whole sorted list at once: `active_counts` and
 `elapsed_changes` answer it in one forward walk, with no index and no copy
@@ -84,7 +89,7 @@ class SimulationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JobState:
     """Visible state of one active job at a point in time."""
 
@@ -713,7 +718,14 @@ def state_at(
         raise SimulationError("state_at needs t >= 0")
     if release_cutoff not in ("all", "none"):
         raise SimulationError(f"bad release_cutoff {release_cutoff!r}")
-    elapsed = sched.elapsed_at(t)
+    return states_from_elapsed(inst, t, sched.elapsed_at(t), release_cutoff)
+
+
+def states_from_elapsed(
+    inst: Instance, t: Rat, elapsed, release_cutoff: str = "all"
+) -> dict[int, JobState]:
+    """The states `state_at` returns, built from `elapsed`, the elapsed work
+    per job at t (a job it omits has none); no argument checks, no walk."""
     eps = inst.epsilon
     out: dict[int, JobState] = {}
     for j in inst.jobs:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction as F
 
+from slflab.assignment import WeightedBipartiteGraph
 from slflab.core import Instance, Job, ReleaseTag
 
 
@@ -43,3 +44,22 @@ def random_instance(rng: random.Random, eps, n: int) -> Instance:
 
 def segment_tuples(sched):
     return [(seg.start, seg.end, seg.rates) for seg in sched.segments]
+
+
+def is_backward(h: WeightedBipartiteGraph) -> bool:
+    """No parallel pair: no two edges with u1 < u2 and v1 < v2."""
+    li = {u: i for i, u in enumerate(h.left)}
+    ri = {v: i for i, v in enumerate(h.right)}
+    edges = sorted((li[u], ri[v]) for (u, v) in h.weights)
+    prev_min: int | None = None  # min right position among smaller left positions
+    cur_l = None
+    cur_min: int | None = None
+    for lpos, rpos in edges:
+        if lpos != cur_l:
+            if cur_min is not None:
+                prev_min = cur_min if prev_min is None else min(prev_min, cur_min)
+            cur_l, cur_min = lpos, None
+        if prev_min is not None and rpos > prev_min:
+            return False
+        cur_min = rpos if cur_min is None else min(cur_min, rpos)
+    return True

@@ -9,7 +9,6 @@ from slflab.assignment import (
     check_assignment,
     graph,
     greedy_matching,
-    is_backward,
     is_forward,
     merge,
     min_suffix,
@@ -20,7 +19,7 @@ from slflab.assignment import (
 )
 from slflab.sim import simulate, state_at
 
-from .helpers import toy_instance
+from .helpers import is_backward, toy_instance
 
 
 def brute_force_expansion(h) -> F:

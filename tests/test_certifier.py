@@ -18,9 +18,11 @@ from slflab.certifier import (
     _advance,
     _plan,
     _sched,
+    _snapshot,
+    _states,
 )
 from slflab.core import Instance, Job, ReleaseTag
-from slflab.sim import simulate
+from slflab.sim import simulate, state_at
 from .helpers import random_instance, staggered_instance, toy_instance
 
 
@@ -303,6 +305,7 @@ def _summary(cert):
 def _clear_step_caches():
     _plan.cache_clear()
     _advance.cache_clear()
+    _snapshot.cache_clear()
 
 
 def test_step_memo_matches_fresh_builds():
@@ -324,6 +327,44 @@ def test_step_memo_matches_fresh_builds():
                 assert _summary(create_valid_assignment(inst, t)) == fresh[t], (inst, t)
             shared += _advance.cache_info().hits
     assert shared > 0
+    _clear_step_caches()
+    assert _snapshot.cache_info().currsize == 0
+
+
+def test_snapshot_is_read_only():
+    inst = staggered_instance()
+    snap = _snapshot(inst, "slf", F(5))
+    assert snap.before.keys() < snap.states.keys()  # the batch at 5 is out
+    for view in (snap.elapsed, snap.states, snap.before):
+        key = next(iter(view))
+        with pytest.raises(TypeError):
+            view[key] = view[key]
+        with pytest.raises(TypeError):
+            del view[key]
+        with pytest.raises(AttributeError):
+            view.pop(key)
+    # a second read is the same shared entry, unchanged
+    assert _snapshot(inst, "slf", F(5)) is snap
+
+
+def test_snapshot_matches_state_at():
+    # criterion-5 shape: n in 1..12, eps = 1 included; every boundary of
+    # either schedule and every release time, both policies, both cutoffs
+    rng = random.Random(48)
+    eps_choices = [F(1, 5), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(9, 10), F(1)]
+    checked = 0
+    for k in range(14):
+        inst = random_instance(rng, eps_choices[k % len(eps_choices)], rng.randint(1, 12))
+        times = sorted(set(_event_times(inst)) | {j.release.time for j in inst.jobs})
+        for policy in ("slf", "srpt"):
+            sched = _sched(inst, policy)
+            for t in times:
+                assert _snapshot(inst, policy, t).elapsed == sched.elapsed_at(t)
+                for cutoff in ("all", "none"):
+                    want = state_at(sched, inst, t, release_cutoff=cutoff)
+                    assert _states(inst, policy, t, cutoff) == want, (inst, t, cutoff)
+                    checked += 1
+    assert checked > 500
 
 
 def test_warm_step_cache_keeps_per_target_checks(monkeypatch):

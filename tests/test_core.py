@@ -33,6 +33,39 @@ def test_parse_rat_forms():
         parse_rat("1.5e3")
 
 
+ACCEPTED = [
+    "0", "-0", "7", "-7", "007", "-007", "123456789012345678901234567890",
+    "1/2", "-1/2", "3/6", "-3/6", "0/5", "-0/5", "007/3", "10/20", "1/1",
+    "0.5", "-0.5", "00.50", "-0.0", "0.1", "12.000", "-3.125",
+    " 1/2", "1/2 ", "\t-3/6\n", " 7 ", "\n0.25\t",
+]
+REJECTED = [
+    "", " ", "1/0", "-1/0", "1/00", "1/01", "1/-2", "-1/-2", "+1", "+1/2",
+    "--1", "1.", ".5", "-.5", "1.5e3", "1e3", "1/2.0", "1.0/2", "1 /2",
+    "1/ 2", "- 1", "1/2/3", "0x10", "1_000", "a/b", "inf", "nan", "١",
+]
+
+
+def test_parse_rat_table():
+    # an accepted literal has the exact value of Fraction's own parser on the
+    # stripped text; the pattern is stricter than Fraction, which also takes
+    # "+1", "1.", ".5", "1/01", "1_000" and non-ASCII digits
+    for text in ACCEPTED:
+        got = parse_rat(text)
+        assert type(got) is F and got == F(text.strip()), text
+    for text in REJECTED:
+        with pytest.raises(InstanceError) as err:
+            parse_rat(text)
+        assert str(err.value) == f"not a rational literal: {text!r}"
+
+
+def test_parse_rat_non_strings():
+    assert parse_rat(3) == F(3) and parse_rat(-2) == F(-2)
+    for value in (1.5, None, F(1, 2), b"1/2"):
+        with pytest.raises(InstanceError):
+            parse_rat(value)
+
+
 def test_parse_instance_basic():
     inst = parse_instance('{"epsilon":"1/2","jobs":[{"id":1,"release":"0","size":"5"}]}')
     assert inst.epsilon == F(1, 2)
