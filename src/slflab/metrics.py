@@ -19,13 +19,21 @@ class MetricsError(ValueError):
 
 
 def total_flow_time(sched: Schedule, inst: Instance) -> Rat:
-    """Sum over jobs of completion time minus release time, exact."""
-    flow = ZERO
+    """Sum over jobs of completion time minus release time, exact.
+
+    Completion and release numerators are summed as integers per
+    denominator, and one Fraction per distinct denominator is added at the
+    end: the plain Fraction sum's value, without a gcd per job."""
+    completions = sched.completions
+    by_den: dict[int, int] = {}
     for j in inst.jobs:
-        if j.id not in sched.completions:
+        c = completions.get(j.id)
+        if c is None:
             raise MetricsError(f"job {j.id} does not complete in the schedule")
-        flow += sched.completions[j.id] - j.release.time
-    return flow
+        r = j.release.time
+        by_den[c.denominator] = by_den.get(c.denominator, 0) + c.numerator
+        by_den[r.denominator] = by_den.get(r.denominator, 0) - r.numerator
+    return sum((Fraction(num, den) for den, num in by_den.items()), ZERO)
 
 
 def competitive_ratio(alg: Schedule, opt: Schedule, inst: Instance) -> Rat:

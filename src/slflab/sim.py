@@ -11,26 +11,36 @@ are grouped and advance through a shared accumulator, so a segment costs
 O(log n) bookkeeping regardless of group size. rr is the one-group case of
 this pool step: its single group runs at offset 0 and never pauses.
 
-The jobs that may run alone wait in one min-heap by (remaining, id), one
-entry per waiting job: slf's known jobs, or every job under srpt (and slf at
-eps = 1). The job running alone leaves the heap and keeps the machine until
-it completes or a batch arrives; only an arrival returns it to the heap,
-with its new remaining. Between arrivals its (remaining, id) only shrinks,
-so it stays the minimum, and under slf the paused pool makes no job known.
-A forbidden window idles the machine with the job still held.
+A heap keyed by a Fraction level holds integer-first entries,
+`_entry(level, id)` = (floor(level * 2**64), level, id). Their order is
+exactly the (level, id) order, and a heap move compares two ints unless the
+floors tie, i.e. unless the levels agree in their first 64 binary digits.
+
+The jobs that may run alone wait in one such min-heap by (remaining, id),
+one entry per waiting job: slf's known jobs, or every job under srpt (and
+slf at eps = 1). The job running alone leaves the heap and keeps the machine
+until it completes or a batch arrives; only an arrival returns it to the
+heap, with its new remaining. Between arrivals its (remaining, id) only
+shrinks, so it stays the minimum, and under slf the paused pool makes no job
+known. A forbidden window idles the machine with the job still held.
 
 A tier group's heaps (slf, setf) key a job by its integer rank in (size, id)
-order, sorted once per run; for eps < 1 that is also the (threshold, id)
-order, so heap moves compare integers and a Fraction level is read only at
-the top. rr's one group keys by the level of its accumulator, which depends
-on when the job arrived.
+order, sorted once per run with `_entry` keys; for eps < 1 that is also the
+(threshold, id) order, so heap moves compare integers and a Fraction level
+is read by id only at the top. Ranks beat `_entry` here: equal sizes are
+common, and equal levels tie on the floor. rr's one group keys by `_entry`
+of the absolute accumulator level at which a job becomes known or
+completes, which depends on when it arrived, and reads the level from the
+entry.
 
 A boundary takes one conversion from work to time. The run's own next event
 is the minimum of its targets in work units: the solo job's threshold or
 size, or the pool's next knowledge, completion or tier level and slf's tie
-level. It is divided by the rate once and compared with the next arrival,
-the horizon and the window edge; when it wins, the group accumulator or the
-solo job's elapsed advances by exactly that work.
+level. It is divided by the rate once (at rate 1 the work is the time) and
+compared with the next arrival, the horizon and the window edge; when it
+wins, the solo job's elapsed becomes the goal, or the group accumulator
+becomes the goal minus the group's offset. The pool rate speed / k is
+computed once per member count k.
 
 A job whose size is known at elapsed 0 (eps = 1) is logged `known` on
 arrival, under every policy. A segment end that logs no event of its own
@@ -315,12 +325,21 @@ class Schedule:
         return out
 
 
+def _entry(level: Rat, jid: int) -> tuple[int, Rat, int]:
+    """A heap entry ordered exactly as (level, jid): floor(level * 2**64)
+    settles most comparisons as integers; only equal floors compare the
+    Fractions, and only equal levels the ids."""
+    return (level.numerator << 64) // level.denominator, level, jid
+
+
 class _Group:
     """Jobs sharing one elapsed level, advanced in fluid round-robin.
 
-    The heaps hold (key, id) entries whose keys never change, so a group can
-    be paused and resumed in O(1) without re-keying; the level a top entry
-    waits for is looked up by id (see `know_at` and `comp_at` in `simulate`).
+    The heaps hold entries whose keys never change, so a group can be paused
+    and resumed in O(1) without re-keying; an entry's last item is the job
+    id. A tier group's entries are (rank, id) and the level a top entry
+    waits for is looked up by id (`thr` or `size` in `simulate`); rr's are
+    `_entry`s of absolute accumulator levels, read from the entry itself.
     """
 
     __slots__ = ("members", "know", "comp", "level", "off")
@@ -369,28 +388,25 @@ def simulate(
 
     size = {j.id: j.size for j in inst.jobs}
     # knowledge threshold: known iff elapsed >= (1-eps) * p (declared, eps > 0)
-    thr = {j.id: (1 - eps) * j.size for j in inst.jobs if j.size is not None and eps > 0}
+    keep = 1 - eps
+    thr = {j.id: keep * j.size for j in inst.jobs if j.size is not None and eps > 0}
     # slf: a known job with remaining r ties the unknown jobs at level
     # r * tie_ratio
-    tie_ratio = (1 - eps) / eps if eps > 0 else None
+    tie_ratio = keep / eps if eps > 0 else None
 
     # Group heap keys, and where the level of a key is read. A tier group
     # (slf, setf) keys a job by its rank in (size, id) order, which for eps < 1
     # is also the (threshold, id) order, and reads thr / size at the top. rr's
-    # one group keys by the level of acc that depends on the arrival time.
-    know_at, comp_at = thr, size
+    # one group keys by `_entry` of the level of acc, which depends on the
+    # arrival time, and reads the level from the entry (know_at None).
+    know_at: dict[int, Rat] | None = thr
+    comp_at: dict[int, Rat] | None = size
     if policy == "rr":
-        know_at, comp_at = {}, {}
+        know_at = comp_at = None
     elif not srpt_like:
-
-        def size_key(jid: int) -> tuple[int, Rat]:
-            # floor(p * 2**64) orders the sizes it tells apart with one
-            # integer comparison; only equal floors compare the Fractions
-            p = size[jid]
-            return (p.numerator << 64) // p.denominator, p
-
-        declared = sorted(jid for jid, p in size.items() if p is not None)
-        rank = {jid: r for r, jid in enumerate(sorted(declared, key=size_key))}
+        declared = (jid for jid, p in size.items() if p is not None)
+        by_size = sorted(declared, key=lambda jid: _entry(size[jid], jid))
+        rank = {jid: r for r, jid in enumerate(by_size)}
 
     batches: dict[Rat, list[int]] = {}
     for j in sorted(inst.jobs, key=lambda j: (j.release, j.id)):
@@ -413,9 +429,10 @@ def simulate(
     tier_vals: list[Rat] = []
 
     # waiting known jobs (slf) or all waiting jobs (srpt-like), one entry
-    # each: min-heap by (remaining, id); the solo job is out of it
-    kn_heap: list[tuple[Rat, int]] = []
+    # each: min-heap of `_entry(remaining, id)`; the solo job is out of it
+    kn_heap: list[tuple[int, Rat, int]] = []
     solo: int | None = None
+    pool_rate: dict[int, Rat] = {}  # speed / k per member count k
 
     # rr: a member's elapsed is rr_off + acc; read only by the final
     # snapshot of a cut run
@@ -428,7 +445,8 @@ def simulate(
         events.append(Event(t, kind, job))
 
     def push_known(jid: int) -> None:
-        heapq.heappush(kn_heap, (size[jid] - elapsed[jid], jid))
+        e = elapsed[jid]
+        heapq.heappush(kn_heap, _entry(size[jid] - e if e else size[jid], jid))
 
     def run_level() -> Rat:
         assert running is not None and running.off is not None
@@ -453,13 +471,17 @@ def simulate(
             g.comp.append(key)
         return g
 
-    def group_peek(heap: list[tuple], g: _Group, level_of: dict[int, Rat]) -> Rat | None:
-        """The level the first member of `heap` waits for; drops the entries
-        of jobs that left `g` on the way."""
+    def group_peek(
+        heap: list[tuple], g: _Group, level_of: dict[int, Rat] | None
+    ) -> Rat | None:
+        """The level the first member of `heap` waits for, looked up in
+        `level_of` or, when that is None (rr), read from the entry; drops
+        the entries of jobs that left `g` on the way."""
         while heap:
-            jid = heap[0][1]
+            top = heap[0]
+            jid = top[-1]
             if jid in g.members:
-                return level_of[jid]
+                return top[1] if level_of is None else level_of[jid]
             heapq.heappop(heap)
         return None
 
@@ -506,12 +528,11 @@ def simulate(
             assert running is not None
             running.members.add(jid)
             p = size[jid]
-            if p is not None:
+            if p is not None:  # keys are absolute levels of acc
                 if jid in thr and jid not in known_logged:
-                    know_at[jid] = thr[jid] + acc
-                    heapq.heappush(running.know, (know_at[jid], jid))
-                comp_at[jid] = p + acc
-                heapq.heappush(running.comp, (comp_at[jid], jid))
+                    level = thr[jid] + acc if acc else thr[jid]
+                    heapq.heappush(running.know, _entry(level, jid))
+                heapq.heappush(running.comp, _entry(p + acc if acc else p, jid))
         else:  # slf (eps < 1) / setf: a fresh zero-elapsed tier
             add_tier(new_group(jid))
 
@@ -536,7 +557,7 @@ def simulate(
         if solo is None and n_active == 0:
             return ZERO, (), "idle", None, None
         if solo is None and srpt_like:
-            solo = heapq.heappop(kn_heap)[1]
+            solo = heapq.heappop(kn_heap)[2]
         elif solo is None:
             # the lowest-elapsed group runs (rr's one group never has tiers)
             if running is not None:
@@ -546,13 +567,13 @@ def simulate(
                     level = None
             if policy == "slf" and kn_heap:
                 least = tier_vals[0] if level is None and tier_vals else level
-                tie = kn_heap[0][0] * tie_ratio
+                tie = kn_heap[0][1] * tie_ratio
                 # run the known argmin when its remaining time is at most the
                 # least lower-bound estimate of the unknown jobs (ties: known)
                 if least is None or tie <= least:
                     if level is not None:
                         pause_running(level)
-                    solo = heapq.heappop(kn_heap)[1]
+                    solo = heapq.heappop(kn_heap)[2]
         if solo is not None:
             # the solo job keeps the machine until it completes or a batch
             # arrives: its (remaining, id) only shrinks, and under slf the
@@ -561,7 +582,8 @@ def simulate(
                 goal = thr[solo]
             else:
                 goal = size[solo]
-            return speed, (solo,), "solo", goal, goal - elapsed[solo]
+            e = elapsed[solo]
+            return speed, (solo,), "solo", goal, goal - e if e else goal
         if level is None:
             level = activate_tier()
         elif tier_vals and tier_vals[0] == level:
@@ -576,7 +598,10 @@ def simulate(
             )
             if x is not None
         ]
-        rate = speed / len(running.members)
+        k = len(running.members)
+        rate = pool_rate.get(k)
+        if rate is None:
+            rate = pool_rate[k] = speed / k
         if not goals:
             return rate, tuple(running.members), "pool", None, None
         goal = min(goals)
@@ -620,16 +645,25 @@ def simulate(
         stop = min(outside) if outside else None
         hit = False
         if work is not None:
-            t_hit = t + work / rate
+            # at rate 1 the work is the time
+            t_hit = t + (work if rate == 1 else work / rate)
             if stop is None or t_hit <= stop:
                 stop, hit = t_hit, True
         assert stop is not None, "stalled: no candidate boundary"
         assert stop > t, "no progress at a boundary"
-        # reaching the goal advances by the work already known, exactly
+        # reaching the goal sets the level to it, exactly; otherwise the run
+        # advances by the rate times the time
         if regime == "pool":
-            acc += work if hit else (stop - t) * rate
+            off = running.off
+            if hit:
+                acc = goal - off if off else goal
+            else:
+                acc += stop - t if rate == 1 else (stop - t) * rate
         elif regime == "solo":
-            elapsed[solo] = goal if hit else elapsed[solo] + (stop - t) * rate
+            if hit:
+                elapsed[solo] = goal
+            else:
+                elapsed[solo] += stop - t if rate == 1 else (stop - t) * rate
         start, t = t, stop
         segments.append(Segment(start, t, rate, jobs))
         n_events = len(events)
@@ -642,7 +676,7 @@ def simulate(
                 kk = group_peek(g.know, g, know_at)
                 if kk is None or kk > goal:
                     break
-                jid = heapq.heappop(g.know)[1]
+                jid = heapq.heappop(g.know)[-1]
                 mark_known(jid)
                 if policy == "slf":
                     g.members.discard(jid)
@@ -652,7 +686,7 @@ def simulate(
                 ck = group_peek(g.comp, g, comp_at)
                 if ck is None or ck > goal:
                     break
-                jid = heapq.heappop(g.comp)[1]
+                jid = heapq.heappop(g.comp)[-1]
                 # keys are absolute levels, so reaching one means the job is done
                 assert ck == goal
                 g.members.discard(jid)

@@ -43,6 +43,47 @@ def test_incomplete_schedule_rejected():
         total_flow_time(sched, inst)
 
 
+def test_total_flow_time_matches_plain_sum():
+    # staggered releases with denominators 1..3 and sizes with 1..4, under
+    # every policy: rr's 1/k rates and slf's thresholds mix the denominators
+    rng = random.Random(25)
+    dens = set()
+    for _ in range(30):
+        eps = F(rng.randint(1, 9), 10)
+        inst = random_instance(rng, eps, rng.randint(1, 9))
+        for policy in ("slf", "srpt", "setf", "rr"):
+            sched = simulate(inst, policy)
+            plain = F(0)
+            for j in inst.jobs:
+                plain += sched.completions[j.id] - j.release.time
+            assert total_flow_time(sched, inst) == plain
+            dens.update(c.denominator for c in sched.completions.values())
+    assert len(dens) > 10
+
+
+def test_total_flow_time_names_first_missing_job():
+    inst = Instance(
+        F(1, 2),
+        (
+            Job(3, ReleaseTag(F(0)), F(1)),
+            Job(1, ReleaseTag(F(0)), F(5)),
+            Job(2, ReleaseTag(F(0)), F(6)),
+        ),
+    )
+    sched = simulate(inst, "srpt", horizon=F(2))
+    assert sched.completions == {3: F(1)}
+    with pytest.raises(MetricsError, match="job 1 does not complete"):
+        total_flow_time(sched, inst)
+    rng = random.Random(26)
+    for _ in range(20):
+        inst = random_instance(rng, F(1, 3), rng.randint(2, 8))
+        sched = simulate(inst, "rr", horizon=F(rng.randint(1, 8), 2))
+        missing = [j.id for j in inst.jobs if j.id not in sched.completions]
+        if missing:
+            with pytest.raises(MetricsError, match=f"job {missing[0]} does not"):
+                total_flow_time(sched, inst)
+
+
 def test_competitive_ratio_examples():
     inst = toy_instance()
     ratio = competitive_ratio(simulate(inst, "slf"), simulate(inst, "srpt"), inst)

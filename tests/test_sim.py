@@ -209,6 +209,76 @@ def test_slf_solo_known_job_yields_to_unknown_arrival():
     assert sched.known_times() == {1: F(1), 2: F(4)}
 
 
+# Two levels that agree in their first 64 binary digits, so their heap
+# entries tie on the integer floor and only the exact Fractions decide.
+LOW = F(1, 3)
+HIGH = F(1, 3) + F(1, 2**70)
+
+
+def _completion_order(sched):
+    return sorted(sched.completions, key=lambda jid: (sched.completions[jid], jid))
+
+
+def _assert_allocations(inst, policy, sched):
+    for seg in sched.segments:
+        states = state_at(sched, inst, seg.start)
+        want = allocation_for(policy, states, inst.epsilon, F(1)) if states else {}
+        assert seg.rates == want, (policy, seg.start)
+
+
+def test_heap_floor_ties_follow_exact_level_order():
+    assert (LOW * 2**64).__floor__() == (HIGH * 2**64).__floor__() and LOW < HIGH
+    # each case gives the lower level to the higher id
+    cases = [
+        # srpt, both fresh at 0
+        ("srpt", F(0), [(1, 0, HIGH), (2, 0, LOW)], {2: LOW, 1: LOW + HIGH}),
+        # srpt: the arrival's size ties the running job's remaining and wins
+        (
+            "srpt",
+            F(0),
+            [(1, 0, F(1, 2) + HIGH), (2, F(1, 2), LOW)],
+            {2: F(1, 2) + LOW, 1: F(1, 2) + LOW + HIGH},
+        ),
+        # srpt: the running job keeps the machine against a lower id
+        (
+            "srpt",
+            F(0),
+            [(2, 0, F(1, 2) + LOW), (1, F(1, 2), HIGH)],
+            {2: F(1, 2) + LOW, 1: F(1, 2) + LOW + HIGH},
+        ),
+        # slf's known queue: job 1 is preempted with remaining HIGH; job 2
+        # becomes known with remaining LOW while job 1 waits, and runs first
+        (
+            "slf",
+            F(1, 2),
+            [(1, 0, F(1)), (2, 1 - HIGH, 2 * LOW)],
+            {2: 1 - HIGH + 2 * LOW, 1: 1 + 2 * LOW},
+        ),
+        # rr, staggered: absolute completion levels 1 + HIGH and 1 + LOW
+        (
+            "rr",
+            F(0),
+            [(1, 0, 1 + HIGH), (2, F(1, 2), F(1, 2) + LOW)],
+            {2: F(3, 2) + 2 * LOW, 1: F(3, 2) + LOW + HIGH},
+        ),
+        # rr, staggered: absolute knowledge levels 1 + HIGH and 1 + LOW
+        (
+            "rr",
+            F(1, 2),
+            [(1, 0, 2 + 2 * HIGH), (2, F(1, 2), 1 + 2 * LOW)],
+            {2: F(5, 2) + 4 * LOW, 1: 3 + 2 * LOW + 2 * HIGH},
+        ),
+    ]
+    for policy, eps, jobs, completions in cases:
+        inst = Instance(eps, tuple(Job(i, ReleaseTag(F(r)), p) for i, r, p in jobs))
+        sched = simulate(inst, policy)
+        assert sched.completions == completions, policy
+        assert _completion_order(sched) == [2, 1], policy
+        _assert_allocations(inst, policy, sched)
+    known = simulate(inst, "rr").known_times()
+    assert known == {2: F(3, 2) + 2 * LOW, 1: F(3, 2) + 2 * HIGH}
+
+
 def test_undeclared_jobs():
     inst = Instance(
         F(1, 2),
