@@ -24,14 +24,14 @@ heap, with its new remaining. Between arrivals its (remaining, id) only
 shrinks, so it stays the minimum, and under slf the paused pool makes no job
 known. A forbidden window idles the machine with the job still held.
 
-A tier group's heaps (slf, setf) key a job by its integer rank in (size, id)
-order, sorted once per run with `_entry` keys; for eps < 1 that is also the
-(threshold, id) order, so heap moves compare integers and a Fraction level
-is read by id only at the top. Ranks beat `_entry` here: equal sizes are
-common, and equal levels tie on the floor. rr's one group keys by `_entry`
-of the absolute accumulator level at which a job becomes known or
-completes, which depends on when it arrived, and reads the level from the
-entry.
+Every group heap entry is (key, level, id), and a group reads the level
+its top entry waits for from the entry. A tier group's heaps (slf, setf)
+key a job by its integer rank in (size, id) order, sorted once per run with
+`_entry` keys; for eps < 1 that is also the (threshold, id) order, so heap
+moves compare unique integers and never the levels. Ranks beat `_entry`
+here: equal sizes are common, and equal levels tie on the floor. rr's one
+group holds `_entry`s of the absolute accumulator level at which a job
+becomes known or completes, which depends on when it arrived.
 
 A boundary takes one conversion from work to time. The run's own next event
 is the minimum of its targets in work units: the solo job's threshold or
@@ -39,8 +39,7 @@ size, or the pool's next knowledge, completion or tier level and slf's tie
 level. It is divided by the rate once (at rate 1 the work is the time) and
 compared with the next arrival, the horizon and the window edge; when it
 wins, the solo job's elapsed becomes the goal, or the group accumulator
-becomes the goal minus the group's offset. The pool rate speed / k is
-computed once per member count k.
+becomes the goal minus the group's offset.
 
 A job whose size is known at elapsed 0 (eps = 1) is logged `known` on
 arrival, under every policy. A segment end that logs no event of its own
@@ -335,11 +334,11 @@ def _entry(level: Rat, jid: int) -> tuple[int, Rat, int]:
 class _Group:
     """Jobs sharing one elapsed level, advanced in fluid round-robin.
 
-    The heaps hold entries whose keys never change, so a group can be paused
-    and resumed in O(1) without re-keying; an entry's last item is the job
-    id. A tier group's entries are (rank, id) and the level a top entry
-    waits for is looked up by id (`thr` or `size` in `simulate`); rr's are
-    `_entry`s of absolute accumulator levels, read from the entry itself.
+    The heaps hold (key, level, id) entries whose keys never change, so a
+    group can be paused and resumed in O(1) without re-keying; the level a
+    top entry waits for is read from the entry. A tier group's key is the
+    job's integer rank; rr's entries are `_entry`s of absolute accumulator
+    levels.
     """
 
     __slots__ = ("members", "know", "comp", "level", "off")
@@ -394,16 +393,10 @@ def simulate(
     # r * tie_ratio
     tie_ratio = keep / eps if eps > 0 else None
 
-    # Group heap keys, and where the level of a key is read. A tier group
-    # (slf, setf) keys a job by its rank in (size, id) order, which for eps < 1
-    # is also the (threshold, id) order, and reads thr / size at the top. rr's
-    # one group keys by `_entry` of the level of acc, which depends on the
-    # arrival time, and reads the level from the entry (know_at None).
-    know_at: dict[int, Rat] | None = thr
-    comp_at: dict[int, Rat] | None = size
-    if policy == "rr":
-        know_at = comp_at = None
-    elif not srpt_like:
+    # A tier group (slf, setf) keys a job by its rank in (size, id) order,
+    # which for eps < 1 is also the (threshold, id) order; rr's one group
+    # keys by `_entry` of the level of acc, which depends on the arrival time
+    if policy != "rr" and not srpt_like:
         declared = (jid for jid, p in size.items() if p is not None)
         by_size = sorted(declared, key=lambda jid: _entry(size[jid], jid))
         rank = {jid: r for r, jid in enumerate(by_size)}
@@ -432,7 +425,6 @@ def simulate(
     # each: min-heap of `_entry(remaining, id)`; the solo job is out of it
     kn_heap: list[tuple[int, Rat, int]] = []
     solo: int | None = None
-    pool_rate: dict[int, Rat] = {}  # speed / k per member count k
 
     # rr: a member's elapsed is rr_off + acc; read only by the final
     # snapshot of a cut run
@@ -464,24 +456,20 @@ def simulate(
 
     def new_group(jid: int) -> _Group:
         g = _Group({jid}, ZERO)
-        if size[jid] is not None:
-            key = (rank[jid], jid)
+        p = size[jid]
+        if p is not None:  # ranks are unique, so the levels never compare
             if jid in thr and jid not in known_logged:
-                g.know.append(key)
-            g.comp.append(key)
+                g.know.append((rank[jid], thr[jid], jid))
+            g.comp.append((rank[jid], p, jid))
         return g
 
-    def group_peek(
-        heap: list[tuple], g: _Group, level_of: dict[int, Rat] | None
-    ) -> Rat | None:
-        """The level the first member of `heap` waits for, looked up in
-        `level_of` or, when that is None (rr), read from the entry; drops
-        the entries of jobs that left `g` on the way."""
+    def group_peek(heap: list[tuple], g: _Group) -> Rat | None:
+        """The level the first member of `heap` waits for; drops the entries
+        of jobs that left `g` on the way."""
         while heap:
-            top = heap[0]
-            jid = top[-1]
+            _, level, jid = heap[0]
             if jid in g.members:
-                return top[1] if level_of is None else level_of[jid]
+                return level
             heapq.heappop(heap)
         return None
 
@@ -591,17 +579,14 @@ def simulate(
         goals = [
             x
             for x in (
-                group_peek(running.know, running, know_at),
-                group_peek(running.comp, running, comp_at),
+                group_peek(running.know, running),
+                group_peek(running.comp, running),
                 tier_vals[0] if tier_vals else None,
                 tie,  # slf: the estimates tie at this level
             )
             if x is not None
         ]
-        k = len(running.members)
-        rate = pool_rate.get(k)
-        if rate is None:
-            rate = pool_rate[k] = speed / k
+        rate = speed / len(running.members)
         if not goals:
             return rate, tuple(running.members), "pool", None, None
         goal = min(goals)
@@ -658,12 +643,9 @@ def simulate(
             if hit:
                 acc = goal - off if off else goal
             else:
-                acc += stop - t if rate == 1 else (stop - t) * rate
+                acc += (stop - t) * rate
         elif regime == "solo":
-            if hit:
-                elapsed[solo] = goal
-            else:
-                elapsed[solo] += stop - t if rate == 1 else (stop - t) * rate
+            elapsed[solo] = goal if hit else elapsed[solo] + (stop - t) * rate
         start, t = t, stop
         segments.append(Segment(start, t, rate, jobs))
         n_events = len(events)
@@ -673,20 +655,20 @@ def simulate(
         if hit and regime == "pool":
             g = running
             while True:
-                kk = group_peek(g.know, g, know_at)
+                kk = group_peek(g.know, g)
                 if kk is None or kk > goal:
                     break
-                jid = heapq.heappop(g.know)[-1]
+                jid = heapq.heappop(g.know)[2]
                 mark_known(jid)
                 if policy == "slf":
                     g.members.discard(jid)
                     elapsed[jid] = goal
                     push_known(jid)
             while True:
-                ck = group_peek(g.comp, g, comp_at)
+                ck = group_peek(g.comp, g)
                 if ck is None or ck > goal:
                     break
-                jid = heapq.heappop(g.comp)[-1]
+                jid = heapq.heappop(g.comp)[2]
                 # keys are absolute levels, so reaching one means the job is done
                 assert ck == goal
                 g.members.discard(jid)

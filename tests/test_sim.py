@@ -215,10 +215,6 @@ LOW = F(1, 3)
 HIGH = F(1, 3) + F(1, 2**70)
 
 
-def _completion_order(sched):
-    return sorted(sched.completions, key=lambda jid: (sched.completions[jid], jid))
-
-
 def _assert_allocations(inst, policy, sched):
     for seg in sched.segments:
         states = state_at(sched, inst, seg.start)
@@ -228,16 +224,18 @@ def _assert_allocations(inst, policy, sched):
 
 def test_heap_floor_ties_follow_exact_level_order():
     assert (LOW * 2**64).__floor__() == (HIGH * 2**64).__floor__() and LOW < HIGH
-    # each case gives the lower level to the higher id
+    # each case gives the lower level to the higher id: (policy, eps, jobs,
+    # completions, known times)
     cases = [
         # srpt, both fresh at 0
-        ("srpt", F(0), [(1, 0, HIGH), (2, 0, LOW)], {2: LOW, 1: LOW + HIGH}),
+        ("srpt", F(0), [(1, 0, HIGH), (2, 0, LOW)], {2: LOW, 1: LOW + HIGH}, {}),
         # srpt: the arrival's size ties the running job's remaining and wins
         (
             "srpt",
             F(0),
             [(1, 0, F(1, 2) + HIGH), (2, F(1, 2), LOW)],
             {2: F(1, 2) + LOW, 1: F(1, 2) + LOW + HIGH},
+            {},
         ),
         # srpt: the running job keeps the machine against a lower id
         (
@@ -245,6 +243,7 @@ def test_heap_floor_ties_follow_exact_level_order():
             F(0),
             [(2, 0, F(1, 2) + LOW), (1, F(1, 2), HIGH)],
             {2: F(1, 2) + LOW, 1: F(1, 2) + LOW + HIGH},
+            {},
         ),
         # slf's known queue: job 1 is preempted with remaining HIGH; job 2
         # becomes known with remaining LOW while job 1 waits, and runs first
@@ -253,6 +252,7 @@ def test_heap_floor_ties_follow_exact_level_order():
             F(1, 2),
             [(1, 0, F(1)), (2, 1 - HIGH, 2 * LOW)],
             {2: 1 - HIGH + 2 * LOW, 1: 1 + 2 * LOW},
+            {1: F(1, 2), 2: 1 - HIGH + LOW},
         ),
         # rr, staggered: absolute completion levels 1 + HIGH and 1 + LOW
         (
@@ -260,6 +260,7 @@ def test_heap_floor_ties_follow_exact_level_order():
             F(0),
             [(1, 0, 1 + HIGH), (2, F(1, 2), F(1, 2) + LOW)],
             {2: F(3, 2) + 2 * LOW, 1: F(3, 2) + LOW + HIGH},
+            {},
         ),
         # rr, staggered: absolute knowledge levels 1 + HIGH and 1 + LOW
         (
@@ -267,16 +268,15 @@ def test_heap_floor_ties_follow_exact_level_order():
             F(1, 2),
             [(1, 0, 2 + 2 * HIGH), (2, F(1, 2), 1 + 2 * LOW)],
             {2: F(5, 2) + 4 * LOW, 1: 3 + 2 * LOW + 2 * HIGH},
+            {2: F(3, 2) + 2 * LOW, 1: F(3, 2) + 2 * HIGH},
         ),
     ]
-    for policy, eps, jobs, completions in cases:
+    for policy, eps, jobs, completions, known in cases:
         inst = Instance(eps, tuple(Job(i, ReleaseTag(F(r)), p) for i, r, p in jobs))
         sched = simulate(inst, policy)
         assert sched.completions == completions, policy
-        assert _completion_order(sched) == [2, 1], policy
+        assert sched.known_times() == known, policy
         _assert_allocations(inst, policy, sched)
-    known = simulate(inst, "rr").known_times()
-    assert known == {2: F(3, 2) + 2 * LOW, 1: F(3, 2) + 2 * HIGH}
 
 
 def test_undeclared_jobs():
