@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import heapq
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
+from itertools import accumulate
 
 from .core import Instance, Rat, rat_str
-from .sim import Schedule
+from .sim import Grid, Schedule, merge_grid
 
 ZERO = Fraction(0)
 
@@ -66,15 +65,25 @@ class CompetitivenessReport:
 
 
 def count_profile(*schedules: Schedule) -> list[tuple[Rat, tuple[int, ...]]]:
-    """(t, (|S_1(t)|, ..., |S_k(t)|)) at every boundary of any of the
-    schedules, in time order.
+    """(t, (|S_1(t)|, ..., |S_k(t)|)) at every boundary of the schedules, in
+    time order; counts are constant between boundaries."""
+    grid = merge_grid(*schedules)
+    return list(zip(grid.times, grid_counts(grid)))
 
-    Active counts are piecewise constant between boundaries, so these rows
-    cover all times. The merged boundaries are deduplicated once and each
-    schedule answers them in one forward walk (`Schedule.active_counts`).
-    """
-    times = [t for t, _ in groupby(heapq.merge(*(s.boundaries() for s in schedules)))]
-    return list(zip(times, zip(*(s.active_counts(times) for s in schedules))))
+
+def grid_counts(grid: Grid) -> list[tuple[int, ...]]:
+    """The active count of each schedule at each time of `grid`: prefix sums
+    of +1 at each release's position and -1 at each completion's. A release
+    after a horizon cut counts from the first grid time after it."""
+    columns = []
+    for sched in grid.schedules:
+        steps = [0] * (len(grid.times) + 1)
+        for j in sched.instance.jobs:
+            steps[grid.position(j.release.time)] += 1
+        for c in sched.completions.values():
+            steps[grid.index[c.numerator, c.denominator]] -= 1
+        columns.append(accumulate(steps[:-1]))
+    return list(zip(*columns))
 
 
 def local_competitiveness(alg: Schedule, opt: Schedule, rho: Rat) -> CompetitivenessReport:

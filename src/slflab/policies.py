@@ -21,19 +21,6 @@ class PolicyError(ValueError):
     pass
 
 
-def estimate(state: JobState, eps: Rat) -> Rat:
-    """Provable lower bound on a job's remaining work.
-
-    Unknown jobs: eps/(1-eps) * elapsed; known jobs: the remaining time.
-    """
-    if state.known:
-        assert state.remaining is not None
-        return state.remaining
-    if eps == 1:
-        raise PolicyError("unknown job under eps=1 information model")
-    return eps / (1 - eps) * state.elapsed
-
-
 def slf_allocation(
     states: Mapping[int, JobState], eps: Rat, speed: Rat = Fraction(1)
 ) -> dict[int, Rat]:

@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import Instance, Rat, scale_instance
-from .metrics import count_profile
-from .sim import IntervalSet, Schedule, simulate
+from .metrics import grid_counts
+from .sim import Grid, IntervalSet, Schedule, merge_grid, simulate
 
 ZERO = Fraction(0)
 
@@ -108,34 +108,43 @@ class ChainReport:
 def setfi_vs_setf(plain: Schedule, idled: Schedule) -> ChainReport:
     """Per-job elapsed dominance of forced-idle SETF (`idled`) under plain
     SETF (`plain`) on the same instance, and the count inequality
-    |SETF(t)| <= |SETFI(t)|, at all event times.
+    |SETF(t)| <= |SETFI(t)|, at every boundary of either schedule; the
+    elapsed witness is the first violator in instance job order."""
+    grid = merge_grid(plain, idled)
+    return _setfi(grid, grid_counts(grid), 0, 1)
 
-    One forward walk: two running elapsed dicts take each schedule's
-    `elapsed_changes`, and only the jobs that changed at t are compared,
-    since a job that did not change keeps its verdict. At the first
-    violating t the witness is the violator first in instance job order."""
-    checks = {"elapsed-dominance": True, "count": True}
-    witness: dict = {}
-    rows = count_profile(plain, idled)
-    times = [t for t, _ in rows]
-    ep: dict[int, Rat] = {}
-    ei: dict[int, Rat] = {}
-    for (t, (n_plain, n_idled)), dp, di in zip(
-        rows, plain.elapsed_changes(times), idled.elapsed_changes(times)
+
+def _setfi(grid: Grid, rows: list[tuple[int, ...]], p: int, i: int) -> ChainReport:
+    """`setfi_vs_setf` of schedules p and i of `grid`, with counts `rows`.
+    Elapsed work, unlike counts, is checked at p's and i's boundaries alone,
+    as one signed sum (i - p) of ended segments' work per job. At a boundary
+    of one, only the other can straddle, and its partial work is the
+    threshold of its jobs; only jobs of a segment that ends or straddles
+    there are compared, each once."""
+    qs = sorted({*grid.positions[p], *grid.positions[i]})
+    jobs = grid.schedules[p].instance.jobs
+    diff: dict[int, Rat] = {}
+    for q, ((wp, ended_p), (up, in_p)), ((wi, ended_i), (ui, in_i)) in zip(
+        qs, grid.steps(p, qs), grid.steps(i, qs)
     ):
-        ep.update(dp)
-        ei.update(di)
-        if "elapsed" not in witness:
-            bad = {j for j in (*dp, *di) if ei.get(j, ZERO) > ep.get(j, ZERO)}
-            if bad:
-                first = next((j.id for j in plain.instance.jobs if j.id in bad), None)
-                if first is not None:
-                    checks["elapsed-dominance"] = False
-                    witness["elapsed"] = (t, first)
-        if n_plain > n_idled:
-            checks["count"] = False
-            witness.setdefault("count", t)
-    return ChainReport(all(checks.values()), checks, witness)
+        for j in ended_p:
+            diff[j] = diff.get(j, ZERO) - wp
+        for j in ended_i:
+            diff[j] = diff.get(j, ZERO) + wi
+        limit = {**dict.fromkeys((*ended_p, *ended_i), ZERO), **dict.fromkeys(in_p, up)}
+        if in_i:
+            limit.update(dict.fromkeys(in_i, -ui))
+        bad = {j for j, lim in limit.items() if diff.get(j, ZERO) > lim}
+        excess = next(((q, j.id) for j in jobs if j.id in bad), None) if bad else None
+        if excess:
+            break
+    over = next((q for q, row in enumerate(rows) if row[p] > row[i]), None)
+    # (position, rank at a tie, key, witness): witness keys in time order
+    found = [] if over is None else [(over, 1, "count", grid.times[over])]
+    if excess:
+        found.append((excess[0], 0, "elapsed", (grid.times[excess[0]], excess[1])))
+    checks = {"elapsed-dominance": excess is None, "count": over is None}
+    return ChainReport(all(checks.values()), checks, {k: w for _, _, k, w in sorted(found)})
 
 
 def known_work_intervals(alg: Schedule) -> IntervalSet:
@@ -154,7 +163,7 @@ def reduction_check(inst: Instance, epsilon: Rat) -> ChainReport:
                               <= |SETFI on the scaled J with the adaptive
                                   policy's known-work times forbidden|
                               <= |adaptive policy on J|,
-    with d = eps/(1-eps)."""
+    with d = eps/(1-eps), read off one grid of the four schedules' boundaries."""
     epsilon = Fraction(epsilon)
     if not (0 < epsilon < 1):
         raise ReductionError("reduction needs epsilon in (0,1)")
@@ -170,9 +179,11 @@ def reduction_check(inst: Instance, epsilon: Rat) -> ChainReport:
     slow = simulate(scaled, "setf")
     idled = simulate(scaled, "setf", forbidden=forbidden)
 
+    grid = merge_grid(fast, slow, idled, alg)
+    rows = grid_counts(grid)
     checks = {
-        "scale-identity-boundaries": fast.boundaries() == slow.boundaries(),
-        "scale-identity-completions": fast.completions == slow.completions,
+        "scale-identity-boundaries": grid.positions[0] == grid.positions[1],
+        "scale-identity-completions": _done_at(grid, 0) == _done_at(grid, 1),
         "scale-identity-counts": True,
         "setfi-dominance": True,
         "count-vs-alg": True,
@@ -180,12 +191,12 @@ def reduction_check(inst: Instance, epsilon: Rat) -> ChainReport:
     }
     witness: dict = {}
 
-    dom = setfi_vs_setf(slow, idled)
+    dom = _setfi(grid, rows, 1, 2)
     checks["setfi-dominance"] = dom.ok
     if not dom.ok:
         witness["setfi"] = dom.witness
 
-    for t, (n_fast, n_slow, n_idled, n_alg) in count_profile(fast, slow, idled, alg):
+    for t, (n_fast, n_slow, n_idled, n_alg) in zip(grid.times, rows):
         if n_fast != n_slow:
             checks["scale-identity-counts"] = False
             witness.setdefault("scale-counts", t)
@@ -196,3 +207,7 @@ def reduction_check(inst: Instance, epsilon: Rat) -> ChainReport:
             checks["chain"] = False
             witness.setdefault("chain", t)
     return ChainReport(all(checks.values()), checks, witness)
+
+
+def _done_at(grid: Grid, k: int) -> dict[int, int]:
+    return {j: grid.position(c) for j, c in grid.schedules[k].completions.items()}

@@ -50,46 +50,40 @@ Every policy runs one job or shares the speed equally in one pool, so a
 `Segment` is (start, end, rate, jobs), and a reader multiplies once per
 segment. `Schedule.jobs_before(t)` names the jobs that ran right before t.
 
-Two kinds of query read the segments. Random access, for a time asked on
-its own: `Schedule.elapsed_at` answers from a checkpoint index of cumulative
-elapsed work, and `active_count` bisects the sorted release and completion
-times. The index is built by a schedule's first query, never by `simulate`,
-so runs that only read completions pay nothing.
-A checkpoint is taken once the job entries replayed since the last one are
-at least the size of the running elapsed dict. The checkpoints then hold no
-more entries than the segments' job tuples, and a query copies one
-checkpoint and replays fewer than 2n job entries past it (n jobs): O(n)
-work instead of a walk from time 0.
+A time asked on its own goes to `Schedule.elapsed_at`, answered from
+checkpoints of cumulative elapsed work that the first query builds (never
+`simulate`), or to `active_count`, which bisects release and completion
+times sorted on first use. A checkpoint is taken once the job entries
+replayed since the last one reach the size of the running elapsed dict, so
+the checkpoints hold no more entries than the segments' job tuples and a
+query replays fewer than 2n job entries (n jobs). `state_at` is its argument
+checks, one `elapsed_at` and `states_from_elapsed`, which a caller holding
+the elapsed map (the certifier) calls alone.
 
-`state_at` is its argument checks, then one `elapsed_at` walk, then the
-builder `states_from_elapsed`, which turns an elapsed map at t into job
-states. A caller that already holds the elapsed map (the certifier's
-snapshot cache) calls the builder alone and walks no second time.
-
-Ascending times, for a whole sorted list at once: `active_counts` and
-`elapsed_changes` answer it in one forward walk, with no index and no copy
-per time. `elapsed_changes` yields only the jobs whose elapsed work changed
-since the previous time, so a caller that keeps a running dict compares
-only those. `metrics.count_profile` and `reduction.setfi_vs_setf` use these.
-
-Segments tile [0, end_time] in time order, each starting where the previous
-one ends, so `Schedule.boundaries` is 0 followed by the segment ends, with
-no merge or sort. Grids over several schedules are built in one place,
-`metrics.count_profile`.
+The boundaries of several schedules go to `merge_grid`, which merges them
+once into a `Grid`: deduped by (numerator, denominator), ordered by the
+`_entry` floor (as `simulate` orders its arrival batches) and read as
+integer positions, so its readers compare no times: `metrics.grid_counts`
+sums counts over positions and `Grid.steps` gives a schedule's work at each.
+Segments tile [0, end_time], so `Schedule.boundaries` is 0 followed by the
+segment ends, with no merge or sort.
 """
 
 from __future__ import annotations
 
 import heapq
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice
 from operator import attrgetter
+from typing import NamedTuple
 
 from .core import Instance, Rat
 
 ZERO = Fraction(0)
+_NO_WORK = (ZERO, ())
 
 POLICIES = ("slf", "srpt", "setf", "rr")
 
@@ -164,16 +158,6 @@ class Schedule:
     events: list[Event]
     end_time: Rat
     final_elapsed: dict[int, Rat]  # exact elapsed at end_time, all released jobs
-    _release_times: list[Rat] = field(default_factory=list, repr=False)
-    _completion_times: list[Rat] = field(default_factory=list, repr=False)
-    # (segment indices, elapsed over the segments before each), built lazily
-    _checkpoints: tuple[list[int], list[dict[int, Rat]]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        self._release_times = sorted(j.release.time for j in self.instance.jobs)
-        self._completion_times = sorted(self.completions.values())
 
     def boundaries(self) -> list[Rat]:
         """0 and every segment end, in time order: segments tile
@@ -182,9 +166,14 @@ class Schedule:
 
     def active_count(self, t: Rat) -> int:
         """|{j : released by t, remaining > 0 at t}| (arrivals at t included)."""
-        released = bisect_right(self._release_times, t)
-        done = bisect_right(self._completion_times, t)
-        return released - done
+        released, done = self._sorted_times
+        return bisect_right(released, t) - bisect_right(done, t)
+
+    @cached_property
+    def _sorted_times(self) -> tuple[list[Rat], list[Rat]]:
+        """The release and the completion times, sorted on first use."""
+        releases = sorted(j.release.time for j in self.instance.jobs)
+        return releases, sorted(self.completions.values())
 
     def elapsed_at(self, t: Rat) -> dict[int, Rat]:
         """Exact elapsed work per job, counting work during [0, t).
@@ -192,7 +181,7 @@ class Schedule:
         Copies the last checkpoint at or before the segment holding t and
         replays the segments after it; the caller owns the returned dict.
         """
-        seg_idx, snaps = self._index()
+        seg_idx, snaps = self._index
         hold = bisect_left(self.segments, t, key=_END)  # first with end >= t
         c = bisect_right(seg_idx, hold) - 1
         elapsed = dict(snaps[c])
@@ -204,70 +193,26 @@ class Schedule:
                 elapsed[jid] = elapsed.get(jid, ZERO) + work
         return elapsed
 
+    @cached_property
     def _index(self) -> tuple[list[int], list[dict[int, Rat]]]:
         """Checkpoints (i, elapsed over segments[:i]), built on first use;
         see the module docstring for when a checkpoint is taken."""
-        if self._checkpoints is None:
-            seg_idx: list[int] = [0]
-            snaps: list[dict[int, Rat]] = [{}]
-            running: dict[int, Rat] = {}
-            since = 0
-            for i, seg in enumerate(self.segments, 1):
-                work = seg.rate * (seg.end - seg.start)
-                for jid in seg.jobs:
-                    running[jid] = running.get(jid, ZERO) + work
-                since += len(seg.jobs)
-                if since and since >= len(running):
-                    seg_idx.append(i)
-                    snaps.append(dict(running))
-                    since = 0
-            self._checkpoints = (seg_idx, snaps)
-        return self._checkpoints
+        seg_idx: list[int] = [0]
+        snaps: list[dict[int, Rat]] = [{}]
+        running: dict[int, Rat] = {}
+        since = 0
+        for i, seg in enumerate(self.segments, 1):
+            work = seg.rate * (seg.end - seg.start)
+            for jid in seg.jobs:
+                running[jid] = running.get(jid, ZERO) + work
+            since += len(seg.jobs)
+            if since and since >= len(running):
+                seg_idx.append(i)
+                snaps.append(dict(running))
+                since = 0
+        return seg_idx, snaps
 
     # other modules read segments only through these queries
-
-    def active_counts(self, times):
-        """Yield `active_count(t)` for each t of `times`, which must be in
-        ascending order: one forward walk over the sorted release and
-        completion times, not two bisects per t."""
-        rel, comp = self._release_times, self._completion_times
-        r = c = 0
-        for t in times:
-            while r < len(rel) and rel[r] <= t:
-                r += 1
-            while c < len(comp) and comp[c] <= t:
-                c += 1
-            yield r - c
-
-    def elapsed_changes(self, times):
-        """Yield, for each t of `times` (ascending), {job: elapsed at t} for
-        the jobs whose elapsed work changed since the previous t (since 0 for
-        the first t); applying every yield in turn to one dict gives
-        `elapsed_at(t)`. One forward walk: whole segments ending at or before
-        t join a running dict, the segment holding t is counted up to t
-        without being stored, and nothing is copied per t."""
-        segs = self.segments
-        done: dict[int, Rat] = {}
-        i = 0
-        prev = None
-        for t in times:
-            changed: dict[int, Rat] = {}
-            if t == prev:
-                yield changed
-                continue
-            prev = t
-            while i < len(segs) and segs[i].end <= t:
-                seg = segs[i]
-                work = seg.rate * (seg.end - seg.start)
-                for jid in seg.jobs:
-                    changed[jid] = done[jid] = done.get(jid, ZERO) + work
-                i += 1
-            if i < len(segs) and segs[i].start < t:
-                seg = segs[i]
-                work = seg.rate * (t - seg.start)
-                for jid in seg.jobs:
-                    changed[jid] = done.get(jid, ZERO) + work
-            yield changed
 
     def _segments_after(self, t: Rat):
         """Segments with end > t, in time order."""
@@ -329,6 +274,55 @@ def _entry(level: Rat, jid: int) -> tuple[int, Rat, int]:
     settles most comparisons as integers; only equal floors compare the
     Fractions, and only equal levels the ids."""
     return (level.numerator << 64) // level.denominator, level, jid
+
+
+def _ascending(times) -> tuple[list[Rat], dict[tuple[int, int], int]]:
+    """The distinct `times`, ascending, and the index of each by (numerator,
+    denominator); two times compare only when their `_entry` floors tie."""
+    distinct = {(t.numerator, t.denominator): t for t in times}
+    order = sorted(distinct, key=lambda k: ((k[0] << 64) // k[1], distinct[k]))
+    return [distinct[k] for k in order], {k: i for i, k in enumerate(order)}
+
+
+class Grid(NamedTuple):
+    """Schedules' boundaries merged once: the distinct `times` in order,
+    `positions[k]` the index in `times` of each boundary of `schedules[k]`,
+    and `index` the index of each time by (numerator, denominator)."""
+
+    schedules: tuple[Schedule, ...]
+    times: list[Rat]
+    positions: list[list[int]]
+    index: dict[tuple[int, int], int]
+
+    def position(self, t: Rat) -> int:
+        """The index of the first grid time >= t; len(times) past the end."""
+        i = self.index.get((t.numerator, t.denominator))
+        return bisect_left(self.times, t) if i is None else i
+
+    def steps(self, k: int, qs):
+        """Yield, for each q of the ascending `qs` (which hold every position
+        of schedule k), two (work per job, jobs) pairs: the segment ending at
+        q, whole, and the one holding times[q] inside it, up to times[q]."""
+        segs, pos, times = self.schedules[k].segments, self.positions[k], self.times
+        s = 0
+        for q in qs:
+            ended = inside = _NO_WORK
+            if s < len(segs) and pos[s + 1] == q:
+                seg = segs[s]
+                ended = seg.rate * (seg.end - seg.start), seg.jobs
+                s += 1
+            if s < len(segs) and pos[s] < q and segs[s].jobs:
+                seg = segs[s]
+                inside = seg.rate * (times[q] - seg.start), seg.jobs
+            yield ended, inside
+
+
+def merge_grid(*schedules: Schedule) -> Grid:
+    """The `Grid` of the schedules' boundaries (see the module docstring)."""
+    bounds = [s.boundaries() for s in schedules]
+    times, index = _ascending(t for b in bounds for t in b)
+    positions = [[index[t.numerator, t.denominator] for t in b] for b in bounds]
+    return Grid(schedules, times, positions, index)
 
 
 class _Group:
@@ -401,10 +395,11 @@ def simulate(
         by_size = sorted(declared, key=lambda jid: _entry(size[jid], jid))
         rank = {jid: r for r, jid in enumerate(by_size)}
 
-    batches: dict[Rat, list[int]] = {}
-    for j in sorted(inst.jobs, key=lambda j: (j.release, j.id)):
-        batches.setdefault(j.release.time, []).append(j.id)
-    arrival_times = sorted(batches)
+    # arrival batches in time order, each in (epoch, id) order
+    arrival_times, at = _ascending(j.release.time for j in inst.jobs)
+    batches: list[list[int]] = [[] for _ in arrival_times]
+    for j in sorted(inst.jobs, key=lambda j: (j.release.epoch, j.id)):
+        batches[at[j.release.time.numerator, j.release.time.denominator]].append(j.id)
     next_arrival_idx = 0
 
     windows = list(forbidden.intervals)
@@ -603,7 +598,7 @@ def simulate(
             next_arrival_idx < len(arrival_times)
             and arrival_times[next_arrival_idx] == t
         ):
-            for jid in batches[arrival_times[next_arrival_idx]]:
+            for jid in batches[next_arrival_idx]:
                 arrive(jid)
             next_arrival_idx += 1
         while window_idx < len(windows) and windows[window_idx][1] <= t:

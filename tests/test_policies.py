@@ -5,7 +5,6 @@ import pytest
 
 from slflab.policies import (
     PolicyError,
-    estimate,
     rr_allocation,
     setf_allocation,
     slf_allocation,
@@ -58,34 +57,6 @@ def test_rr_allocation():
     assert rr_allocation(states) == {i: F(1, 4) for i in range(1, 5)}
     assert rr_allocation({7: st(7, 0, 1, False)}) == {7: F(1)}
     assert rr_allocation({}) == {}
-
-
-def test_estimate_monotone_and_continuous():
-    rng = random.Random(10)
-    for _ in range(25):
-        eps = F(rng.randint(1, 9), 10)
-        inst = random_instance(rng, eps, rng.randint(1, 6))
-        sched = simulate(inst, "slf")
-        for j in inst.jobs:
-            prev = None
-            was_known = False
-            for t in sched.boundaries():
-                states = state_at(sched, inst, t)
-                if j.id not in states:
-                    continue
-                s = states[j.id]
-                val = estimate(s, eps)
-                # lower bound on the remaining time
-                assert val <= s.remaining
-                if prev is not None:
-                    if was_known:
-                        assert val <= prev  # known: non-increasing
-                    elif not s.known:
-                        assert val >= prev  # unknown: non-decreasing
-                # continuity at the knowledge transition: eps * p both sides
-                if s.known and not was_known and s.elapsed == (1 - eps) * j.size:
-                    assert val == eps * j.size
-                prev, was_known = val, s.known
 
 
 def test_degeneration_quick():

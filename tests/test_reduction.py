@@ -1,8 +1,10 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from slflab import reduction as reduction_module
 from slflab.core import Instance, Job, ReleaseTag
 from slflab.metrics import count_profile
 from slflab.reduction import (
@@ -168,6 +170,97 @@ def test_chain_checks_use_forward_walks_only(monkeypatch):
     assert count_profile(*schedules) == want
     rep = reduction_check(inst, F(1, 2))
     assert rep.ok, (rep.checks, rep.witness)
+
+
+def _chain_per_boundary(fast, slow, idled, alg):
+    """Reference: reduction_check's (ok, checks, witness) from its four
+    schedules, by the per-boundary definition (elapsed_at, active_count)."""
+    setfi_ok, _, setfi_witness = _setfi_vs_setf_per_boundary(slow, idled)
+    checks = {
+        "scale-identity-boundaries": fast.boundaries() == slow.boundaries(),
+        "scale-identity-completions": fast.completions == slow.completions,
+        "scale-identity-counts": True,
+        "setfi-dominance": setfi_ok,
+        "count-vs-alg": True,
+        "chain": True,
+    }
+    witness: dict = {} if setfi_ok else {"setfi": setfi_witness}
+    schedules = (fast, slow, idled, alg)
+    for t in sorted({t for s in schedules for t in s.boundaries()}):
+        n_fast, n_slow, n_idled, n_alg = (s.active_count(t) for s in schedules)
+        if n_fast != n_slow:
+            checks["scale-identity-counts"] = False
+            witness.setdefault("scale-counts", t)
+        if n_idled > n_alg:
+            checks["count-vs-alg"] = False
+            witness.setdefault("count-vs-alg", t)
+        if not (n_fast == n_slow <= n_idled <= n_alg):
+            checks["chain"] = False
+            witness.setdefault("chain", t)
+    return all(checks.values()), checks, witness
+
+
+def _swap_first_completions(sched):
+    a, b, *_ = sorted(sched.completions)
+    done = dict(sched.completions)
+    done[a], done[b] = done[b], done[a]
+    return dataclasses.replace(sched, completions=done)
+
+
+def _delayed(inst):
+    return inst.with_jobs(
+        dataclasses.replace(j, release=ReleaseTag(j.release.time + 1)) for j in inst.jobs
+    )
+
+
+# (role, check, wrong): the schedule a faulty engine returns for one of
+# reduction_check's four runs, and the check that this must break
+FAULTS = (
+    ("fast", "scale-identity-boundaries", lambda sim, inst, kw: sim(inst, "rr", **kw)),
+    (
+        "fast",
+        "scale-identity-completions",
+        lambda sim, inst, kw: _swap_first_completions(sim(inst, "setf", **kw)),
+    ),
+    ("slow", "scale-identity-counts", lambda sim, inst, kw: sim(inst, "srpt", **kw)),
+    ("idled", "setfi-dominance", lambda sim, inst, kw: sim(inst, "setf", speed=F(3, 2))),
+    # the count breaks first, then the elapsed dominance
+    ("idled", "setfi-dominance", lambda sim, inst, kw: sim(_delayed(inst), "setf", speed=F(3))),
+    ("alg", "count-vs-alg", lambda sim, inst, kw: sim(inst, "slf", speed=F(3))),
+    ("idled", "chain", lambda sim, inst, kw: sim(inst, "srpt", **kw)),
+)
+
+
+def _role(policy, kw):
+    if policy == "slf":
+        return "alg"
+    return "fast" if "speed" in kw else "idled" if "forbidden" in kw else "slow"
+
+
+def test_reduction_check_witnesses_under_faulty_engine(monkeypatch):
+    # real engines never fail a check, so faults drive the witness paths: on
+    # every instance the checks and witnesses, key order included, match
+    # the reference, and each fault breaks its check on some instance
+    real = reduction_module.simulate
+    rng = random.Random(56)
+    insts = [random_instance(rng, F(1, 2), rng.randint(2, 7)) for _ in range(12)]
+    for role, check, wrong in FAULTS:
+        broke = 0
+        for inst in insts:
+            made = {}
+
+            def faulty(inst, policy, **kw):
+                who = _role(policy, kw)
+                made[who] = wrong(real, inst, kw) if who == role else real(inst, policy, **kw)
+                return made[who]
+
+            monkeypatch.setattr(reduction_module, "simulate", faulty)
+            rep = reduction_check(inst, F(1, 2))
+            want = _chain_per_boundary(made["fast"], made["slow"], made["idled"], made["alg"])
+            assert (rep.ok, rep.checks, rep.witness) == want, (role, check)
+            assert repr(rep.witness) == repr(want[2]), (role, check)
+            broke += not rep.checks[check]
+        assert broke, (role, check)
 
 
 def test_known_work_intervals_toy():

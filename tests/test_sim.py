@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from slflab.core import Instance, Job, ReleaseTag, scale_instance
+from slflab.metrics import count_profile
 from slflab.policies import allocation_for
 from slflab.sim import (
     EMPTY_INTERVALS,
@@ -13,6 +14,7 @@ from slflab.sim import (
     SimulationError,
     export_events_jsonl,
     export_segments_csv,
+    merge_grid,
     simulate,
     state_at,
     touched_jobs,
@@ -465,37 +467,77 @@ def test_indexed_elapsed_matches_plain_walk():
                     } == _walk_states(inst, want, t, cutoff), (policy, t, cutoff)
 
 
-def test_forward_cursors_match_random_access_queries():
-    # active_counts and elapsed_changes answer ascending times in one walk
-    # and agree with active_count and elapsed_at at every probe
+def _check_grid(scheds):
+    # the merged grid against the per-boundary queries: every boundary of
+    # every schedule once, in order; counts equal active_count, and each
+    # schedule's steps rebuild elapsed_at at every grid time
+    grid = merge_grid(*scheds)
+    want = sorted({t for s in scheds for t in s.boundaries()})
+    assert grid.times == want
+    for s, pos in zip(scheds, grid.positions):
+        assert [grid.times[q] for q in pos] == s.boundaries()
+    assert count_profile(*scheds) == [
+        (t, tuple(s.active_count(t) for s in scheds)) for t in want
+    ]
+    qs = range(len(want))
+    for k, s in enumerate(scheds):
+        done: dict = {}
+        for t, ((work, ended), (part, inside)) in zip(want, grid.steps(k, qs)):
+            for jid in ended:
+                done[jid] = done.get(jid, F(0)) + work
+            elapsed = dict(done)
+            for jid in inside:
+                elapsed[jid] = elapsed.get(jid, F(0)) + part
+            assert elapsed == s.elapsed_at(t), (k, t)
+
+
+def test_grid_matches_random_access_queries():
+    # one grid over schedules of every policy, speed, window and horizon
     rng = random.Random(12)
     window = IntervalSet.from_pairs([(F(1), F(5, 2))])
     for trial in range(20):
         inst = random_instance(rng, F(rng.randint(1, 9), 10), rng.randint(1, 9))
         horizon = F(rng.randint(1, 40), 2) if trial % 3 == 0 else None
-        for policy in POLICIES:
-            for speed in (F(1), F(3, 2)):
-                for forbidden in (EMPTY_INTERVALS, window):
-                    case = (trial, policy, speed, bool(forbidden))
-                    sched = simulate(
-                        inst, policy, speed=speed, forbidden=forbidden, horizon=horizon
-                    )
-                    times = sched.boundaries()
-                    mids = [(x + y) / 2 for x, y in zip(times, times[1:])]
-                    repeats = rng.sample(times + mids, min(3, len(times)))
-                    probes = sorted(
-                        [F(0), *times, *mids, *repeats, sched.end_time + F(1, 3),
-                         sched.end_time + 50]
-                    )
-                    counts = list(sched.active_counts(probes))
-                    assert counts == [sched.active_count(t) for t in probes], case
-                    elapsed: dict = {}
-                    for t, changed in zip(probes, sched.elapsed_changes(probes)):
-                        # only jobs whose elapsed work moved since the last probe
-                        for jid, e in changed.items():
-                            assert elapsed.get(jid, F(0)) != e, (case, t, jid)
-                        elapsed.update(changed)
-                        assert elapsed == sched.elapsed_at(t), (case, t)
+        scheds = [
+            simulate(inst, policy, speed=speed, forbidden=forbidden, horizon=horizon)
+            for policy in POLICIES
+            for speed in (F(1), F(3, 2))
+            for forbidden in (EMPTY_INTERVALS, window)
+        ]
+        _check_grid(scheds[trial % 4 :: 3])
+
+
+def test_grid_edge_cases():
+    tie = F(1, 3) + F(1, 2**70)  # floor(t * 2**64) equals that of 1/3
+    cut = Instance(F(1, 2), (Job(1, ReleaseTag(F(0)), F(3)), Job(2, ReleaseTag(F(7)), F(1))))
+    other = Instance(F(1, 2), (Job(1, ReleaseTag(F(0)), F(10)), Job(3, ReleaseTag(F(9)), F(2))))
+    epochs = Instance(
+        F(1, 2),
+        (
+            Job(1, ReleaseTag(F(1)), F(2)),
+            Job(2, ReleaseTag(F(1), 1), F(1)),
+            Job(3, ReleaseTag(F(1), 2), F(3)),
+            Job(4, ReleaseTag(F(0)), F(1)),
+        ),
+    )
+    floors = Instance(
+        F(1, 2), (Job(1, ReleaseTag(F(1, 3)), F(1)), Job(2, ReleaseTag(tie), F(1, 2)))
+    )
+    cases = [
+        # horizon cuts, releases after every schedule's end
+        [simulate(cut, p, horizon=F(2)) for p in ("setf", "rr")],
+        # a cut release off the other schedule's grid, inside its span
+        [simulate(cut, "setf", horizon=F(2)), simulate(other, "setf")],
+        # re-released epochs at one time
+        [simulate(epochs, p) for p in POLICIES],
+        # boundaries whose 64-bit floors tie
+        [simulate(floors, p) for p in POLICIES],
+        # two instances
+        [simulate(inst, "setf") for inst in (epochs, scale_instance(epochs, F(1, 2)))],
+    ]
+    for scheds in cases:
+        _check_grid(scheds)
+    assert merge_grid(*cases[3]).times[1:3] == [F(1, 3), tie]
 
 
 def test_event_log_marks_every_boundary():
