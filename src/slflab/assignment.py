@@ -70,7 +70,8 @@ def graph(
     right: Sequence[int],
     weights: Mapping[tuple[int, int], Rat],
 ) -> WeightedBipartiteGraph:
-    clean = {e: Fraction(w) for e, w in weights.items() if w != 0}
+    # a value that is already a Fraction is kept, not rebuilt
+    clean = {e: w if type(w) is Fraction else Fraction(w) for e, w in weights.items() if w}
     return WeightedBipartiteGraph(tuple(left), tuple(right), clean)
 
 
@@ -79,7 +80,7 @@ EMPTY_GRAPH = graph((), (), {})
 
 def default_order(vols: Mapping[int, Rat]) -> tuple[int, ...]:
     """Non-increasing volume, ties by ascending id."""
-    return tuple(sorted(vols, key=lambda u: (-vols[u], u)))
+    return tuple(sorted(vols, key=lambda u: (vols[u], -u), reverse=True))
 
 
 def strip_isolated(h: WeightedBipartiteGraph) -> WeightedBipartiteGraph:
@@ -169,8 +170,10 @@ def canonical_from_marginals(
     The result is forward with exactly the requested marginals. Callers may
     attach explicit orders (which must be non-increasing in volume) to pin
     tie-breaks among equal volumes."""
-    left_vols = {u: Fraction(w) for u, w in left_vols.items() if w != 0}
-    right_vols = {v: Fraction(w) for v, w in right_vols.items() if w != 0}
+    left_vols, right_vols = (
+        {u: w if type(w) is Fraction else Fraction(w) for u, w in vols.items() if w}
+        for vols in (left_vols, right_vols)
+    )
     if any(w < 0 for w in left_vols.values()) or any(
         w < 0 for w in right_vols.values()
     ):

@@ -17,10 +17,13 @@ STEP_CACHE_SIZE (8192) entries like the schedule cache `_sched`:
     step, its transcript record and the next state (cur', s').
 Entries hold tuples, instances and records, never graphs or state dicts,
 and each transcript gets its own copy of a record. Per target, every
-iteration still checks Inv1 on the window (s, t], resolves x from t, and
-counts against the iteration guard; the final assignment at t is built and
-checked per target too. A check that fails raises, and lru_cache stores no
-exception, so a failure is recomputed on every call.
+iteration still checks Inv1 on the window (s, t] (vacuous, so skipped, when
+no job is unknown right before s), resolves x from t, and counts against the
+iteration guard; the final assignment at t is built and checked per target
+too. A check that fails raises, and lru_cache stores no exception, so a
+failure is recomputed on every call. Steps, snapshots and the certificate
+hold the instance the schedule cache keeps, equal to the caller's, so later
+lookups on it are identity hits.
 
 Every read of a queue goes through one snapshot per (instance, policy, t),
 `_snapshot`, an lru_cache of SNAPSHOT_CACHE_SIZE (32) entries. It walks the
@@ -701,7 +704,10 @@ def _unknown_at(cur: Instance, s: Rat) -> tuple[int, ...]:
 
 
 def _check_magical(alg: Schedule, s: Rat, t: Rat, unknown) -> None:
-    """Inv1: s is magical for the pre-batch unknown jobs through t."""
+    """Inv1: s is magical for the pre-batch unknown jobs through t; with no
+    unknown job it holds vacuously, and no window is walked."""
+    if not unknown:
+        return
     hit = touched_jobs(alg, s, t).intersection(unknown)
     if hit:
         raise CounterexampleError("Inv1-magical", s=s, touched=sorted(hit))
@@ -779,6 +785,9 @@ def _advance(
     movers = [j for j in cur.jobs if s < j.release.time < x]
     if movers:
         moved = move_jobs(cur, s, max(j.release.time for j in movers))
+        # the equal instance the schedule cache keeps, if another step made
+        # one: the next steps' lookups on it are then identity hits
+        moved = _sched(moved, "slf").instance
         details = {"until": x, "jobs": sorted(j.id for j in movers)}
         return IterationRecord("move", s, s, details), moved, s
     if x == plan.stop:
@@ -857,7 +866,9 @@ def create_valid_assignment(inst: Instance, t: Rat) -> Certificate:
     checked = check_assignment(final, eps)
     if not checked.valid:
         raise CounterexampleError("final-expansion", phi=checked.phi, t=t)
-    return Certificate(inst, cur, t, checked, transcript)
+    # the cached instance, equal to `inst`: verification's lookups on it are
+    # identity hits, not field-wise compares with a parsed copy
+    return Certificate(root, cur, t, checked, transcript)
 
 
 # --- verification --------------------------------------------------------------

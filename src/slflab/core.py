@@ -27,11 +27,12 @@ def parse_rat(text: str | int) -> Rat:
     """Parse "a/b", an integer string, or a finite decimal, exactly."""
     if isinstance(text, int):
         return Fraction(text)
-    if not isinstance(text, str) or not _RAT_RE.match(text.strip()):
+    stripped = text.strip() if isinstance(text, str) else ""
+    if not _RAT_RE.match(stripped):
         raise InstanceError(f"not a rational literal: {text!r}")
     # the pattern has validated the text: build from ints, which skips
     # Fraction's own string parser; only decimals go through it
-    num, slash, den = text.strip().partition("/")
+    num, slash, den = stripped.partition("/")
     if slash:
         return Fraction(int(num), int(den))
     if "." in num:
@@ -65,7 +66,8 @@ class ReleaseTag:
     epoch: int = 0
 
     def __post_init__(self) -> None:
-        if self.time < 0:
+        # signs on the numerator: the denominator of a rational is positive
+        if self.time.numerator < 0:
             raise InstanceError(f"negative release time {self.time}")
         if self.epoch < 0:
             raise InstanceError("negative release epoch")
@@ -80,7 +82,7 @@ class Job:
     def __post_init__(self) -> None:
         if self.id <= 0:
             raise InstanceError(f"job id must be positive, got {self.id}")
-        if self.size is not None and self.size <= 0:
+        if self.size is not None and self.size.numerator <= 0:
             raise InstanceError(f"job {self.id}: size must be > 0")
 
     @property
@@ -94,7 +96,7 @@ class Instance:
     jobs: tuple[Job, ...]
 
     def __post_init__(self) -> None:
-        if not (0 <= self.epsilon <= 1):
+        if not (0 <= self.epsilon.numerator <= self.epsilon.denominator):
             raise InstanceError(f"epsilon {self.epsilon} outside [0,1]")
         by_id = {j.id: j for j in self.jobs}
         if len(by_id) != len(self.jobs):
@@ -102,14 +104,32 @@ class Instance:
         # outside the fields, so equality and repr are unchanged
         object.__setattr__(self, "_by_id", by_id)
 
+    def _key(self) -> tuple:
+        """eps and every job's fields as integers (None for an undeclared size)."""
+        key: list = [self.epsilon.numerator, self.epsilon.denominator]
+        for j in self.jobs:
+            t, p = j.release.time, j.size
+            sized = (None, None) if p is None else (p.numerator, p.denominator)
+            key.append((j.id, t.numerator, t.denominator, j.release.epoch, *sized))
+        return tuple(key)
+
     @cached_property
     def _hash(self) -> int:
-        # the hash dataclass would compute, taken on first use only: schedule
-        # caches key on instances, but most instances are never hashed
-        return hash((self.epsilon, self.jobs))
+        # taken on first use only: schedule caches key on instances, but most
+        # instances are never hashed; the key itself is not kept
+        return hash(self._key())
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other) -> bool:
+        # field-wise equality, tested on integers; a hash mismatch settles
+        # most unequal pairs without building either key
+        if other is self:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and self._key() == other._key()
 
     def job(self, job_id: int) -> Job:
         return self._by_id[job_id]

@@ -134,7 +134,12 @@ def _setfi(grid: Grid, rows: list[tuple[int, ...]], p: int, i: int) -> ChainRepo
         limit = {**dict.fromkeys((*ended_p, *ended_i), ZERO), **dict.fromkeys(in_p, up)}
         if in_i:
             limit.update(dict.fromkeys(in_i, -ui))
-        bad = {j for j, lim in limit.items() if diff.get(j, ZERO) > lim}
+        bad = set()
+        for j, lim in limit.items():
+            d = diff.get(j, ZERO)
+            # signs first: a difference <= 0 never exceeds a limit >= 0
+            if (d.numerator > 0 or lim.numerator < 0) and d > lim:
+                bad.add(j)
         excess = next(((q, j.id) for j in jobs if j.id in bad), None) if bad else None
         if excess:
             break

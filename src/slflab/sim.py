@@ -369,6 +369,7 @@ def simulate(
     speed = Fraction(speed)
     if speed <= 0:
         raise SimulationError("speed must be > 0")
+    unit_speed = speed == 1  # then a job that runs alone runs at rate 1
     eps = inst.epsilon
     declared_all = inst.all_declared
     srpt_like = policy == "srpt" or (policy == "slf" and eps == 1)
@@ -413,7 +414,9 @@ def simulate(
 
     acc = ZERO  # per-member work accumulated by the running group
     running: _Group | None = None  # slf (unknown pool) / setf / rr
-    tiers: dict[Rat, _Group] = {}  # paused groups by elapsed level (slf/setf)
+    # paused groups by elapsed level (slf/setf), keyed by its (numerator,
+    # denominator): a tuple of ints hashes far cheaper than a Fraction
+    tiers: dict[tuple[int, int], _Group] = {}
     tier_vals: list[Rat] = []
 
     # waiting known jobs (slf) or all waiting jobs (srpt-like), one entry
@@ -443,10 +446,11 @@ def simulate(
 
     def add_tier(group: _Group) -> None:
         group.off = None
-        if group.level in tiers:
-            tiers[group.level].absorb(group)
+        key = group.level.numerator, group.level.denominator
+        if key in tiers:
+            tiers[key].absorb(group)
         else:
-            tiers[group.level] = group
+            tiers[key] = group
             insort(tier_vals, group.level)
 
     def new_group(jid: int) -> _Group:
@@ -479,7 +483,7 @@ def simulate(
         nonlocal running
         assert running is None
         value = tier_vals.pop(0)
-        running = tiers.pop(value)
+        running = tiers.pop((value.numerator, value.denominator))
         running.off = value - acc
         return value
 
@@ -570,7 +574,8 @@ def simulate(
         if level is None:
             level = activate_tier()
         elif tier_vals and tier_vals[0] == level:
-            running.absorb(tiers.pop(tier_vals.pop(0)))
+            running.absorb(tiers.pop((level.numerator, level.denominator)))
+            tier_vals.pop(0)
         goals = [
             x
             for x in (
@@ -625,8 +630,8 @@ def simulate(
         stop = min(outside) if outside else None
         hit = False
         if work is not None:
-            # at rate 1 the work is the time
-            t_hit = t + (work if rate == 1 else work / rate)
+            # one job at speed 1: the work is the time
+            t_hit = t + (work if unit_speed and len(jobs) == 1 else work / rate)
             if stop is None or t_hit <= stop:
                 stop, hit = t_hit, True
         assert stop is not None, "stalled: no candidate boundary"
@@ -695,9 +700,9 @@ def simulate(
         else:
             for jid in running.members:
                 final_elapsed[jid] = run_level()
-    for value, group in tiers.items():
+    for group in tiers.values():
         for jid in group.members:
-            final_elapsed[jid] = value
+            final_elapsed[jid] = group.level
 
     return Schedule(
         instance=inst,
@@ -736,8 +741,13 @@ def states_from_elapsed(
     inst: Instance, t: Rat, elapsed, release_cutoff: str = "all"
 ) -> dict[int, JobState]:
     """The states `state_at` returns, built from `elapsed`, the elapsed work
-    per job at t (a job it omits has none); no argument checks, no walk."""
-    eps = inst.epsilon
+    per job at t (a job it omits has none); no argument checks, no walk.
+
+    A declared job is known iff eps > 0 and e >= (1 - eps) * p. With
+    eps = a/b that is e.n * b * p.d >= (b - a) * p.n * e.d on numerators (n)
+    and denominators (d), one exact integer comparison per job."""
+    a, b = inst.epsilon.numerator, inst.epsilon.denominator
+    keep = b - a
     out: dict[int, JobState] = {}
     for j in inst.jobs:
         rt = j.release.time
@@ -749,16 +759,19 @@ def states_from_elapsed(
         if j.size is None:
             out[j.id] = JobState(j.id, e, None, False)
             continue
-        r = j.size - e
-        if r <= 0:
+        p = j.size
+        r = p - e
+        if r.numerator <= 0:
             continue
-        out[j.id] = JobState(j.id, e, r, eps > 0 and e >= (1 - eps) * j.size)
+        known = e.numerator * b * p.denominator >= keep * p.numerator * e.denominator
+        out[j.id] = JobState(j.id, e, r, a > 0 and known)
     return out
 
 
 def touched_jobs(sched: Schedule, start: Rat, end: Rat) -> set[int]:
     """Jobs that run on a positive-measure subset of (start, end]."""
-    start, end = Fraction(start), Fraction(end)
+    if type(start) is not Fraction or type(end) is not Fraction:
+        start, end = Fraction(start), Fraction(end)
     if end < start:
         raise SimulationError("interval must have start <= end")
     out: set[int] = set()

@@ -21,7 +21,7 @@ from slflab.certifier import (
     _snapshot,
     _states,
 )
-from slflab.core import Instance, Job, ReleaseTag
+from slflab.core import Instance, Job, ReleaseTag, parse_instance, serialize_instance
 from slflab.sim import simulate, state_at
 from .helpers import random_instance, staggered_instance, toy_instance
 
@@ -405,3 +405,50 @@ def test_warm_step_cache_keeps_per_target_checks(monkeypatch):
             assert _summary(create_valid_assignment(inst, t)) == _summary(warm[t])
     # every step came from the warm caches
     assert (_plan.cache_info().misses, _advance.cache_info().misses) == misses
+
+
+def test_inv1_walks_no_window_without_unknown_jobs(monkeypatch):
+    inst = staggered_instance()
+    alg = _sched(inst, "slf")
+    walks = []
+
+    def touched(sched, start, end):
+        walks.append((start, end))
+        return {1, 2}
+
+    monkeypatch.setattr(certifier, "touched_jobs", touched)
+    certifier._check_magical(alg, F(0), F(9), ())  # vacuous: nothing to walk
+    assert walks == []
+    with pytest.raises(CounterexampleError) as err:
+        certifier._check_magical(alg, F(0), F(9), (2, 3))
+    assert err.value.check == "Inv1-magical" and err.value.context["touched"] == [2]
+    assert walks == [(F(0), F(9))]
+
+
+def test_certificate_carries_the_cached_instance(monkeypatch):
+    compares = []
+    real_eq = Instance.__eq__
+
+    def counting_eq(a, b):
+        if a is not b:
+            compares.append(1)
+        return real_eq(a, b)
+
+    rng = random.Random(29)
+    inst = random_instance(rng, F(1, 3), 8)
+    text = serialize_instance(inst)
+    times = [t for t in _event_times(inst) if t > 0]
+    monkeypatch.setattr(Instance, "__eq__", counting_eq)
+    for warm in (False, True):
+        for t in times:
+            fresh = parse_instance(text)
+            compares.clear()
+            cert = create_valid_assignment(fresh, t)
+            assert verify_certificate(cert).passed
+            # the parsed copy is compared once, by the schedule cache; the
+            # construction's moved copies are the cache's own, so the steps
+            # and the verification find every instance by identity
+            if warm:
+                assert len(compares) <= 2, (t, len(compares))
+            assert cert.original is _sched(fresh, "slf").instance
+            assert cert.original == fresh and cert.original is not fresh

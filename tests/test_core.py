@@ -110,6 +110,49 @@ def test_roundtrip_undeclared_and_epoch():
     assert back.jobs[0].declared is False
 
 
+def _fieldwise_equal(a: Instance, b: Instance) -> bool:
+    """The dataclass definition: eps, then each job's fields, as values."""
+    return (a.epsilon, a.jobs) == (b.epsilon, b.jobs)
+
+
+def _small_instance(rng: random.Random) -> Instance:
+    """Few values, so that separately built pairs are often equal; values
+    come as non-normalized Fractions and plain ints too."""
+    half = rng.choice([F(1, 2), F(2, 4), F(3, 6)])
+    jobs = tuple(
+        Job(
+            jid,
+            ReleaseTag(rng.choice([F(0), 0, half, F(1)]), rng.choice([0, 0, 1])),
+            rng.choice([None, half, F(1), 1, F(4, 2)]),
+        )
+        for jid in rng.sample(range(1, 4), rng.randint(0, 2))
+    )
+    return Instance(rng.choice([half, F(1), 1, F(0)]), jobs)
+
+
+def test_instance_eq_and_hash_match_fieldwise_equality():
+    rng = random.Random(3)
+    equal = 0
+    for _ in range(3000):
+        a, b = _small_instance(rng), _small_instance(rng)
+        want = _fieldwise_equal(a, b)
+        assert (a == b) is want and (a != b) is not want, (a, b)
+        if want:
+            equal += 1
+            assert hash(a) == hash(b) and a is not b
+    assert equal > 50  # the loop met equal pairs, not just unequal ones
+    inst = Instance(
+        F(1, 2), (Job(1, ReleaseTag(F(1), 2), None), Job(2, ReleaseTag(F(0)), F(3)))
+    )
+    back = parse_instance(serialize_instance(inst))
+    assert back == inst and hash(back) == hash(inst) and back is not inst
+    assert Instance(F(2, 4), inst.jobs) == inst
+    assert inst != Instance(F(1, 2), inst.jobs[::-1])  # job order is a field
+    for other in (None, "inst", (inst.epsilon, inst.jobs), inst.jobs):
+        assert inst != other and not inst == other
+        assert inst.__eq__(other) is NotImplemented
+
+
 def test_rat_str():
     assert rat_str(F(7, 2)) == "7/2"
     assert rat_str(F(4)) == "4"

@@ -17,6 +17,7 @@ from slflab.sim import (
     merge_grid,
     simulate,
     state_at,
+    states_from_elapsed,
     touched_jobs,
 )
 
@@ -428,6 +429,25 @@ def _walk_states(inst, elapsed, t, cutoff):
             known = inst.epsilon > 0 and e >= (1 - inst.epsilon) * j.size
             out[j.id] = (e, j.size - e, known)
     return out
+
+
+def test_knowledge_integer_rule_matches_fraction_threshold():
+    # e >= (1 - eps) * p, exactly at the threshold and 2^-70 to either side
+    tiny = F(1, 2**70)
+    for eps in (F(0), F(1, 3), F(1, 2), F(9, 10), F(1)):
+        for p in (F(1), F(7, 3), F(5, 11), F(2**80 + 1, 3)):
+            inst = Instance(eps, (Job(1, ReleaseTag(F(0)), p),))
+            threshold = (1 - eps) * p
+            for e, want in (
+                (threshold - tiny, False),
+                (threshold, eps > 0),
+                (threshold + tiny, eps > 0),
+            ):
+                if not 0 <= e < p:  # no work, or complete: not an active state
+                    continue
+                state = states_from_elapsed(inst, F(1), {1: e})[1]
+                assert want is (eps > 0 and e >= (1 - eps) * p)
+                assert state.known is want, (eps, p, e)
 
 
 def test_indexed_elapsed_matches_plain_walk():
