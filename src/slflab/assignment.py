@@ -84,13 +84,7 @@ def default_order(vols: Mapping[int, Rat]) -> tuple[int, ...]:
 
 
 def strip_isolated(h: WeightedBipartiteGraph) -> WeightedBipartiteGraph:
-    touched_l = {u for (u, _) in h.weights}
-    touched_r = {v for (_, v) in h.weights}
-    return graph(
-        tuple(u for u in h.left if u in touched_l),
-        tuple(v for v in h.right if v in touched_r),
-        h.weights,
-    )
+    return _induced(h, h.weights)
 
 
 # -- structure predicates ------------------------------------------------------
@@ -256,29 +250,32 @@ def greedy_matching(
     return graph(tuple(a_order), tuple(a_star_order), weights)
 
 
+def suffix_reaching(
+    order: Sequence[int], vols: Mapping[int, Rat], beta: Rat
+) -> tuple[tuple[int, ...], Rat]:
+    """The smallest suffix of `order` whose volume reaches beta, and its
+    volume; the whole order and its volume when no suffix does."""
+    acc = ZERO
+    k = len(order)
+    while k and acc < beta:
+        k -= 1
+        acc += vols[order[k]]
+    return tuple(order[k:]), acc
+
+
 def min_suffix(h: WeightedBipartiteGraph, beta: Rat) -> tuple[int, ...]:
     """Smallest suffix S of the left order with vol(S) >= beta."""
     beta = Fraction(beta)
     if beta < 0 or beta > h.volume():
         raise AssignmentError("beta outside [0, vol(H)]")
-    if beta == 0:
-        return ()
-    vols = h.vols()
-    acc = ZERO
-    out: list[int] = []
-    for u in reversed(h.left):
-        out.append(u)
-        acc += vols[u]
-        if acc >= beta:
-            break
-    return tuple(reversed(out))
+    return suffix_reaching(h.left, h.vols(), beta)[0]
 
 
 def split(h: WeightedBipartiteGraph, beta: Rat) -> tuple[
     WeightedBipartiteGraph, WeightedBipartiteGraph
 ]:
     """Split a forward graph into a prefix subgraph and a suffix subgraph of
-    总 volume beta; at most one edge is shared, its weight divided so that
+    volume beta; at most one edge is shared, its weight divided so that
     vol(H_s) = beta exactly. Both parts are forward and phi(H_p) <= phi(H)."""
     beta = Fraction(beta)
     if not is_forward(h):
@@ -311,8 +308,9 @@ def split(h: WeightedBipartiteGraph, beta: Rat) -> tuple[
     return hp, hs
 
 
-def _induced(h: WeightedBipartiteGraph, weights: dict) -> WeightedBipartiteGraph:
-    weights = {e: w for e, w in weights.items() if w > 0}
+def _induced(h: WeightedBipartiteGraph, weights: Mapping) -> WeightedBipartiteGraph:
+    """`h`'s orders restricted to the vertices that `weights` (all positive)
+    touch."""
     lkeep = {u for (u, _) in weights}
     rkeep = {v for (_, v) in weights}
     return graph(

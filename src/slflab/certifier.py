@@ -27,12 +27,15 @@ lookups on it are identity hits.
 
 Every read of a queue goes through one snapshot per (instance, policy, t),
 `_snapshot`, an lru_cache of SNAPSHOT_CACHE_SIZE (32) entries. It walks the
-schedule once (`elapsed_at(t)`) and builds the states from that walk, and it
-returns the elapsed map and the states as read-only `MappingProxyType`s, so
-no caller can change an entry another caller shares. The "none" view of
-`_states`, right before the releases at t, is the "all" states minus the
-jobs released exactly at t, kept in the same snapshot. The bound is small
-on purpose: a snapshot is read again within one certificate and its
+schedule once (`elapsed_at(t)`), and one pass of `states_from_elapsed` over
+the jobs builds both queue views from that walk: `states`, with every
+release at t arrived, and `before`, right before the batch released at t. It
+returns the elapsed map and the views as read-only `MappingProxyType`s, so
+no caller can change an entry another caller shares. Neither the snapshot
+nor t-equivalence compares a release time with t: a job is active for
+t-equivalence iff it is in `states` and either in `before` or released at
+epoch 0, so jobs moved to t-plus (epoch > 0) are out. The bound is small on
+purpose: a snapshot is read again within one certificate and its
 verification, soon after it is built. Criterion 5's loop hits 78.0% of its
 lookups with 32 entries and 78.2% with 256, and the benchmark's certify
 pool hits the same share from 16 to 1024 entries, so a larger cache only
@@ -61,6 +64,7 @@ from .assignment import (
     min_suffix,
     prefix_expansion,
     split,
+    suffix_reaching,
     union,
 )
 from .core import Instance, Rat, ReleaseTag, ceil_inv, rat_str
@@ -90,8 +94,8 @@ SNAPSHOT_CACHE_SIZE = 32
 
 class _Snapshot(NamedTuple):
     """One schedule at one time t, read-only: the elapsed work per job, the
-    active-job states with every release at t arrived ("all"), and the same
-    states right before the releases at t ("none")."""
+    active-job states with every release at t arrived, and the same states
+    right before the batch released at t (the same view when there is none)."""
 
     elapsed: Mapping[int, Rat]
     states: Mapping[int, JobState]
@@ -101,21 +105,23 @@ class _Snapshot(NamedTuple):
 @lru_cache(maxsize=SNAPSHOT_CACHE_SIZE)
 def _snapshot(inst: Instance, policy: str, t: Rat) -> _Snapshot:
     elapsed = _sched(inst, policy).elapsed_at(t)
-    states = MappingProxyType(states_from_elapsed(inst, t, elapsed))
-    at_t = {j.id for j in inst.jobs if j.release.time == t}
-    before = (
-        MappingProxyType({i: st for i, st in states.items() if i not in at_t})
-        if at_t
-        else states
+    states, before = states_from_elapsed(inst, t, elapsed)
+    view = MappingProxyType(states)
+    pre = view if before is states else MappingProxyType(before)
+    return _Snapshot(MappingProxyType(elapsed), view, pre)
+
+
+def _remaining(states: Mapping[int, JobState]) -> dict[int, Rat]:
+    """Job id -> remaining time, for states of declared jobs (all positive)."""
+    return {i: st.remaining for i, st in states.items()}
+
+
+def _marginals(inst: Instance, t: Rat) -> tuple[dict[int, Rat], dict[int, Rat]]:
+    """Both queues' remaining times at t, every release at t arrived."""
+    return (
+        _remaining(_snapshot(inst, "slf", t).states),
+        _remaining(_snapshot(inst, "srpt", t).states),
     )
-    return _Snapshot(MappingProxyType(elapsed), states, before)
-
-
-def _states(
-    inst: Instance, policy: str, t: Rat, cutoff: str = "all"
-) -> Mapping[int, JobState]:
-    snap = _snapshot(inst, policy, t)
-    return snap.states if cutoff == "all" else snap.before
 
 
 # --- instance surgery ---------------------------------------------------------
@@ -149,23 +155,19 @@ def move_jobs(inst: Instance, x: Rat, y: Rat) -> Instance:
 def check_t_equivalence(original: Instance, transformed: Instance, t: Rat) -> bool:
     """Same SLF active set at t and the same elapsed time for every job, on
     both instances. Membership is by plain time: released at a tag up to
-    (t, epoch 0), so jobs re-released to t-plus are out, and not complete."""
+    (t, epoch 0), so jobs re-released to t-plus are out, and not complete.
+    Read off the snapshot: in `states`, and in `before` or at epoch 0."""
     t = Fraction(t)
-    ea = _snapshot(original, "slf", t).elapsed
-    eb = _snapshot(transformed, "slf", t).elapsed
+    a, b = _snapshot(original, "slf", t), _snapshot(transformed, "slf", t)
 
-    def active(inst: Instance, elapsed: Mapping[int, Rat]) -> set[int]:
-        # by (time, epoch) without building tags: a time before t, or t at
-        # epoch 0
+    def active(inst: Instance, snap: _Snapshot) -> set[int]:
         return {
-            j.id
-            for j in inst.jobs
-            if (j.release.time < t or (j.release.time == t and not j.release.epoch))
-            and elapsed.get(j.id, ZERO) < j.size
+            i for i in snap.states if i in snap.before or not inst.job(i).release.epoch
         }
 
-    if active(original, ea) != active(transformed, eb):
+    if active(original, a) != active(transformed, b):
         return False
+    ea, eb = a.elapsed, b.elapsed
     return all(ea.get(j.id, ZERO) == eb.get(j.id, ZERO) for j in original.jobs)
 
 
@@ -227,7 +229,7 @@ def compute_work_split(inst: Instance, s: Rat, ell: Rat, new_ids) -> WorkSplit:
     opt = _sched(inst, "srpt")
     eps = inst.epsilon
 
-    pre = _states(inst, "slf", s, cutoff="none")
+    pre = _snapshot(inst, "slf", s).before
     K_s = {i for i, st in pre.items() if st.known}
     leader = _leader_of(inst, new_ids)
     e_alg = _snapshot(inst, "slf", ell).elapsed
@@ -280,8 +282,8 @@ def compute_work_split(inst: Instance, s: Rat, ell: Rat, new_ids) -> WorkSplit:
         raise CounterexampleError("work-split-negative-nu", nu=nu, nu_star=nu_star)
 
     # right-before-the-next-batch states: releases exactly at ell excluded
-    slf_ell = _states(inst, "slf", ell, cutoff="none")
-    opt_ell = _states(inst, "srpt", ell, cutoff="none")
+    slf_ell = _snapshot(inst, "slf", ell).before
+    opt_ell = _snapshot(inst, "srpt", ell).before
     O_ell = new_ids & set(opt_ell)
     A_ell = new_ids & set(slf_ell)
     O_plus = {i for i in O_ell if tau[i] > 0}
@@ -403,12 +405,10 @@ def update_valid_assignment(
 
     if not is_forward(sigma):
         raise CounterexampleError("sigma-not-forward")
-    pre_opt = _states(inst, "srpt", s, cutoff="none")
-    if sigma.vols() != {i: st.remaining for i, st in ws.slf_s.items() if st.remaining}:
+    pre_opt = _snapshot(inst, "srpt", s).before
+    if sigma.vols() != _remaining(ws.slf_s):
         raise CounterexampleError("sigma-left-marginals")
-    if sigma.vols_star() != {
-        i: st.remaining for i, st in pre_opt.items() if st.remaining
-    }:
+    if sigma.vols_star() != _remaining(pre_opt):
         raise CounterexampleError("sigma-right-marginals")
 
     by_size = lambda i: (-size[i], i)
@@ -418,10 +418,10 @@ def update_valid_assignment(
     h1p, _h1s = split(sigma, min(ws.nu, ws.nu_star))
     h2 = h1p
 
-    r_ell = {i: st.remaining for i, st in ws.slf_ell.items()}
-    r_star_ell = {i: st.remaining for i, st in ws.opt_ell.items()}
+    r_ell = _remaining(ws.slf_ell)
+    r_star_ell = _remaining(ws.opt_ell)
     # the optimum's remaining times right before the batch arrived at s
-    r_star_s = {i: st.remaining for i, st in pre_opt.items()}
+    r_star_s = _remaining(pre_opt)
     for i in new_ids:
         r_star_s[i] = size[i]
 
@@ -434,9 +434,9 @@ def update_valid_assignment(
 
     _verify_marginal_properties(ws, sigma, m1, sigma_prime, pre_opt)
 
-    if sigma_prime.vols() != {i: r for i, r in r_ell.items() if r}:
+    if sigma_prime.vols() != r_ell:
         raise CounterexampleError("updated-left-marginals")
-    if sigma_prime.vols_star() != {i: r for i, r in r_star_ell.items() if r}:
+    if sigma_prime.vols_star() != r_star_ell:
         raise CounterexampleError("updated-right-marginals")
     phi = prefix_expansion(sigma_prime)
     if phi > kprime:
@@ -510,30 +510,14 @@ def _update_two(inst, ws: WorkSplit, kprime, h2, m2_w, r_ell, r_star_ell):
             "update2-tau-order", tau=ws.tau_total, tau_star=ws.tau_star_total
         )
 
-    # claim: a left suffix of exactly volume d exists
-    vols = h2.vols()
-    acc = ZERO
-    X: list[int] = []
-    for u in reversed(h2.left):
-        if acc == d:
-            break
-        acc += vols[u]
-        X.append(u)
-    if acc != d:
-        raise CounterexampleError("claim-X-exact", d=d, reached=acc)
-    X = list(reversed(X))
-
-    vols_star = h2.vols_star()
-    accs = ZERO
-    Y: list[int] = []
-    for v in reversed(h2.right):
-        if accs >= d:
-            break
-        accs += vols_star[v]
-        Y.append(v)
-    if accs < d:
-        raise CounterexampleError("claim-Y-exists", d=d, reached=accs)
-    Y = list(reversed(Y))
+    # claim: a left suffix of exactly volume d exists, and a right one of
+    # at least d
+    X, reached = suffix_reaching(h2.left, h2.vols(), d)
+    if reached != d:
+        raise CounterexampleError("claim-X-exact", d=d, reached=reached)
+    Y, reached = suffix_reaching(h2.right, h2.vols_star(), d)
+    if reached < d:
+        raise CounterexampleError("claim-Y-exists", d=d, reached=reached)
 
     by_r_star = lambda i: (-(r_star_ell.get(i, ZERO)), i)
     by_r = lambda i: (-(r_ell.get(i, ZERO)), i)
@@ -655,23 +639,18 @@ class Certificate:
         return json.dumps(doc, indent=2)
 
 
-def _canonical_at(
-    inst: Instance, t: Rat, cutoff: str, aligned: bool = False
-) -> WeightedBipartiteGraph:
-    """Canonical assignment between the two queues at t.
+def _canonical_at(inst: Instance, s: Rat) -> WeightedBipartiteGraph:
+    """Canonical assignment between the two queues right before the batch
+    released at s.
 
-    With aligned=True, orders break ties among equal remaining times so that
-    the graph's suffix coincides with the order in which the schedulers
-    consume the jobs (smaller ids run first; the algorithm consumes known
-    jobs only). The paper assumes distinct sizes, where this is vacuous; the
-    aligned orders make per-job volume accounting exact under ties too.
+    Its orders break ties among equal remaining times so that the graph's
+    suffix coincides with the order in which the schedulers consume the jobs
+    (smaller ids run first; the algorithm consumes known jobs only). The
+    paper assumes distinct sizes, where this is vacuous; the aligned orders
+    make per-job volume accounting exact under ties too.
     """
-    slf = _states(inst, "slf", t, cutoff=cutoff)
-    opt = _states(inst, "srpt", t, cutoff=cutoff)
-    lv = {i: st.remaining for i, st in slf.items() if st.remaining}
-    rv = {i: st.remaining for i, st in opt.items() if st.remaining}
-    if not aligned:
-        return canonical_from_marginals(lv, rv)
+    slf = _snapshot(inst, "slf", s).before
+    lv, rv = _remaining(slf), _remaining(_snapshot(inst, "srpt", s).before)
     left_order = sorted(
         lv, key=lambda i: (-lv[i], 1 if slf[i].known else 0, -i)
     )
@@ -698,9 +677,9 @@ class _Plan(NamedTuple):
     leader: int | None = None
 
 
-def _unknown_at(cur: Instance, s: Rat) -> tuple[int, ...]:
-    pre = _states(cur, "slf", s, cutoff="none")
-    return tuple(i for i, st in pre.items() if not st.known)
+def _unknown(snap: _Snapshot) -> tuple[int, ...]:
+    """The jobs unknown right before the batch at the snapshot's time."""
+    return tuple(i for i, st in snap.before.items() if not st.known)
 
 
 def _check_magical(alg: Schedule, s: Rat, t: Rat, unknown) -> None:
@@ -716,24 +695,26 @@ def _check_magical(alg: Schedule, s: Rat, t: Rat, unknown) -> None:
 @lru_cache(maxsize=STEP_CACHE_SIZE)
 def _plan(inst: Instance, cur: Instance, s: Rat) -> _Plan:
     """Inv2 and Inv3 at (cur, s), then the case and its stop candidate."""
-    unknown = _unknown_at(cur, s)
+    snap = _snapshot(cur, "slf", s)
+    unknown = _unknown(snap)
     # Inv2: the working instance is s-equivalent to the original
     if not check_t_equivalence(inst, cur, s):
         raise CounterexampleError("Inv2-equivalence", s=s)
     # Inv3: the canonical assignment right before the batch is valid
-    phi_s = prefix_expansion(_canonical_at(cur, s, "none", aligned=True))
+    phi_s = prefix_expansion(_canonical_at(cur, s))
     if phi_s > ceil_inv(inst.epsilon):
         raise CounterexampleError("Inv3-validity", s=s, phi=phi_s)
 
     alg = _sched(cur, "slf")
-    batch = tuple(sorted(j.id for j in cur.jobs if j.release.time == s))
+    # the batch released at s: every job of it is in the queue at s
+    batch = tuple(sorted(snap.states.keys() - snap.before.keys()))
     if batch:
         leader = _leader_of(cur, batch)
         b_s = alg.known_times().get(leader)
         if b_s is None:
             raise CounterexampleError("leader-knowledge-missing", leader=leader)
         return _Plan(unknown, batch, "batch", b_s, leader)
-    post = _states(cur, "slf", s, cutoff="all")
+    post = snap.states
     if not post:
         nxt = min((j.release.time for j in cur.jobs if j.release.time > s), default=None)
         return _Plan(unknown, batch, "idle", nxt)
@@ -772,8 +753,8 @@ def _advance(
     if plan.case == "idle":
         return IterationRecord("idle", s, x), cur, x
     if plan.case == "known-run":
-        hp, _ = split(_canonical_at(cur, s, "none", aligned=True), x - s)
-        want = sorted(st.remaining for st in _states(cur, "slf", x, "none").values())
+        hp, _ = split(_canonical_at(cur, s), x - s)
+        want = sorted(_remaining(_snapshot(cur, "slf", x).before).values())
         if want != sorted(hp.vols().values()):
             raise CounterexampleError("srpt-lemma-marginals", s=s, s_next=x)
         record = IterationRecord(
@@ -804,7 +785,7 @@ def _advance(
             e = e_alg.get(i, ZERO)
             if e < p and e > (1 - eps) * p:
                 raise CounterexampleError("batch-frozen-or-done", job=i, ell=x)
-    sigma = _canonical_at(cur, s, "none", aligned=True)
+    sigma = _canonical_at(cur, s)
     sigma_prime = update_valid_assignment(cur, plan.batch, s, x, sigma)
     details = {
         "leader": plan.leader,
@@ -856,13 +837,13 @@ def create_valid_assignment(inst: Instance, t: Rat) -> Certificate:
         except Exception:
             # Inv1 comes first in the check order, so it names the failure
             # when it breaks too
-            _check_magical(alg, s, t, _unknown_at(cur, s))
+            _check_magical(alg, s, t, _unknown(_snapshot(cur, "slf", s)))
             raise
         _check_magical(alg, s, t, plan.unknown)
         record, cur, s = _advance(root, cur, s, _stop_point(plan, alg, s, t))
         transcript.append(record.copy())
 
-    final = _canonical_at(cur, t, "all")
+    final = canonical_from_marginals(*_marginals(cur, t))
     checked = check_assignment(final, eps)
     if not checked.valid:
         raise CounterexampleError("final-expansion", phi=checked.phi, t=t)
@@ -906,10 +887,7 @@ def verify_certificate(cert: Certificate) -> CertificateReport:
     kprime = ceil_inv(eps)
     h = cert.assignment.graph
 
-    slf_t = _states(cur, "slf", t, cutoff="all")
-    opt_t = _states(cur, "srpt", t, cutoff="all")
-    lv = {i: st.remaining for i, st in slf_t.items() if st.remaining}
-    rv = {i: st.remaining for i, st in opt_t.items() if st.remaining}
+    lv, rv = _marginals(cur, t)
     checks["marginals"] = h.vols() == lv and h.vols_star() == rv
     if not checks["marginals"]:
         details["marginals"] = "assignment marginals differ from remaining times"
@@ -932,11 +910,10 @@ def verify_certificate(cert: Certificate) -> CertificateReport:
             break
     checks["early-arriving"] = early
 
-    opt_orig = _states(inst, "srpt", t, cutoff="all")
-    checks["opt-count"] = len(opt_t) <= len(opt_orig)
-
-    slf_orig = _states(inst, "slf", t, cutoff="all")
+    slf_orig = _snapshot(inst, "slf", t).states
+    opt_orig = _snapshot(inst, "srpt", t).states
+    checks["opt-count"] = len(rv) <= len(opt_orig)
     checks["bounded-degree"] = (
-        len(slf_t) <= kprime * len(opt_t) and len(slf_orig) <= kprime * len(opt_orig)
+        len(lv) <= kprime * len(rv) and len(slf_orig) <= kprime * len(opt_orig)
     )
     return CertificateReport(checks, details)

@@ -235,12 +235,10 @@ def cmd_sample(args) -> int:
         eps = parse_rat(args.epsilon)
         inst = phase_lb_sample(eps, args.k, seed)
         meta = sampler_meta("phase", {"k": args.k, "epsilon": rat_str(eps)}, seed)
-    elif args.kind == "exp":
+    else:  # exp; argparse rejects any other kind
         eps = parse_rat(args.epsilon)
         inst = exp_simultaneous_sample(args.n, seed, eps)
         meta = sampler_meta("exp", {"n": args.n, "epsilon": rat_str(eps)}, seed)
-    else:
-        raise InstanceError(f"unknown sampler kind {args.kind}")
     text = serialize_instance(inst, meta=meta)
     Path(args.out_file).write_text(text)
     print(f"wrote {args.out_file}")
@@ -275,10 +273,8 @@ def cmd_sweep(args) -> int:
             params = {"k": args.k}
         elif args.kind == "phase":
             params = {"epsilon": eps, "k": args.k}
-        elif args.kind == "exp":
-            params = {"n": args.n, "epsilon": eps}
         else:
-            raise InstanceError(f"unknown sampler kind {args.kind}")
+            params = {"n": args.n, "epsilon": eps}
         for i in range(args.samples):
             tasks.append((args.kind, params, args.policy, args.seed + i))
             eps_col.append(rat_str(eps))

@@ -56,9 +56,11 @@ checkpoints of cumulative elapsed work that the first query builds (never
 times sorted on first use. A checkpoint is taken once the job entries
 replayed since the last one reach the size of the running elapsed dict, so
 the checkpoints hold no more entries than the segments' job tuples and a
-query replays fewer than 2n job entries (n jobs). `state_at` is its argument
-checks, one `elapsed_at` and `states_from_elapsed`, which a caller holding
-the elapsed map (the certifier) calls alone.
+query replays fewer than 2n job entries (n jobs). One pass of
+`states_from_elapsed` over the jobs builds both queue views at t from one
+elapsed map: every release at t arrived, and right before that batch.
+`state_at` is its argument checks, one `elapsed_at` and the first view; a
+caller holding the elapsed map (the certifier) calls the builder alone.
 
 The boundaries of several schedules go to `merge_grid`, which merges them
 once into a `Grid`: deduped by (numerator, denominator), ordered by the
@@ -717,55 +719,52 @@ def simulate(
 # --- queries over schedules -------------------------------------------------
 
 
-def state_at(
-    sched: Schedule,
-    inst: Instance,
-    t: Rat,
-    release_cutoff: str = "all",
-) -> dict[int, JobState]:
-    """Active-job states at time t (work during [t-dt, t) included).
-
-    `release_cutoff` picks which releases at exactly time t count as arrived:
-      - "all": every epoch (the active-set convention |A(t)|),
-      - "none": none; the state right before a batch at t arrives.
-    """
+def state_at(sched: Schedule, inst: Instance, t: Rat) -> dict[int, JobState]:
+    """Active-job states at time t (work during [t-dt, t) included), with
+    every release at t arrived: the active-set convention |A(t)|."""
     t = Fraction(t)
     if t < 0:
         raise SimulationError("state_at needs t >= 0")
-    if release_cutoff not in ("all", "none"):
-        raise SimulationError(f"bad release_cutoff {release_cutoff!r}")
-    return states_from_elapsed(inst, t, sched.elapsed_at(t), release_cutoff)
+    return states_from_elapsed(inst, t, sched.elapsed_at(t))[0]
 
 
 def states_from_elapsed(
-    inst: Instance, t: Rat, elapsed, release_cutoff: str = "all"
-) -> dict[int, JobState]:
-    """The states `state_at` returns, built from `elapsed`, the elapsed work
-    per job at t (a job it omits has none); no argument checks, no walk.
+    inst: Instance, t: Rat, elapsed
+) -> tuple[dict[int, JobState], dict[int, JobState]]:
+    """Both queue views at t, built in one pass from `elapsed`, the elapsed
+    work per job at t (a job it omits has none); no argument checks, no walk.
+    `states` has every release at t arrived (what `state_at` returns);
+    `before` is the queue right before the batch released at t arrives, and
+    is `states` itself when no job is released at t.
 
     A declared job is known iff eps > 0 and e >= (1 - eps) * p. With
     eps = a/b that is e.n * b * p.d >= (b - a) * p.n * e.d on numerators (n)
     and denominators (d), one exact integer comparison per job."""
     a, b = inst.epsilon.numerator, inst.epsilon.denominator
     keep = b - a
-    out: dict[int, JobState] = {}
+    states: dict[int, JobState] = {}
+    before = states  # split off at the first job released at t
     for j in inst.jobs:
         rt = j.release.time
         if rt > t:
             continue
-        if rt == t and release_cutoff == "none":
-            continue
+        at_t = rt == t
+        if at_t and before is states:
+            before = dict(states)
         e = elapsed.get(j.id, ZERO)
-        if j.size is None:
-            out[j.id] = JobState(j.id, e, None, False)
-            continue
         p = j.size
-        r = p - e
-        if r.numerator <= 0:
-            continue
-        known = e.numerator * b * p.denominator >= keep * p.numerator * e.denominator
-        out[j.id] = JobState(j.id, e, r, a > 0 and known)
-    return out
+        if p is None:
+            st = JobState(j.id, e, None, False)
+        else:
+            r = p - e
+            if r.numerator <= 0:
+                continue
+            known = e.numerator * b * p.denominator >= keep * p.numerator * e.denominator
+            st = JobState(j.id, e, r, a > 0 and known)
+        states[j.id] = st
+        if not at_t and before is not states:
+            before[j.id] = st
+    return states, before
 
 
 def touched_jobs(sched: Schedule, start: Rat, end: Rat) -> set[int]:

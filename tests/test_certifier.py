@@ -19,7 +19,6 @@ from slflab.certifier import (
     _plan,
     _sched,
     _snapshot,
-    _states,
 )
 from slflab.core import Instance, Job, ReleaseTag, parse_instance, serialize_instance
 from slflab.sim import simulate, state_at
@@ -237,6 +236,13 @@ def test_equivalence_checks():
         (Job(1, ReleaseTag(F(0)), F(2)), Job(2, ReleaseTag(F(3)), F(4))),
     )
     assert not check_t_equivalence(orig, bad, F(3))
+    # srpt-like (eps = 1): job 2 moved from 1 to 0-plus waits behind job 1, so
+    # at t = 1 it is active on both sides only because its original release
+    # is (1, epoch 0)
+    late = Instance(F(1), (Job(1, ReleaseTag(F(0)), F(2)), Job(2, ReleaseTag(F(1)), F(5))))
+    early = move_jobs(late, F(0), F(1))
+    assert _sched(early, "slf").elapsed_at(F(1)).get(2, F(0)) == 0
+    assert check_t_equivalence(late, early, F(1))
 
 
 def test_tampered_certificate_fails():
@@ -254,6 +260,21 @@ def test_tampered_certificate_fails():
     )
     rep = verify_certificate(bad)
     assert not rep.passed and not rep.checks["marginals"]
+
+
+def test_late_or_resized_transformed_job_is_not_early_arriving():
+    inst = staggered_instance()
+    cert = create_valid_assignment(inst, F(23))
+    assert verify_certificate(cert).checks["early-arriving"]
+
+    def tampered(job_id, **fields):
+        jobs = (replace(j, **fields) if j.id == job_id else j for j in cert.transformed.jobs)
+        return replace(cert, transformed=cert.transformed.with_jobs(jobs))
+
+    # job 2 released at 1 instead of 0; job 1 with size 6 instead of 5
+    for bad in (tampered(2, release=ReleaseTag(F(1))), tampered(1, size=F(6))):
+        rep = verify_certificate(bad)
+        assert not rep.passed and not rep.checks["early-arriving"]
 
 
 def test_certificates_random_quick():
@@ -349,7 +370,7 @@ def test_snapshot_is_read_only():
 
 def test_snapshot_matches_state_at():
     # criterion-5 shape: n in 1..12, eps = 1 included; every boundary of
-    # either schedule and every release time, both policies, both cutoffs
+    # either schedule and every release time, both policies, both views
     rng = random.Random(48)
     eps_choices = [F(1, 5), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(9, 10), F(1)]
     checked = 0
@@ -359,11 +380,15 @@ def test_snapshot_matches_state_at():
         for policy in ("slf", "srpt"):
             sched = _sched(inst, policy)
             for t in times:
-                assert _snapshot(inst, policy, t).elapsed == sched.elapsed_at(t)
-                for cutoff in ("all", "none"):
-                    want = state_at(sched, inst, t, release_cutoff=cutoff)
-                    assert _states(inst, policy, t, cutoff) == want, (inst, t, cutoff)
-                    checked += 1
+                snap = _snapshot(inst, policy, t)
+                assert snap.elapsed == sched.elapsed_at(t)
+                want = state_at(sched, inst, t)
+                assert snap.states == want, (inst, t)
+                # right before the batch at t: the jobs released before t
+                pre = {i: st for i, st in want.items() if inst.job(i).release.time < t}
+                assert snap.before == pre, (inst, t)
+                assert (snap.before is snap.states) == (pre == want), (inst, t)
+                checked += 1
     assert checked > 500
 
 

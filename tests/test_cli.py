@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from slflab import cli
+from slflab.adversary import phase_lb_sample, randomized_lb_sample
 from slflab.assignment import AssignmentError
 from slflab.certifier import CounterexampleError
 from slflab.cli import main
@@ -228,6 +229,39 @@ def test_sample_deterministic(tmp_path):
     assert a.read_text() == b.read_text()
     doc = json.loads(a.read_text())
     assert doc["meta"]["kind"] == "exp" and doc["meta"]["quant_bits"] == 64
+
+
+def test_sample_and_sweep_geometric_and_phase(tmp_path):
+    geo, phase = tmp_path / "g.json", tmp_path / "p.json"
+    assert main(["sample", "--kind", "geometric", "--k", "2", "--seed", "1", "--out", str(geo)]) == 0
+    argv = ["sample", "--kind", "phase", "--k", "2", "--epsilon", "1/2", "--seed", "1"]
+    assert main(argv + ["--out", str(phase)]) == 0
+    inst, tau = randomized_lb_sample(2, 1)
+    doc = json.loads(geo.read_text())
+    assert doc["meta"] == {"kind": "geometric", "seed": 1, "k": 2, "tau": tau}
+    assert parse_instance(geo.read_text()) == inst
+    doc = json.loads(phase.read_text())
+    assert doc["meta"] == {"kind": "phase", "seed": 1, "k": 2, "epsilon": "1/2"}
+    assert parse_instance(phase.read_text()) == phase_lb_sample(F(1, 2), 2, 1)
+    # lb_statistics("phase", ...) through the CLI: one row per sample, target 1.5
+    out = tmp_path / "phase"
+    argv = ["sweep", "--kind", "phase", "--k", "2", "--epsilon", "1/2", "1/3"]
+    assert main(argv + ["--samples", "2", "--seed", "1", "--out", str(out)]) == 0
+    rows = [r.split(",") for r in (out / "sweep.csv").read_text().splitlines()[1:]]
+    assert [r[:2] for r in rows] == [["1/2", "0"], ["1/2", "1"], ["1/3", "2"], ["1/3", "3"]]
+    assert all(r[3] == "1.5" and float(r[2]) > 0 for r in rows)
+
+
+def test_unknown_sampler_kind_is_a_usage_error(tmp_path):
+    # argparse's choices reject the kind before any command code runs
+    for argv in (
+        ["sample", "--kind", "uniform", "--seed", "1", "--out", str(tmp_path / "x.json")],
+        ["sweep", "--kind", "uniform", "--samples", "1", "--seed", "1", "--out", str(tmp_path)],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_sweep(tmp_path):

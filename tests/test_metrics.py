@@ -105,6 +105,18 @@ def test_local_competitiveness_toy():
     assert same.passed
 
 
+def test_local_competitiveness_violation_names_first_boundary():
+    # toy at rho = 3/2: 5 > 3/2 * 3 first at t = 6; the worst ratio, 4/2,
+    # comes later at t = 9 and does not move the witness
+    inst = toy_instance()
+    rep = local_competitiveness(simulate(inst, "slf"), simulate(inst, "srpt"), F(3, 2))
+    assert not rep.passed
+    first = next(t for t, a, o in rep.table if a > F(3, 2) * o)
+    assert first == F(6) and rep.witness_time == first
+    assert rep.max_count_ratio == F(2)
+    assert dict((t, (a, o)) for t, a, o in rep.table)[F(9)] == (4, 2)
+
+
 def test_local_competitiveness_random():
     rng = random.Random(20)
     for _ in range(60):

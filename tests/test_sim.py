@@ -57,13 +57,14 @@ def test_two_job_hand_trace():
 def test_state_at_conventions():
     inst = toy_instance()
     sched = simulate(inst, "slf")
-    assert state_at(sched, inst, F(0), release_cutoff="none") == {}
     at0 = state_at(sched, inst, F(0))
     assert sorted(at0) == [1, 2, 3, 4, 5, 6]
     assert all(s.elapsed == 0 for s in at0.values())
+    # right before the batch at 0 the queue is empty
+    assert states_from_elapsed(inst, F(0), {}) == (at0, {})
     assert state_at(sched, inst, F(100)) == {}
     with pytest.raises(SimulationError):
-        state_at(sched, inst, F(0), release_cutoff="plain")
+        state_at(sched, inst, F(-1))
 
 
 def test_active_count_profile():
@@ -417,12 +418,13 @@ def _walk_elapsed(sched, t):
     return out
 
 
-def _walk_states(inst, elapsed, t, cutoff):
-    """Reference state_at over walked elapsed work, one job at a time."""
+def _walk_states(inst, elapsed, t, released_at_t):
+    """Reference states over walked elapsed work, one job at a time; without
+    `released_at_t`, the queue right before the batch released at t."""
     out = {}
     for j in inst.jobs:
         rt = j.release.time
-        if rt > t or (rt == t and cutoff == "none"):
+        if rt > t or (rt == t and not released_at_t):
             continue
         e = elapsed.get(j.id, F(0))
         if e < j.size:
@@ -445,7 +447,9 @@ def test_knowledge_integer_rule_matches_fraction_threshold():
             ):
                 if not 0 <= e < p:  # no work, or complete: not an active state
                     continue
-                state = states_from_elapsed(inst, F(1), {1: e})[1]
+                states, before = states_from_elapsed(inst, F(1), {1: e})
+                assert before is states  # no release at t = 1
+                state = states[1]
                 assert want is (eps > 0 and e >= (1 - eps) * p)
                 assert state.known is want, (eps, p, e)
 
@@ -480,11 +484,13 @@ def test_indexed_elapsed_matches_plain_walk():
                 for jid in got:
                     got[jid] += 1
                 assert sched.elapsed_at(t) == want, (policy, t)
-                for cutoff in ("all", "none"):
-                    states = state_at(sched, inst, t, release_cutoff=cutoff)
+                states = state_at(sched, inst, t)
+                views = states_from_elapsed(inst, t, want)
+                assert views[0] == states, (policy, t)
+                for view, released_at_t in zip(views, (True, False)):
                     assert {
-                        i: (st.elapsed, st.remaining, st.known) for i, st in states.items()
-                    } == _walk_states(inst, want, t, cutoff), (policy, t, cutoff)
+                        i: (st.elapsed, st.remaining, st.known) for i, st in view.items()
+                    } == _walk_states(inst, want, t, released_at_t), (policy, t)
 
 
 def _check_grid(scheds):
