@@ -16,7 +16,7 @@ from math import isqrt
 
 from .core import Instance, Job, Rat, ReleaseTag, ceil_inv
 from .metrics import competitive_ratio
-from .sim import simulate
+from .sim import JobState, simulate, states_from_elapsed
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -91,21 +91,14 @@ def deterministic_lb_run(
     t_c = ZERO
     records: list[RoundRecord] = []
     smart_stuck: list[int] = []
-    # elapsed work at t_c: the previous round's run cut at its t_end = t_c
-    end_e: dict[int, Rat] = {}
+    # the policy's queue at t_c: the previous round's queue at its t_end = t_c
+    queue: dict[int, JobState] = {}
 
     for c in range(1, rounds + 1):
-        base_e = end_e
-        sizes = {j.id: j.size for j in jobs}
-        q_c = {
-            j.id
-            for j in jobs
-            if j.release.time <= t_c and base_e.get(j.id, ZERO) < j.size
-        }
         if c == 1:
             gamma = ONE
         else:
-            r_star = min(sizes[j] - base_e.get(j, ZERO) for j in q_c)
+            r_star = min(st.remaining for st in queue.values())
             gamma = (r_star / kp) * ((1 - epsilon) / epsilon)
             if not gamma < r_star:
                 raise AdversaryError("round quota must stay below r*(t_c)")
@@ -113,7 +106,7 @@ def deterministic_lb_run(
         new_ids = list(range(next_id, next_id + kp))
         next_id += kp
         jobs = jobs + [Job(i, ReleaseTag(t_c), None) for i in new_ids]
-        watch = q_c | set(new_ids)
+        watch = queue.keys() | set(new_ids)
 
         probe_inst = Instance(epsilon, tuple(jobs))
         horizon = t_c + (len(watch) + 1) * gamma + 1
@@ -136,7 +129,6 @@ def deterministic_lb_run(
         jobs = [
             Job(j.id, j.release, declared.get(j.id, j.size)) for j in jobs
         ]
-        jobs_by_id = {j.id: j for j in jobs}
         inst_cur = Instance(epsilon, tuple(jobs))
 
         r_new = {i: declared[i] - e_at.get(i, ZERO) for i in new_ids}
@@ -146,7 +138,7 @@ def deterministic_lb_run(
         spread = sum((r_new[i] for i in rest), ZERO)
         t_end = t_prime + max(ZERO, spread - gamma)
         # one run cut at t_end >= t_prime gives the replay at t_prime and the
-        # elapsed work at t_end, which is also the next round's start state
+        # queue at t_end, which is also the next round's start queue
         run = simulate(inst_cur, policy, horizon=t_end)
 
         # declarations must not rewrite history
@@ -160,12 +152,8 @@ def deterministic_lb_run(
             raise AdversaryError("r(j_max) exceeded the quota cap")
         if c == 1 and r_new[j_max] != cap:
             raise AdversaryError("round one must pin r(j_max) to eps/(1-eps)")
-        r_all = {
-            j.id: j.size - replay.get(j.id, ZERO)
-            for j in jobs
-            if j.release.time <= t_prime and j.size - replay.get(j.id, ZERO) > 0
-        }
-        if any(r_new[j_min] > r for r in r_all.values()):
+        queue_at_declare = states_from_elapsed(inst_cur, t_prime, replay)[0]
+        if any(r_new[j_min] > st.remaining for st in queue_at_declare.values()):
             raise AdversaryError("j_min must be globally minimal at declaration")
         if not spread < gamma + r_new[j_min]:
             raise AdversaryError("claim r(J_c minus j_max) < gamma + r(j_min) failed")
@@ -177,13 +165,10 @@ def deterministic_lb_run(
             raise AdversaryError("comparator would exceed elapsed wall time")
 
         smart_stuck.append(j_max)
-        end_e = run.final_elapsed
-        alg_active = [
-            j.id for j in jobs if j.release.time <= t_end and end_e.get(j.id, ZERO) < j.size
-        ]
-        if policy == "slf" and len(alg_active) != c * kp:
+        queue = states_from_elapsed(inst_cur, t_end, run.final_elapsed)[0]
+        if policy == "slf" and len(queue) != c * kp:
             raise AdversaryError(
-                f"slf count invariant broke: {len(alg_active)} != {c * kp}"
+                f"slf count invariant broke: {len(queue)} != {c * kp}"
             )
         records.append(
             RoundRecord(
@@ -196,7 +181,7 @@ def deterministic_lb_run(
                 j_quota=j_quota,
                 j_max=j_max,
                 j_min=j_min,
-                alg_count=len(alg_active),
+                alg_count=len(queue),
                 smart_count=c,
             )
         )
@@ -207,15 +192,9 @@ def deterministic_lb_run(
             epsilon, policy, k, [], tail_m, None, None, None, None, [], []
         )
 
-    T = t_c  # end_e holds the elapsed work at T from the last round's run
-    alg_stuck = sorted(
-        j.id
-        for j in jobs
-        if j.release.time <= T and end_e.get(j.id, ZERO) < j.size
-    )
-    probe_len = min(
-        [ONE] + [jobs_by_id[j].size - end_e.get(j, ZERO) for j in alg_stuck]
-    )
+    T = t_c  # queue is the policy's queue at T, from the last round's run
+    alg_stuck = sorted(queue)
+    probe_len = min([ONE] + [st.remaining for st in queue.values()])
     tail_end = T + tail_m * probe_len
     probe_ids = []
     for i in range(tail_m):
@@ -235,9 +214,8 @@ def deterministic_lb_run(
             if full.completions[jid] <= tail_end:
                 raise AdversaryError("a stuck job completed inside the tail")
 
-    release = {j.id: j.release.time for j in jobs}
-    alg_flow = sum((tail_end - release[j] for j in alg_stuck), ZERO)
-    smart_flow = sum((tail_end - release[j] for j in smart_stuck), ZERO)
+    alg_flow = sum((tail_end - final_inst.job(j).release.time for j in alg_stuck), ZERO)
+    smart_flow = sum((tail_end - final_inst.job(j).release.time for j in smart_stuck), ZERO)
     final_ratio = alg_flow / smart_flow if smart_flow > 0 else None
 
     return AdversaryTranscript(
@@ -401,15 +379,6 @@ def _count_pair(inst: Instance, policy: str, t: Rat) -> tuple[int, int]:
     """(delta(t,1) for the policy, delta*(t) for srpt)."""
     alg_e = simulate(inst, policy, horizon=t).final_elapsed
     opt_e = simulate(inst, "srpt", horizon=t).final_elapsed
-    dd = 0
-    ds = 0
-    for j in inst.jobs:
-        if j.release.time > t:
-            continue
-        ra = j.size - alg_e.get(j.id, ZERO)
-        ro = j.size - opt_e.get(j.id, ZERO)
-        if ra >= 1:
-            dd += 1
-        if ro > 0:
-            ds += 1
-    return dd, ds
+    alg = states_from_elapsed(inst, t, alg_e)[0]
+    dd = sum(1 for st in alg.values() if st.remaining >= 1)
+    return dd, len(states_from_elapsed(inst, t, opt_e)[0])

@@ -11,10 +11,11 @@ Targets of one instance share the iterations they have in common. An
 iteration at state (cur, s) depends on the target t only through the point
 x where it stops, so its two parts are memoized, each in an lru_cache of
 STEP_CACHE_SIZE (8192) entries like the schedule cache `_sched`:
-  - `_plan`, keyed on (instance, cur, s): the Inv2 and Inv3 checks, the
-    unknown jobs, the batch and the case's stop candidate;
+  - `_plan`, keyed on (instance, cur, s): the Inv2 check, the unknown
+    jobs, the batch and the case's stop candidate;
   - `_advance`, keyed on (instance, cur, s, x): every lemma check of the
-    step, its transcript record and the next state (cur', s').
+    step, Inv3 included (`_canonical_at` checks the graph a step builds),
+    its transcript record and the next state (cur', s').
 Entries hold tuples, instances and records, never graphs or state dicts,
 and each transcript gets its own copy of a record. Per target, every
 iteration still checks Inv1 on the window (s, t] (vacuous, so skipped, when
@@ -641,7 +642,7 @@ class Certificate:
 
 def _canonical_at(inst: Instance, s: Rat) -> WeightedBipartiteGraph:
     """Canonical assignment between the two queues right before the batch
-    released at s.
+    released at s, checked for Inv3: its prefix expansion is <= ceil(1/eps).
 
     Its orders break ties among equal remaining times so that the graph's
     suffix coincides with the order in which the schedulers consume the jobs
@@ -651,11 +652,15 @@ def _canonical_at(inst: Instance, s: Rat) -> WeightedBipartiteGraph:
     """
     slf = _snapshot(inst, "slf", s).before
     lv, rv = _remaining(slf), _remaining(_snapshot(inst, "srpt", s).before)
-    left_order = sorted(
-        lv, key=lambda i: (-lv[i], 1 if slf[i].known else 0, -i)
-    )
+    left_order = sorted(lv, key=lambda i: (-lv[i], slf[i].known, -i))
     right_order = sorted(rv, key=lambda i: (-rv[i], -i))
-    return canonical_from_marginals(lv, rv, left_order, right_order)
+    sigma = canonical_from_marginals(lv, rv, left_order, right_order)
+    # Inv3, on the graph of every step that uses one: an idle step's queue is
+    # empty, and a move leaves the queue before s to the next step at s
+    phi = prefix_expansion(sigma)
+    if phi > ceil_inv(inst.epsilon):
+        raise CounterexampleError("Inv3-validity", s=s, phi=phi)
+    return sigma
 
 
 # --- one iteration, memoized on its t-free inputs (module docstring) -----------
@@ -694,16 +699,12 @@ def _check_magical(alg: Schedule, s: Rat, t: Rat, unknown) -> None:
 
 @lru_cache(maxsize=STEP_CACHE_SIZE)
 def _plan(inst: Instance, cur: Instance, s: Rat) -> _Plan:
-    """Inv2 and Inv3 at (cur, s), then the case and its stop candidate."""
+    """Inv2 at (cur, s), then the case and its stop candidate."""
     snap = _snapshot(cur, "slf", s)
     unknown = _unknown(snap)
     # Inv2: the working instance is s-equivalent to the original
     if not check_t_equivalence(inst, cur, s):
         raise CounterexampleError("Inv2-equivalence", s=s)
-    # Inv3: the canonical assignment right before the batch is valid
-    phi_s = prefix_expansion(_canonical_at(cur, s))
-    if phi_s > ceil_inv(inst.epsilon):
-        raise CounterexampleError("Inv3-validity", s=s, phi=phi_s)
 
     alg = _sched(cur, "slf")
     # the batch released at s: every job of it is in the queue at s
@@ -771,6 +772,7 @@ def _advance(
         moved = _sched(moved, "slf").instance
         details = {"until": x, "jobs": sorted(j.id for j in movers)}
         return IterationRecord("move", s, s, details), moved, s
+    sigma = _canonical_at(cur, s)
     if x == plan.stop:
         case = "fast-forward-knowledge"
     else:
@@ -785,7 +787,6 @@ def _advance(
             e = e_alg.get(i, ZERO)
             if e < p and e > (1 - eps) * p:
                 raise CounterexampleError("batch-frozen-or-done", job=i, ell=x)
-    sigma = _canonical_at(cur, s)
     sigma_prime = update_valid_assignment(cur, plan.batch, s, x, sigma)
     details = {
         "leader": plan.leader,

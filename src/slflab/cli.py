@@ -186,34 +186,32 @@ def cmd_adversary(args) -> int:
         eps, args.rounds, tail_m=args.tail, policy=args.policy
     )
     out = _outdir(args)
-    doc = {
-        "epsilon": rat_str(eps),
-        "policy": args.policy,
-        "k": transcript.k,
-        "rounds": [
-            {
-                "index": r.index,
-                "t_start": rat_str(r.t_start),
-                "t_declare": rat_str(r.t_declare),
-                "t_end": rat_str(r.t_end),
-                "gamma": rat_str(r.gamma),
-                "declared": {str(i): rat_str(p) for i, p in r.declared.items()},
-                "alg_count": r.alg_count,
-                "smart_count": r.smart_count,
-            }
-            for r in transcript.rounds
-        ],
-        "tail_m": transcript.tail_m,
-        "probe_len": None
-        if transcript.probe_len is None
-        else rat_str(transcript.probe_len),
-        "final_ratio": None
-        if transcript.final_ratio is None
-        else rat_str(transcript.final_ratio),
-        "final_ratio_decimal": None
-        if transcript.final_ratio is None
-        else float(transcript.final_ratio),
-    }
+    doc = _jsonable(
+        {
+            "epsilon": eps,
+            "policy": args.policy,
+            "k": transcript.k,
+            "rounds": [
+                {
+                    "index": r.index,
+                    "t_start": r.t_start,
+                    "t_declare": r.t_declare,
+                    "t_end": r.t_end,
+                    "gamma": r.gamma,
+                    "declared": r.declared,
+                    "alg_count": r.alg_count,
+                    "smart_count": r.smart_count,
+                }
+                for r in transcript.rounds
+            ],
+            "tail_m": transcript.tail_m,
+            "probe_len": transcript.probe_len,
+            "final_ratio": transcript.final_ratio,
+            "final_ratio_decimal": None
+            if transcript.final_ratio is None
+            else float(transcript.final_ratio),
+        }
+    )
     (out / "transcript.json").write_text(json.dumps(doc, indent=2))
     if transcript.instance is not None:
         (out / "instance.json").write_text(

@@ -59,8 +59,9 @@ the checkpoints hold no more entries than the segments' job tuples and a
 query replays fewer than 2n job entries (n jobs). One pass of
 `states_from_elapsed` over the jobs builds both queue views at t from one
 elapsed map: every release at t arrived, and right before that batch.
-`state_at` is its argument checks, one `elapsed_at` and the first view; a
-caller holding the elapsed map (the certifier) calls the builder alone.
+`state_at` is its argument checks, one `elapsed_at` and the first view;
+callers holding the elapsed map (the certifier, and the adversary for every
+queue it reads) call the builder alone.
 
 The boundaries of several schedules go to `merge_grid`, which merges them
 once into a `Grid`: deduped by (numerator, denominator), ordered by the
@@ -735,7 +736,8 @@ def states_from_elapsed(
     work per job at t (a job it omits has none); no argument checks, no walk.
     `states` has every release at t arrived (what `state_at` returns);
     `before` is the queue right before the batch released at t arrives, and
-    is `states` itself when no job is released at t.
+    is `states` itself when no job is released at t. The certifier and the
+    adversary read every queue through it.
 
     A declared job is known iff eps > 0 and e >= (1 - eps) * p. With
     eps = a/b that is e.n * b * p.d >= (b - a) * p.n * e.d on numerators (n)

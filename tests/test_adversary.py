@@ -1,5 +1,7 @@
+import hashlib
 import math
 import random
+from dataclasses import astuple
 from fractions import Fraction as F
 
 import pytest
@@ -14,7 +16,7 @@ from slflab.adversary import (
     phase_lb_sample,
     randomized_lb_sample,
 )
-from slflab.core import ceil_inv
+from slflab.core import ceil_inv, rat_str, serialize_instance
 from slflab.metrics import total_flow_time
 from slflab.sim import simulate
 
@@ -165,3 +167,58 @@ def test_criterion_10_size_three_jobs_cross_one_unit():
             dd, _ = _count_pair(inst, "slf", F(tau))
             longer = sum(1 for j in inst.jobs if j.size > 3)
             assert dd == longer + (len(threes) if counted else 0), (k, i)
+
+
+def _pin_text(value) -> str:
+    if value is None:
+        return "None"
+    if isinstance(value, F):
+        return rat_str(value)
+    if isinstance(value, dict):
+        return "{" + ",".join(f"{k}:{_pin_text(v)}" for k, v in sorted(value.items())) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(_pin_text(v) for v in value) + "]"
+    return repr(value)
+
+
+# sha256 of the fixed adversary and lb_statistics set in
+# test_pinned_adversary_digest
+PINNED_ADVERSARY_DIGEST = (
+    "5374ccf844225a5fad04709c64153f953f12c6de158b71029c2bd9c792633efb"
+)
+
+
+def test_pinned_adversary_digest():
+    # every round record, stuck list, probe length, tail end, ratio and final
+    # instance of the deterministic adversary (7 eps x 3 policies x 0/1/2/4
+    # rounds, tail 6), then the lb_statistics values of the geometric and
+    # phase families under all four policies; a rewrite of the queue reads
+    # that keeps the digest keeps every output identical
+    h = hashlib.sha256()
+    for eps in (F(1, 2), F(1, 3), F(1, 4), F(1, 5), F(2, 5), F(2, 3), F(3, 4)):
+        for policy in ("slf", "setf", "rr"):
+            for rounds in (0, 1, 2, 4):
+                tr = deterministic_lb_run(eps, rounds, tail_m=6, policy=policy)
+                for r in tr.rounds:
+                    h.update(_pin_text(astuple(r)).encode())
+                for part in (
+                    tr.alg_stuck,
+                    tr.smart_stuck,
+                    tr.probe_len,
+                    tr.tail_end,
+                    tr.final_ratio,
+                ):
+                    h.update(_pin_text(part).encode())
+                if tr.instance is not None:
+                    h.update(serialize_instance(tr.instance).encode())
+    cases = (
+        ("geometric", {"k": 3}),
+        ("geometric", {"k": 5}),
+        ("phase", {"epsilon": F(1, 2), "k": 3}),
+        ("phase", {"epsilon": F(1, 4), "k": 4}),
+    )
+    for kind, params in cases:
+        for policy in ("slf", "srpt", "setf", "rr"):
+            s = lb_statistics(kind, params, 6, policy=policy, seed=3)
+            h.update(_pin_text([s.samples, s.values, s.target]).encode())
+    assert h.hexdigest() == PINNED_ADVERSARY_DIGEST
