@@ -11,7 +11,7 @@ are grouped and advance through a shared accumulator, so a segment costs
 O(log n) bookkeeping regardless of group size. rr is the one-group case of
 this pool step: its single group runs at offset 0 and never pauses.
 
-A heap keyed by a Fraction level holds integer-first entries,
+A heap keyed by a level holds integer-first entries,
 `_entry(level, id)` = (floor(level * 2**64), level, id). Their order is
 exactly the (level, id) order, and a heap move compares two ints unless the
 floors tie, i.e. unless the levels agree in their first 64 binary digits.
@@ -26,20 +26,27 @@ known. A forbidden window idles the machine with the job still held.
 
 Every group heap entry is (key, level, id), and a group reads the level
 its top entry waits for from the entry. A tier group's heaps (slf, setf)
-key a job by its integer rank in (size, id) order, sorted once per run with
-`_entry` keys; for eps < 1 that is also the (threshold, id) order, so heap
-moves compare unique integers and never the levels. Ranks beat `_entry`
-here: equal sizes are common, and equal levels tie on the floor. rr's one
-group holds `_entry`s of the absolute accumulator level at which a job
-becomes known or completes, which depends on when it arrived.
+key a job by its integer rank in (size, id) order, sorted once per run; for
+eps < 1 that is also the (threshold, id) order, so heap moves compare
+unique integers and never the levels. Ranks beat `_entry` here: equal sizes
+are common, and equal levels tie on the floor. rr's one group holds
+`_entry`s of the absolute accumulator level at which a job becomes known or
+completes, which depends on when it arrived.
 
-A boundary takes one conversion from work to time. The run's own next event
-is the minimum of its targets in work units: the solo job's threshold or
-size, or the pool's next knowledge, completion or tier level and slf's tie
-level. It is divided by the rate once (at rate 1 the work is the time) and
-compared with the next arrival, the horizon and the window edge; when it
-wins, the solo job's elapsed becomes the goal, or the group accumulator
-becomes the goal minus the group's offset.
+The engine runs on an integer clock. L is the lcm of every release, size,
+horizon and window-endpoint denominator, times eps's; for speed c/d a time
+runs as t * L * c and a work as w * L * d, so every job runs at unit speed
+and each threshold (1 - eps) * p is an int. The run's own next event is the
+minimum of its targets in work units (the solo job's threshold or size, or
+the pool's next knowledge, completion or tier level and slf's tie level).
+Work w to go lies w time units away for a solo job and w * k for a pool of
+k, and is compared with the next arrival, the horizon and the window edge.
+A value leaves the integers only through `_div`, the one division: where a
+pool cut short advances its accumulator by dt / k, and at slf's tie level
+r * (b - a) / a (eps = a/b). It returns an int when exact, else a Fraction,
+never a float. `Schedule` holds completions, end_time and final_elapsed as
+Fractions and the run in engine units; the first read of `segments` or
+`events` builds both, one Fraction per segment end, and drops the run.
 
 A job whose size is known at elapsed 0 (eps = 1) is logged `known` on
 arrival, under every policy. A segment end that logs no event of its own
@@ -65,9 +72,9 @@ queue it reads) call the builder alone.
 
 The boundaries of several schedules go to `merge_grid`, which merges them
 once into a `Grid`: deduped by (numerator, denominator), ordered by the
-`_entry` floor (as `simulate` orders its arrival batches) and read as
-integer positions, so its readers compare no times: `metrics.grid_counts`
-sums counts over positions and `Grid.steps` gives a schedule's work at each.
+`_entry` floor and read as integer positions, so its readers compare no
+times: `metrics.grid_counts` sums counts over positions and `Grid.steps`
+gives a schedule's work at each.
 Segments tile [0, end_time], so `Schedule.boundaries` is 0 followed by the
 segment ends, with no merge or sort.
 """
@@ -76,10 +83,11 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
+from math import lcm
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -153,14 +161,44 @@ class Segment:
 _END = attrgetter("end")
 
 
-@dataclass
+class _Run:
+    """A run in engine units: the time unit, the speed, each segment as
+    (end, jobs) and each event as (segments before it, kind, job). The first
+    read of `views` builds the segments and events and drops the run."""
+
+    def __init__(self, *parts):
+        self._parts = parts
+
+    @cached_property
+    def views(self) -> tuple[list[Segment], list[Event]]:
+        unit, speed, run, logged = self._parts
+        del self._parts
+        rates = {k: speed / k if k else ZERO for k in {len(jobs) for _, jobs in run}}
+        segments: list[Segment] = []
+        start = ZERO
+        for end, jobs in run:
+            end = Fraction(end, unit)  # one Fraction per distinct time
+            segments.append(Segment(start, end, rates[len(jobs)], jobs))
+            start = end
+        events = [Event(segments[i - 1].end if i else ZERO, *ev) for i, *ev in logged]
+        return segments, events
+
+
+@dataclass(eq=False)  # compared by identity: its engine-unit run has no value equality
 class Schedule:
     instance: Instance
-    segments: list[Segment]
     completions: dict[int, Rat]
-    events: list[Event]
     end_time: Rat
     final_elapsed: dict[int, Rat]  # exact elapsed at end_time, all released jobs
+    run: _Run = field(repr=False)  # read through `segments` and `events`
+
+    @cached_property
+    def segments(self) -> list[Segment]:
+        return self.run.views[0]
+
+    @cached_property
+    def events(self) -> list[Event]:
+        return self.run.views[1]
 
     def boundaries(self) -> list[Rat]:
         """0 and every segment end, in time order: segments tile
@@ -272,11 +310,21 @@ class Schedule:
         return out
 
 
-def _entry(level: Rat, jid: int) -> tuple[int, Rat, int]:
+def _entry(level, jid: int) -> tuple:
     """A heap entry ordered exactly as (level, jid): floor(level * 2**64)
     settles most comparisons as integers; only equal floors compare the
-    Fractions, and only equal levels the ids."""
+    levels, and only equal levels the ids. An int level takes no division."""
+    if type(level) is int:
+        return level << 64, level, jid
     return (level.numerator << 64) // level.denominator, level, jid
+
+
+def _div(x, k: int):
+    """x / k exactly: an int when k divides the int x, else a Fraction. The
+    engine's one division, so it never makes a float."""
+    if type(x) is int and not x % k:
+        return x // k
+    return Fraction(x, k)
 
 
 def _ascending(times) -> tuple[list[Rat], dict[tuple[int, int], int]]:
@@ -340,12 +388,12 @@ class _Group:
 
     __slots__ = ("members", "know", "comp", "level", "off")
 
-    def __init__(self, members: set[int], level: Rat):
+    def __init__(self, members: set[int], level):
         self.members = members
         self.know: list[tuple] = []
         self.comp: list[tuple] = []
         self.level = level  # static elapsed while paused
-        self.off: Rat | None = None  # level = off + acc while running
+        self.off = None  # level = off + acc while running
 
     def absorb(self, other: "_Group") -> None:
         if len(other.members) > len(self.members):
@@ -372,7 +420,6 @@ def simulate(
     speed = Fraction(speed)
     if speed <= 0:
         raise SimulationError("speed must be > 0")
-    unit_speed = speed == 1  # then a job that runs alone runs at rate 1
     eps = inst.epsilon
     declared_all = inst.all_declared
     srpt_like = policy == "srpt" or (policy == "slf" and eps == 1)
@@ -380,71 +427,79 @@ def simulate(
         raise SimulationError("policy requires declared sizes")
     if not declared_all and horizon is None:
         raise SimulationError("undeclared jobs never complete; horizon required")
-    if horizon is not None:
-        horizon = Fraction(horizon)
 
-    size = {j.id: j.size for j in inst.jobs}
+    # the run's units (see the module docstring): time * L * c and work * L * d
+    # for speed c/d, so every job runs at unit speed
+    a, b = eps.numerator, eps.denominator
+    horizon = None if horizon is None else Fraction(horizon)
+    inputs = [x for j in inst.jobs for x in (j.release.time, j.size)]
+    inputs += [x for window in forbidden.intervals for x in window] + [horizon]
+    unit = b * lcm(*(x.denominator for x in inputs if x is not None))
+    tu, wu = unit * speed.numerator, unit * speed.denominator
+
+    def scaled(x: Rat | None, u: int) -> int | None:
+        return None if x is None else x.numerator * (u // x.denominator)
+
+    horizon = scaled(horizon, tu)
+    size = {j.id: scaled(j.size, wu) for j in inst.jobs}
     # knowledge threshold: known iff elapsed >= (1-eps) * p (declared, eps > 0)
-    keep = 1 - eps
-    thr = {j.id: keep * j.size for j in inst.jobs if j.size is not None and eps > 0}
-    # slf: a known job with remaining r ties the unknown jobs at level
-    # r * tie_ratio
-    tie_ratio = keep / eps if eps > 0 else None
+    thr = {jid: p * (b - a) // b for jid, p in size.items() if p is not None and a}
 
     # A tier group (slf, setf) keys a job by its rank in (size, id) order,
     # which for eps < 1 is also the (threshold, id) order; rr's one group
     # keys by `_entry` of the level of acc, which depends on the arrival time
     if policy != "rr" and not srpt_like:
         declared = (jid for jid, p in size.items() if p is not None)
-        by_size = sorted(declared, key=lambda jid: _entry(size[jid], jid))
-        rank = {jid: r for r, jid in enumerate(by_size)}
+        rank = {jid: r for r, jid in enumerate(sorted(declared, key=lambda j: (size[j], j)))}
 
     # arrival batches in time order, each in (epoch, id) order
-    arrival_times, at = _ascending(j.release.time for j in inst.jobs)
-    batches: list[list[int]] = [[] for _ in arrival_times]
+    by_time: dict[int, list[int]] = {}
     for j in sorted(inst.jobs, key=lambda j: (j.release.epoch, j.id)):
-        batches[at[j.release.time.numerator, j.release.time.denominator]].append(j.id)
+        by_time.setdefault(scaled(j.release.time, tu), []).append(j.id)
+    arrival_times = sorted(by_time)
+    batches = [by_time[x] for x in arrival_times]
     next_arrival_idx = 0
 
-    windows = list(forbidden.intervals)
+    windows = [(scaled(lo, tu), scaled(hi, tu)) for lo, hi in forbidden.intervals]
     window_idx = 0
 
-    t = ZERO
-    elapsed: dict[int, Rat] = {}  # materialized elapsed (jobs outside groups)
-    completions: dict[int, Rat] = {}
+    t = 0
+    elapsed: dict = {}  # materialized elapsed (jobs outside groups)
+    completions: dict = {}
     known_logged: set[int] = set()
     n_active = 0
 
-    acc = ZERO  # per-member work accumulated by the running group
+    acc = 0  # per-member work accumulated by the running group
     running: _Group | None = None  # slf (unknown pool) / setf / rr
     # paused groups by elapsed level (slf/setf), keyed by its (numerator,
     # denominator): a tuple of ints hashes far cheaper than a Fraction
     tiers: dict[tuple[int, int], _Group] = {}
-    tier_vals: list[Rat] = []
+    tier_vals: list = []
 
     # waiting known jobs (slf) or all waiting jobs (srpt-like), one entry
     # each: min-heap of `_entry(remaining, id)`; the solo job is out of it
-    kn_heap: list[tuple[int, Rat, int]] = []
+    kn_heap: list[tuple] = []
     solo: int | None = None
 
     # rr: a member's elapsed is rr_off + acc; read only by the final
     # snapshot of a cut run
-    rr_off: dict[int, Rat] = {}
+    rr_off: dict = {}
 
-    segments: list[Segment] = []
-    events: list[Event] = []
+    # the run: each segment's (end, jobs); each event's segment count
+    run: list[tuple] = []
+    events: list[tuple[int, str, int | None]] = []
 
     def log(kind: str, job: int | None = None) -> None:
-        events.append(Event(t, kind, job))
+        events.append((len(run), kind, job))
 
     def push_known(jid: int) -> None:
         e = elapsed[jid]
         heapq.heappush(kn_heap, _entry(size[jid] - e if e else size[jid], jid))
 
-    def run_level() -> Rat:
+    def run_level():
         assert running is not None and running.off is not None
         # off is 0 for rr's group and for any group first run while acc
-        # equals its level; a Fraction addition costs far more than the test
+        # equals its level; an addition off the grid costs more than the test
         return running.off + acc if running.off else acc
 
     def add_tier(group: _Group) -> None:
@@ -457,7 +512,7 @@ def simulate(
             insort(tier_vals, group.level)
 
     def new_group(jid: int) -> _Group:
-        g = _Group({jid}, ZERO)
+        g = _Group({jid}, 0)
         p = size[jid]
         if p is not None:  # ranks are unique, so the levels never compare
             if jid in thr and jid not in known_logged:
@@ -465,7 +520,7 @@ def simulate(
             g.comp.append((rank[jid], p, jid))
         return g
 
-    def group_peek(heap: list[tuple], g: _Group) -> Rat | None:
+    def group_peek(heap: list[tuple], g: _Group):
         """The level the first member of `heap` waits for; drops the entries
         of jobs that left `g` on the way."""
         while heap:
@@ -475,14 +530,14 @@ def simulate(
             heapq.heappop(heap)
         return None
 
-    def pause_running(level: Rat) -> None:
+    def pause_running(level) -> None:
         nonlocal running
         assert running is not None
         running.level = level
         add_tier(running)
         running = None
 
-    def activate_tier() -> Rat:
+    def activate_tier():
         nonlocal running
         assert running is None
         value = tier_vals.pop(0)
@@ -507,7 +562,7 @@ def simulate(
             push_known(solo)
             solo = None
         n_active += 1
-        elapsed[jid] = ZERO
+        elapsed[jid] = 0
         log("arrival", jid)
         if thr.get(jid) == 0:  # eps == 1: known on arrival, for every policy
             mark_known(jid)
@@ -531,8 +586,8 @@ def simulate(
 
     # --- allocation for the segment starting at t ---------------------------
 
-    def choose() -> tuple[Rat, tuple[int, ...], str, Rat | None, Rat | None]:
-        """(rate, jobs, regime, goal, work) of the segment starting at t.
+    def choose() -> tuple[tuple[int, ...], str, object, object]:
+        """(jobs, regime, goal, work) of the segment starting at t.
 
         goal is the elapsed (solo) or group level (pool) at which the run's
         own next event falls, and work the per-job work up to it; both are
@@ -542,10 +597,10 @@ def simulate(
         if in_window():
             if policy in ("slf", "setf") and running is not None:
                 pause_running(run_level())
-            return ZERO, (), "idle", None, None
+            return (), "idle", None, None
         level = tie = None
         if solo is None and n_active == 0:
-            return ZERO, (), "idle", None, None
+            return (), "idle", None, None
         if solo is None and srpt_like:
             solo = heapq.heappop(kn_heap)[2]
         elif solo is None:
@@ -557,7 +612,8 @@ def simulate(
                     level = None
             if policy == "slf" and kn_heap:
                 least = tier_vals[0] if level is None and tier_vals else level
-                tie = kn_heap[0][1] * tie_ratio
+                # remaining r ties the unknown jobs at level r * (1-eps)/eps
+                tie = _div(kn_heap[0][1] * (b - a), a)
                 # run the known argmin when its remaining time is at most the
                 # least lower-bound estimate of the unknown jobs (ties: known)
                 if least is None or tie <= least:
@@ -573,7 +629,7 @@ def simulate(
             else:
                 goal = size[solo]
             e = elapsed[solo]
-            return speed, (solo,), "solo", goal, goal - e if e else goal
+            return (solo,), "solo", goal, goal - e if e else goal
         if level is None:
             level = activate_tier()
         elif tier_vals and tier_vals[0] == level:
@@ -589,17 +645,16 @@ def simulate(
             )
             if x is not None
         ]
-        rate = speed / len(running.members)
         if not goals:
-            return rate, tuple(running.members), "pool", None, None
+            return tuple(running.members), "pool", None, None
         goal = min(goals)
-        return rate, tuple(running.members), "pool", goal, goal - level
+        return tuple(running.members), "pool", goal, goal - level
 
     # --- main loop -----------------------------------------------------------
 
     if policy == "rr":
-        running = _Group(set(), ZERO)
-        running.off = ZERO
+        running = _Group(set(), 0)
+        running.off = 0
 
     while True:
         while (
@@ -617,10 +672,10 @@ def simulate(
         if n_active == 0 and next_arrival_idx >= len(arrival_times):
             break
 
-        rate, jobs, regime, goal, work = choose()
+        jobs, regime, goal, work = choose()
         # the first boundary set from outside the run: arrival, horizon or
-        # window edge; the run's own goal takes one conversion to time
-        outside: list[Rat] = []
+        # window edge; at unit speed the run's own goal is work * k away
+        outside: list = []
         if next_arrival_idx < len(arrival_times):
             outside.append(arrival_times[next_arrival_idx])
         if horizon is not None:
@@ -633,24 +688,23 @@ def simulate(
         stop = min(outside) if outside else None
         hit = False
         if work is not None:
-            # one job at speed 1: the work is the time
-            t_hit = t + (work if unit_speed and len(jobs) == 1 else work / rate)
+            t_hit = t + work * len(jobs)
             if stop is None or t_hit <= stop:
                 stop, hit = t_hit, True
         assert stop is not None, "stalled: no candidate boundary"
         assert stop > t, "no progress at a boundary"
         # reaching the goal sets the level to it, exactly; otherwise the run
-        # advances by the rate times the time
+        # advances by the time over k, which can leave the grid
         if regime == "pool":
             off = running.off
             if hit:
                 acc = goal - off if off else goal
             else:
-                acc += (stop - t) * rate
+                acc += _div(stop - t, len(jobs))
         elif regime == "solo":
-            elapsed[solo] = goal if hit else elapsed[solo] + (stop - t) * rate
-        start, t = t, stop
-        segments.append(Segment(start, t, rate, jobs))
+            elapsed[solo] = goal if hit else elapsed[solo] + (stop - t)
+        t = stop
+        run.append((t, jobs))
         n_events = len(events)
         if window_idx < len(windows) and t in windows[window_idx]:
             log("forbidden")
@@ -708,12 +762,14 @@ def simulate(
             final_elapsed[jid] = group.level
 
     return Schedule(
-        instance=inst,
-        segments=segments,
-        completions=completions,
-        events=events,
-        end_time=t,
-        final_elapsed=final_elapsed,
+        inst,
+        {jid: Fraction(x, tu) for jid, x in completions.items()},
+        Fraction(t, tu),
+        {
+            jid: inst.job(jid).size if jid in completions else Fraction(e, wu)
+            for jid, e in final_elapsed.items()
+        },
+        _Run(tu, speed, run, events),
     )
 
 
@@ -739,18 +795,21 @@ def states_from_elapsed(
     is `states` itself when no job is released at t. The certifier and the
     adversary read every queue through it.
 
-    A declared job is known iff eps > 0 and e >= (1 - eps) * p. With
-    eps = a/b that is e.n * b * p.d >= (b - a) * p.n * e.d on numerators (n)
-    and denominators (d), one exact integer comparison per job."""
+    A release rt is tested against t as rt.n * t.d against t.n * rt.d on
+    numerators (n) and denominators (d). A declared job is known iff eps > 0
+    and e >= (1 - eps) * p: with eps = a/b, e.n * b * p.d >= (b - a) * p.n *
+    e.d. Each is one exact integer comparison per job."""
     a, b = inst.epsilon.numerator, inst.epsilon.denominator
     keep = b - a
+    tn, td = t.numerator, t.denominator
     states: dict[int, JobState] = {}
     before = states  # split off at the first job released at t
     for j in inst.jobs:
         rt = j.release.time
-        if rt > t:
+        x, y = rt.numerator * td, tn * rt.denominator
+        if x > y:
             continue
-        at_t = rt == t
+        at_t = x == y
         if at_t and before is states:
             before = dict(states)
         e = elapsed.get(j.id, ZERO)

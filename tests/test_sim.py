@@ -640,9 +640,70 @@ def test_pinned_schedules_digest():
                 sched = simulate(
                     inst, policy, speed=speed, forbidden=forbidden, horizon=horizon
                 )
-                h.update(export_segments_csv(sched).encode())
-                h.update(export_events_jsonl(sched).encode())
-                for part in (sched.completions, sched.final_elapsed):
-                    h.update(repr(sorted(part.items())).encode())
-                h.update(repr(sched.end_time).encode())
+                _digest_update(h, sched)
     assert h.hexdigest() == PINNED_DIGEST
+
+
+def _digest_update(h, sched) -> None:
+    h.update(export_segments_csv(sched).encode())
+    h.update(export_events_jsonl(sched).encode())
+    for part in (sched.completions, sched.final_elapsed):
+        h.update(repr(sorted(part.items())).encode())
+    h.update(repr(sched.end_time).encode())
+
+
+def _off_grid_runs():
+    """Runs whose values leave the integers of one scale: speeds 4/3, 2 and 4
+    (the fast machine of the reduction at 1/(1-eps) for eps 1/4, 1/2, 3/4),
+    pools cut by staggered arrivals, windows in sevenths, horizons whose
+    denominators are coprime to every input, and one n = 30 instance whose
+    denominators are 60 distinct primes; all four policies."""
+    rng = random.Random(18)
+    primes = [p for p in range(3, 400) if all(p % q for q in range(2, p))][:60]
+    wide = Instance(
+        F(1, 3),
+        tuple(
+            Job(
+                i + 1,
+                ReleaseTag(F(rng.randint(0, 3 * primes[2 * i]), primes[2 * i])),
+                F(rng.randint(1, 5 * primes[2 * i + 1]), primes[2 * i + 1]),
+            )
+            for i in range(30)
+        ),
+    )
+    sevenths = IntervalSet.from_pairs([(F(3, 7), F(11, 7)), (F(20, 7), F(30, 7))])
+    cases = [(wide, EMPTY_INTERVALS, None)]
+    for trial in range(12):
+        inst = random_instance(rng, F(rng.randint(1, 3), 4), rng.randint(3, 10))
+        horizon = F(rng.randint(10, 200), (13, 17)[trial % 3 - 1]) if trial % 3 else None
+        cases.append((inst, (EMPTY_INTERVALS, sevenths)[trial % 2], horizon))
+    for inst, forbidden, horizon in cases:
+        for policy in POLICIES:
+            for speed in (F(4, 3), F(2), F(4)):
+                yield simulate(
+                    inst, policy, speed=speed, forbidden=forbidden, horizon=horizon
+                )
+
+
+# sha256 of every export of the runs of _off_grid_runs
+PINNED_OFF_GRID_DIGEST = (
+    "c27ed43eacfb35c545681d28d7ff05e9ff81cc7bb0bd71b09d1b108c86414eb8"
+)
+
+
+def test_pinned_off_grid_digest():
+    h = hashlib.sha256()
+    for sched in _off_grid_runs():
+        _digest_update(h, sched)
+    assert h.hexdigest() == PINNED_OFF_GRID_DIGEST
+
+
+def test_every_returned_value_is_a_fraction():
+    # the engine runs on ints; none may leak out of a schedule, nor a float
+    on_grid = [simulate(toy_instance(), policy) for policy in POLICIES]
+    for sched in (*on_grid, *_off_grid_runs()):
+        values = [sched.end_time, *sched.completions.values(), *sched.final_elapsed.values()]
+        values += [ev.t for ev in sched.events]
+        for seg in sched.segments:
+            values += [seg.start, seg.end, seg.rate]
+        assert all(type(x) is F for x in values)
