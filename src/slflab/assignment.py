@@ -5,6 +5,10 @@ A graph couples the algorithm's queue (left) with the optimum's queue
 is non-increasing volume with ties broken by id, but operations may attach
 explicit orders (merging requires a non-default left order), so every graph
 carries its orders.
+
+One front-first fill builds every matching: it feeds each right vertex, in
+order, from the front of a left order, using up each left vertex before the
+next. `greedy_matching` (and so `merge`) fills its reversed left order.
 """
 
 from __future__ import annotations
@@ -162,18 +166,12 @@ def canonical_from_marginals(
     """The canonical assignment: sort both sides by non-increasing volume and
     greedily feed each right vertex from the largest remaining left vertices.
     The result is forward with exactly the requested marginals. Callers may
-    attach explicit orders (which must be non-increasing in volume) to pin
-    tie-breaks among equal volumes."""
+    attach explicit orders (which must be non-increasing in volume and hold
+    every vertex of positive volume) to pin tie-breaks among equal volumes."""
     left_vols, right_vols = (
         {u: w if type(w) is Fraction else Fraction(w) for u, w in vols.items() if w}
         for vols in (left_vols, right_vols)
     )
-    if any(w < 0 for w in left_vols.values()) or any(
-        w < 0 for w in right_vols.values()
-    ):
-        raise AssignmentError("marginals must be nonnegative")
-    if sum(left_vols.values(), ZERO) != sum(right_vols.values(), ZERO):
-        raise AssignmentError("marginal sums differ")
     left = (
         default_order(left_vols)
         if left_order is None
@@ -188,21 +186,7 @@ def canonical_from_marginals(
         for a, b in zip(order, order[1:]):
             if vols[a] < vols[b]:
                 raise AssignmentError("attached order must be non-increasing")
-    weights: dict[tuple[int, int], Rat] = {}
-    li = 0
-    residual = dict(left_vols)
-    for v in right:
-        need = right_vols[v]
-        while need > 0:
-            u = left[li]
-            take = min(need, residual[u])
-            if take > 0:
-                weights[(u, v)] = weights.get((u, v), ZERO) + take
-                residual[u] -= take
-                need -= take
-            if residual[u] == 0:
-                li += 1
-    return graph(left, right, weights)
+    return graph(left, right, _fill(left, right, left_vols, right_vols))
 
 
 def greedy_matching(
@@ -213,41 +197,40 @@ def greedy_matching(
 ) -> WeightedBipartiteGraph:
     """Fill each right vertex, in order, from the smallest sufficient suffix
     of the left order: each suffix member but the front-most contributes its
-    whole residual, the front-most the remainder. Output is backward with
-    marginals exactly c / c_star."""
-    residual = {u: Fraction(c.get(u, ZERO)) for u in a_order}
-    demands = {v: Fraction(c_star.get(v, ZERO)) for v in a_star_order}
-    if any(w < 0 for w in residual.values()) or any(w < 0 for w in demands.values()):
-        raise AssignmentError("demands must be nonnegative")
-    if sum(residual.values(), ZERO) != sum(demands.values(), ZERO):
-        raise AssignmentError("demand sums differ")
+    whole residual, the front-most the remainder (the fill of the reversed
+    left order). Output is backward with marginals exactly c / c_star."""
+    a_order, a_star_order = tuple(a_order), tuple(a_star_order)
+    return graph(a_order, a_star_order, _fill(a_order[::-1], a_star_order, c, c_star))
+
+
+def _fill(left, right, left_vols, right_vols) -> dict[tuple[int, int], Rat]:
+    """Feed each vertex of `right`, in order, from the front of `left`, using
+    up each left vertex before the next. The volumes must be nonnegative with
+    equal sums, and each order must hold every vertex of positive volume,
+    once."""
+    if any(w < 0 for vols in (left_vols, right_vols) for w in vols.values()):
+        raise AssignmentError("volumes must be nonnegative")
+    if sum(left_vols.values(), ZERO) != sum(right_vols.values(), ZERO):
+        raise AssignmentError("volume sums differ")
+    for order, vols in ((left, left_vols), (right, right_vols)):
+        placed = set(order)
+        if len(placed) < len(order) or any(w and u not in placed for u, w in vols.items()):
+            raise AssignmentError("an order must hold each vertex of positive volume once")
+    left = [u for u in left if left_vols.get(u)]
+    residual = dict(left_vols)
     weights: dict[tuple[int, int], Rat] = {}
-    # walk the left order from the back; order[hi:] is fully consumed
-    order = list(a_order)
-    hi = len(order)
-    for v in a_star_order:
-        need = demands[v]
-        if need == 0:
-            continue
-        idx = hi - 1
-        acc = ZERO
-        while idx >= 0 and acc + residual[order[idx]] < need:
-            acc += residual[order[idx]]
-            idx -= 1
-        if idx < 0:
-            raise AssignmentError("insufficient residual for demand")
-        # suffix members behind the front-most give their whole residual
-        for k in range(idx + 1, hi):
-            u = order[k]
-            if residual[u] > 0:
-                weights[(u, v)] = weights.get((u, v), ZERO) + residual[u]
-                residual[u] = ZERO
-        u = order[idx]
-        take = need - acc
-        weights[(u, v)] = weights.get((u, v), ZERO) + take
-        residual[u] -= take
-        hi = idx if residual[u] == 0 else idx + 1
-    return graph(tuple(a_order), tuple(a_star_order), weights)
+    li = 0
+    for v in right:
+        need = right_vols.get(v, ZERO)
+        while need > 0:
+            u = left[li]
+            take = min(need, residual[u])
+            weights[(u, v)] = take
+            residual[u] -= take
+            need -= take
+            if not residual[u]:
+                li += 1
+    return weights
 
 
 def suffix_reaching(

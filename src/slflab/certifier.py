@@ -412,8 +412,6 @@ def update_valid_assignment(
     if sigma.vols_star() != _remaining(pre_opt):
         raise CounterexampleError("sigma-right-marginals")
 
-    by_size = lambda i: (-size[i], i)
-    m1 = _matching_on(new_ids, dict(size), by_size)
     m2_w = {i: size[i] - ws.delta[i] for i in new_ids}
 
     h1p, _h1s = split(sigma, min(ws.nu, ws.nu_star))
@@ -433,7 +431,7 @@ def update_valid_assignment(
     else:
         sigma_prime = _update_two(inst, ws, kprime, h2, m2_w, r_ell, r_star_ell)
 
-    _verify_marginal_properties(ws, sigma, m1, sigma_prime, pre_opt)
+    _verify_marginal_properties(ws, sigma, size, sigma_prime, pre_opt)
 
     if sigma_prime.vols() != r_ell:
         raise CounterexampleError("updated-left-marginals")
@@ -567,15 +565,16 @@ def _update_two(inst, ws: WorkSplit, kprime, h2, m2_w, r_ell, r_star_ell):
     return graph(out.left, order, out.weights)
 
 
-def _verify_marginal_properties(ws: WorkSplit, h1, m1, hp, pre_opt):
-    """The five per-job volume identities of the updated graph."""
+def _verify_marginal_properties(ws: WorkSplit, h1, size, hp, pre_opt):
+    """The five per-job volume identities of the updated graph; `size[i]` is
+    new job i's volume on both sides of its diagonal matching."""
     vol_hp = hp.vols()
     vol_hp_star = hp.vols_star()
     for i in ws.new_ids:
-        lhs = m1.vol(i) - vol_hp.get(i, ZERO)
+        lhs = size[i] - vol_hp.get(i, ZERO)
         if lhs != ws.delta[i] + ws.tau[i]:
             raise CounterexampleError("H'-property-1", job=i, got=lhs)
-        lhs = m1.vol_star(i) - vol_hp_star.get(i, ZERO)
+        lhs = size[i] - vol_hp_star.get(i, ZERO)
         if lhs != ws.delta[i] + ws.tau_star[i]:
             raise CounterexampleError("H'-property-4", job=i, got=lhs)
     vol_h1 = h1.vols()

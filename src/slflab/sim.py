@@ -11,10 +11,11 @@ are grouped and advance through a shared accumulator, so a segment costs
 O(log n) bookkeeping regardless of group size. rr is the one-group case of
 this pool step: its single group runs at offset 0 and never pauses.
 
-A heap keyed by a level holds integer-first entries,
-`_entry(level, id)` = (floor(level * 2**64), level, id). Their order is
-exactly the (level, id) order, and a heap move compares two ints unless the
-floors tie, i.e. unless the levels agree in their first 64 binary digits.
+Every heap entry is `_entry(level, id)` = (floor(level * 2**64), level,
+id). Its order is exactly the (level, id) order, and a heap move compares
+two ints unless the floors tie, i.e. unless the levels agree in their first
+64 binary digits. On the integer clock (below) most levels are ints, and
+two ints tie on the floor only when they are equal.
 
 The jobs that may run alone wait in one such min-heap by (remaining, id),
 one entry per waiting job: slf's known jobs, or every job under srpt (and
@@ -24,14 +25,12 @@ heap, with its new remaining. Between arrivals its (remaining, id) only
 shrinks, so it stays the minimum, and under slf the paused pool makes no job
 known. A forbidden window idles the machine with the job still held.
 
-Every group heap entry is (key, level, id), and a group reads the level
-its top entry waits for from the entry. A tier group's heaps (slf, setf)
-key a job by its integer rank in (size, id) order, sorted once per run; for
-eps < 1 that is also the (threshold, id) order, so heap moves compare
-unique integers and never the levels. Ranks beat `_entry` here: equal sizes
-are common, and equal levels tie on the floor. rr's one group holds
-`_entry`s of the absolute accumulator level at which a job becomes known or
-completes, which depends on when it arrived.
+A group's two heaps hold the level at which each member becomes known and
+completes, and a group reads the level its top entry waits for from the
+entry. A tier group's (slf, setf) levels are its members' thresholds and
+sizes; rr's one group holds absolute accumulator levels, which depend on
+when a job arrived. Paused tier groups are keyed by their level, an int or
+a Fraction, which hash and compare equal when their values are.
 
 The engine runs on an integer clock. L is the lcm of every release, size,
 horizon and window-endpoint denominator, times eps's; for speed c/d a time
@@ -59,11 +58,11 @@ segment. `Schedule.jobs_before(t)` names the jobs that ran right before t.
 
 A time asked on its own goes to `Schedule.elapsed_at`, answered from
 checkpoints of cumulative elapsed work that the first query builds (never
-`simulate`), or to `active_count`, which bisects release and completion
-times sorted on first use. A checkpoint is taken once the job entries
-replayed since the last one reach the size of the running elapsed dict, so
-the checkpoints hold no more entries than the segments' job tuples and a
-query replays fewer than 2n job entries (n jobs). One pass of
+`simulate`), or to `active_count`, which counts the releases and the
+completions up to t. A checkpoint is taken once the job entries replayed
+since the last one reach the size of the running elapsed dict, so the
+checkpoints hold no more entries than the segments' job tuples and a query
+replays fewer than 2n job entries (n jobs). One pass of
 `states_from_elapsed` over the jobs builds both queue views at t from one
 elapsed map: every release at t arrived, and right before that batch.
 `state_at` is its argument checks, one `elapsed_at` and the first view;
@@ -206,15 +205,10 @@ class Schedule:
         return [ZERO, *map(_END, self.segments)]
 
     def active_count(self, t: Rat) -> int:
-        """|{j : released by t, remaining > 0 at t}| (arrivals at t included)."""
-        released, done = self._sorted_times
-        return bisect_right(released, t) - bisect_right(done, t)
-
-    @cached_property
-    def _sorted_times(self) -> tuple[list[Rat], list[Rat]]:
-        """The release and the completion times, sorted on first use."""
-        releases = sorted(j.release.time for j in self.instance.jobs)
-        return releases, sorted(self.completions.values())
+        """|{j : released by t, remaining > 0 at t}| (arrivals at t included):
+        the releases up to t minus the completions up to t."""
+        released = sum(j.release.time <= t for j in self.instance.jobs)
+        return released - sum(c <= t for c in self.completions.values())
 
     def elapsed_at(self, t: Rat) -> dict[int, Rat]:
         """Exact elapsed work per job, counting work during [0, t).
@@ -331,7 +325,7 @@ def _ascending(times) -> tuple[list[Rat], dict[tuple[int, int], int]]:
     """The distinct `times`, ascending, and the index of each by (numerator,
     denominator); two times compare only when their `_entry` floors tie."""
     distinct = {(t.numerator, t.denominator): t for t in times}
-    order = sorted(distinct, key=lambda k: ((k[0] << 64) // k[1], distinct[k]))
+    order = sorted(distinct, key=lambda k: _entry(distinct[k], 0))
     return [distinct[k] for k in order], {k: i for i, k in enumerate(order)}
 
 
@@ -379,11 +373,11 @@ def merge_grid(*schedules: Schedule) -> Grid:
 class _Group:
     """Jobs sharing one elapsed level, advanced in fluid round-robin.
 
-    The heaps hold (key, level, id) entries whose keys never change, so a
-    group can be paused and resumed in O(1) without re-keying; the level a
-    top entry waits for is read from the entry. A tier group's key is the
-    job's integer rank; rr's entries are `_entry`s of absolute accumulator
-    levels.
+    The heaps hold `_entry(level, id)` entries whose levels never change,
+    so a group can be paused and resumed in O(1) without re-keying; the
+    level a top entry waits for is read from the entry. A tier group's
+    levels are its members' thresholds and sizes; rr's are absolute
+    accumulator levels.
     """
 
     __slots__ = ("members", "know", "comp", "level", "off")
@@ -445,13 +439,6 @@ def simulate(
     # knowledge threshold: known iff elapsed >= (1-eps) * p (declared, eps > 0)
     thr = {jid: p * (b - a) // b for jid, p in size.items() if p is not None and a}
 
-    # A tier group (slf, setf) keys a job by its rank in (size, id) order,
-    # which for eps < 1 is also the (threshold, id) order; rr's one group
-    # keys by `_entry` of the level of acc, which depends on the arrival time
-    if policy != "rr" and not srpt_like:
-        declared = (jid for jid, p in size.items() if p is not None)
-        rank = {jid: r for r, jid in enumerate(sorted(declared, key=lambda j: (size[j], j)))}
-
     # arrival batches in time order, each in (epoch, id) order
     by_time: dict[int, list[int]] = {}
     for j in sorted(inst.jobs, key=lambda j: (j.release.epoch, j.id)):
@@ -471,9 +458,8 @@ def simulate(
 
     acc = 0  # per-member work accumulated by the running group
     running: _Group | None = None  # slf (unknown pool) / setf / rr
-    # paused groups by elapsed level (slf/setf), keyed by its (numerator,
-    # denominator): a tuple of ints hashes far cheaper than a Fraction
-    tiers: dict[tuple[int, int], _Group] = {}
+    # paused groups (slf/setf) by elapsed level, and their levels ascending
+    tiers: dict = {}
     tier_vals: list = []
 
     # waiting known jobs (slf) or all waiting jobs (srpt-like), one entry
@@ -493,31 +479,29 @@ def simulate(
         events.append((len(run), kind, job))
 
     def push_known(jid: int) -> None:
-        e = elapsed[jid]
-        heapq.heappush(kn_heap, _entry(size[jid] - e if e else size[jid], jid))
+        heapq.heappush(kn_heap, _entry(size[jid] - elapsed[jid], jid))
 
     def run_level():
         assert running is not None and running.off is not None
-        # off is 0 for rr's group and for any group first run while acc
-        # equals its level; an addition off the grid costs more than the test
+        # rr's group runs at off = 0 while acc leaves the grid, so without
+        # the test `0 + acc` would build a new Fraction on every pool segment
         return running.off + acc if running.off else acc
 
     def add_tier(group: _Group) -> None:
         group.off = None
-        key = group.level.numerator, group.level.denominator
-        if key in tiers:
-            tiers[key].absorb(group)
-        else:
-            tiers[key] = group
+        tier = tiers.setdefault(group.level, group)
+        if tier is group:
             insort(tier_vals, group.level)
+        else:
+            tier.absorb(group)
 
     def new_group(jid: int) -> _Group:
         g = _Group({jid}, 0)
         p = size[jid]
-        if p is not None:  # ranks are unique, so the levels never compare
+        if p is not None:
             if jid in thr and jid not in known_logged:
-                g.know.append((rank[jid], thr[jid], jid))
-            g.comp.append((rank[jid], p, jid))
+                g.know.append(_entry(thr[jid], jid))
+            g.comp.append(_entry(p, jid))
         return g
 
     def group_peek(heap: list[tuple], g: _Group):
@@ -541,7 +525,7 @@ def simulate(
         nonlocal running
         assert running is None
         value = tier_vals.pop(0)
-        running = tiers.pop((value.numerator, value.denominator))
+        running = tiers.pop(value)
         running.off = value - acc
         return value
 
@@ -575,9 +559,8 @@ def simulate(
             p = size[jid]
             if p is not None:  # keys are absolute levels of acc
                 if jid in thr and jid not in known_logged:
-                    level = thr[jid] + acc if acc else thr[jid]
-                    heapq.heappush(running.know, _entry(level, jid))
-                heapq.heappush(running.comp, _entry(p + acc if acc else p, jid))
+                    heapq.heappush(running.know, _entry(thr[jid] + acc, jid))
+                heapq.heappush(running.comp, _entry(p + acc, jid))
         else:  # slf (eps < 1) / setf: a fresh zero-elapsed tier
             add_tier(new_group(jid))
 
@@ -628,12 +611,11 @@ def simulate(
                 goal = thr[solo]
             else:
                 goal = size[solo]
-            e = elapsed[solo]
-            return (solo,), "solo", goal, goal - e if e else goal
+            return (solo,), "solo", goal, goal - elapsed[solo]
         if level is None:
             level = activate_tier()
         elif tier_vals and tier_vals[0] == level:
-            running.absorb(tiers.pop((level.numerator, level.denominator)))
+            running.absorb(tiers.pop(level))
             tier_vals.pop(0)
         goals = [
             x
@@ -696,9 +678,8 @@ def simulate(
         # reaching the goal sets the level to it, exactly; otherwise the run
         # advances by the time over k, which can leave the grid
         if regime == "pool":
-            off = running.off
             if hit:
-                acc = goal - off if off else goal
+                acc = goal - running.off
             else:
                 acc += _div(stop - t, len(jobs))
         elif regime == "solo":

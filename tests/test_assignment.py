@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -130,6 +131,18 @@ def test_greedy_matching_random_properties():
         for v in cstar:
             assert h.vol_star(v) == cstar[v]
         assert is_backward(h)
+
+
+def test_orders_must_hold_every_vertex_of_positive_volume():
+    with pytest.raises(AssignmentError):
+        canonical_from_marginals({1: F(2), 2: F(1)}, {9: F(3)}, left_order=(1,))
+    with pytest.raises(AssignmentError):
+        canonical_from_marginals({1: F(2)}, {9: F(1), 8: F(1)}, right_order=(9,))
+    with pytest.raises(AssignmentError):
+        greedy_matching((1,), (9,), {1: F(2), 2: F(1)}, {9: F(2)})
+    # a vertex of volume 0 may be left out, or named
+    h = greedy_matching((1,), (9, 8), {1: F(2), 2: F(0)}, {9: F(2)})
+    assert h.weights == {(1, 9): F(2)}
 
 
 def test_min_suffix():
@@ -275,3 +288,53 @@ def test_bounded_degree_corollary():
                 stripped = strip_isolated(h)
                 k = -((-eps.denominator) // eps.numerator)
                 assert len(stripped.left) <= k * max(1, len(stripped.right))
+
+
+def _parts(rng, total, k):
+    """k nonnegative volumes summing to `total`, some of them zero."""
+    cuts = sorted(total * F(rng.randint(0, 6), 6) for _ in range(k - 1))
+    return [b - a for a, b in zip([F(0)] + cuts, cuts + [total])]
+
+
+def _ordered(rng, vols):
+    """An attached order: non-increasing volume, ties in a random order."""
+    return sorted(vols, key=lambda u: (-vols[u], rng.random()))
+
+
+# sha256 of every graph built in test_pinned_fill_digest
+PINNED_FILL_DIGEST = (
+    "5b8b338c8e8c975e895f4bf311e36ee75a4a5647da36c83b48d3fae0af7d1e1b"
+)
+
+
+def test_pinned_fill_digest():
+    # the sorted edges and both orders of canonical_from_marginals (default
+    # and attached orders), greedy_matching (shuffled orders, zero volumes)
+    # and merge over a fixed random set; a rewrite of the fill that keeps
+    # the digest keeps every graph identical
+    rng = random.Random(37)
+    h = hashlib.sha256()
+    for _ in range(300):
+        na, nb = rng.randint(1, 7), rng.randint(1, 7)
+        c = {u: F(rng.randint(0, 5), rng.choice((1, 2, 3))) for u in range(1, na + 1)}
+        total = sum(c.values(), F(0))
+        if not total:
+            continue
+        c_star = dict(zip(range(101, 101 + nb), _parts(rng, total, nb)))
+        a_order, a_star_order = list(c), list(c_star)
+        rng.shuffle(a_order)
+        rng.shuffle(a_star_order)
+        lv = {u: w for u, w in c.items() if w}
+        rv = {v: w for v, w in c_star.items() if w}
+        other = graph(
+            (1001,), (2001, 2002), {(1001, 2001): F(1, 2), (1001, 2002): F(3)}
+        )
+        right_key = {v: rng.random() for v in (*c_star, 2001, 2002)}
+        for g in (
+            canonical_from_marginals(c, c_star),
+            canonical_from_marginals(c, c_star, _ordered(rng, lv), _ordered(rng, rv)),
+            greedy_matching(a_order, a_star_order, c, c_star),
+            merge(canonical_from_marginals(c, c_star), other, right_key.__getitem__),
+        ):
+            h.update(repr((g.left, g.right, sorted(g.weights.items()))).encode())
+    assert h.hexdigest() == PINNED_FILL_DIGEST

@@ -140,9 +140,22 @@ def test_replay_determinism():
 
 def test_engine_matches_pure_allocations_per_segment():
     rng = random.Random(5)
-    for _ in range(40):
-        eps = F(rng.randint(0, 10), 10)
-        inst = random_instance(rng, eps, rng.randint(1, 7))
+    insts = [
+        random_instance(rng, F(rng.randint(0, 10), 10), rng.randint(1, 7))
+        for _ in range(40)
+    ]
+    # each meets two paused tiers (setf at eps 0, slf at eps 3/4) whose
+    # levels are an int and an equal Fraction
+    for eps, jobs in (
+        (F(0), ((1, 0, 3), (2, 2, F(3, 2)), (3, 1, 6), (4, F(1, 2), F(3, 2)),
+                (5, F(2, 3), F(5, 2)))),
+        (F(0), ((1, F(4, 3), 5), (2, 2, 1), (3, F(5, 2), 4), (4, 2, 3))),
+        (F(3, 4), ((1, 1, 1), (2, 1, 2), (3, 2, 1), (4, 2, F(3, 2)))),
+        (F(3, 4), ((1, F(5, 2), F(5, 2)), (2, F(7, 2), 5), (3, 2, 5))),
+    ):
+        insts.append(Instance(eps, tuple(Job(i, ReleaseTag(F(r)), F(p)) for i, r, p in jobs)))
+    for inst in insts:
+        eps = inst.epsilon
         for policy in ("slf", "srpt", "setf", "rr"):
             sched = simulate(inst, policy)
             for seg in sched.segments:
