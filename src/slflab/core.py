@@ -211,6 +211,7 @@ def scale_instance(inst: Instance, factor: Rat) -> Instance:
     """Multiply every size by `factor`; releases and epsilon unchanged."""
     if factor <= 0:
         raise InstanceError("scale factor must be > 0")
+    # a list, not a generator: see the tuple free-list note in `sim.simulate`
     return inst.with_jobs(
-        replace(j, size=None if j.size is None else j.size * factor) for j in inst.jobs
+        [replace(j, size=None if j.size is None else j.size * factor) for j in inst.jobs]
     )

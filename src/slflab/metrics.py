@@ -77,11 +77,11 @@ def grid_counts(grid: Grid) -> list[tuple[int, ...]]:
     after a horizon cut counts from the first grid time after it."""
     columns = []
     for sched in grid.schedules:
-        steps = [0] * (len(grid.times) + 1)
+        steps = [0] * (len(grid.ticks) + 1)
         for j in sched.instance.jobs:
             steps[grid.position(j.release.time)] += 1
         for c in sched.completions.values():
-            steps[grid.index[c.numerator, c.denominator]] -= 1
+            steps[grid.position(c)] -= 1
         columns.append(accumulate(steps[:-1]))
     return list(zip(*columns))
 

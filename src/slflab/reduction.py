@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 from .core import Instance, Rat, scale_instance
 from .metrics import grid_counts
@@ -123,23 +124,18 @@ def _setfi(grid: Grid, rows: list[tuple[int, ...]], p: int, i: int) -> ChainRepo
     there are compared, each once."""
     qs = sorted({*grid.positions[p], *grid.positions[i]})
     jobs = grid.schedules[p].instance.jobs
-    diff: dict[int, Rat] = {}
+    diff: dict[int, int | Fraction] = {}  # work in the grid's unit
     for q, ((wp, ended_p), (up, in_p)), ((wi, ended_i), (ui, in_i)) in zip(
         qs, grid.steps(p, qs), grid.steps(i, qs)
     ):
         for j in ended_p:
-            diff[j] = diff.get(j, ZERO) - wp
+            diff[j] = diff.get(j, 0) - wp
         for j in ended_i:
-            diff[j] = diff.get(j, ZERO) + wi
-        limit = {**dict.fromkeys((*ended_p, *ended_i), ZERO), **dict.fromkeys(in_p, up)}
+            diff[j] = diff.get(j, 0) + wi
+        limit = {**dict.fromkeys(chain(ended_p, ended_i), 0), **dict.fromkeys(in_p, up)}
         if in_i:
             limit.update(dict.fromkeys(in_i, -ui))
-        bad = set()
-        for j, lim in limit.items():
-            d = diff.get(j, ZERO)
-            # signs first: a difference <= 0 never exceeds a limit >= 0
-            if (d.numerator > 0 or lim.numerator < 0) and d > lim:
-                bad.add(j)
+        bad = {j for j, lim in limit.items() if diff.get(j, 0) > lim}
         excess = next(((q, j.id) for j in jobs if j.id in bad), None) if bad else None
         if excess:
             break
@@ -201,16 +197,18 @@ def reduction_check(inst: Instance, epsilon: Rat) -> ChainReport:
     if not dom.ok:
         witness["setfi"] = dom.witness
 
-    for t, (n_fast, n_slow, n_idled, n_alg) in zip(grid.times, rows):
+    at: dict[str, int] = {}  # witness key -> the first failing row's position
+    for q, (n_fast, n_slow, n_idled, n_alg) in enumerate(rows):
         if n_fast != n_slow:
             checks["scale-identity-counts"] = False
-            witness.setdefault("scale-counts", t)
+            at.setdefault("scale-counts", q)
         if n_idled > n_alg:
             checks["count-vs-alg"] = False
-            witness.setdefault("count-vs-alg", t)
+            at.setdefault("count-vs-alg", q)
         if not (n_fast == n_slow <= n_idled <= n_alg):
             checks["chain"] = False
-            witness.setdefault("chain", t)
+            at.setdefault("chain", q)
+    witness.update((key, grid.times[q]) for key, q in at.items())
     return ChainReport(all(checks.values()), checks, witness)
 
 

@@ -43,9 +43,17 @@ k, and is compared with the next arrival, the horizon and the window edge.
 A value leaves the integers only through `_div`, the one division: where a
 pool cut short advances its accumulator by dt / k, and at slf's tie level
 r * (b - a) / a (eps = a/b). It returns an int when exact, else a Fraction,
-never a float. `Schedule` holds completions, end_time and final_elapsed as
-Fractions and the run in engine units; the first read of `segments` or
-`events` builds both, one Fraction per segment end, and drops the run.
+never a float; where t, the accumulator, a group's offset or a solo job's
+elapsed is set, a Fraction that comes back to a whole number is an int again.
+
+The run is `Schedule`'s one store, in engine units (`_Run`): tu = L * c,
+wu = L * d, the speed, the boundary ticks (0, then each segment end: an
+int, or a Fraction off the grid), each segment's jobs and each event as
+(tick index, kind, job). Every query turns its times into ticks (t * tu, an
+int when t's denominator divides tu), compares and sums in engine units (a
+pool of k gives each member dt / k work in dt ticks) and turns only its
+answer into Fractions. `segments` and `events` are Fraction views, built
+on first read for export, the benchmark's tracer and tests.
 
 A job whose size is known at elapsed 0 (eps = 1) is logged `known` on
 arrival, under every policy. A segment end that logs no event of its own
@@ -57,25 +65,25 @@ Every policy runs one job or shares the speed equally in one pool, so a
 segment. `Schedule.jobs_before(t)` names the jobs that ran right before t.
 
 A time asked on its own goes to `Schedule.elapsed_at`, answered from
-checkpoints of cumulative elapsed work that the first query builds (never
-`simulate`), or to `active_count`, which counts the releases and the
-completions up to t. A checkpoint is taken once the job entries replayed
-since the last one reach the size of the running elapsed dict, so the
-checkpoints hold no more entries than the segments' job tuples and a query
-replays fewer than 2n job entries (n jobs). One pass of
-`states_from_elapsed` over the jobs builds both queue views at t from one
-elapsed map: every release at t arrived, and right before that batch.
-`state_at` is its argument checks, one `elapsed_at` and the first view;
-callers holding the elapsed map (the certifier, and the adversary for every
-queue it reads) call the builder alone.
+checkpoints of cumulative elapsed work in work units that the first query
+builds (never `simulate`), or to `active_count`, which counts the releases
+and the completions up to t. A checkpoint is taken once the job entries
+replayed since the last one reach the size of the running elapsed dict, so
+the checkpoints hold no more entries than the segments' job tuples and a
+query replays fewer than 2n job entries (n jobs) before it turns each sum
+into a Fraction. One pass of `states_from_elapsed` over the jobs builds
+both queue views at t from one elapsed map: every release at t arrived, and
+right before that batch. `state_at` is its argument checks, one
+`elapsed_at` and the first view; callers holding the elapsed map (the
+certifier, and the adversary for every queue it reads) call the builder
+alone.
 
-The boundaries of several schedules go to `merge_grid`, which merges them
-once into a `Grid`: deduped by (numerator, denominator), ordered by the
-`_entry` floor and read as integer positions, so its readers compare no
+The boundaries of several schedules go to `merge_grid`, which puts them on
+one unit U, the lcm of their time units, merges their ticks once into a
+`Grid` and reads them as integer positions, so its readers compare no
 times: `metrics.grid_counts` sums counts over positions and `Grid.steps`
-gives a schedule's work at each.
-Segments tile [0, end_time], so `Schedule.boundaries` is 0 followed by the
-segment ends, with no merge or sort.
+gives a schedule's work at each in 1/U units, dt * c / (k * d) for speed
+c/d. `Grid.times` builds the Fraction times on first read.
 """
 
 from __future__ import annotations
@@ -87,13 +95,12 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import islice
 from math import lcm
-from operator import attrgetter
 from typing import NamedTuple
 
 from .core import Instance, Rat
 
 ZERO = Fraction(0)
-_NO_WORK = (ZERO, ())
+_NO_WORK = (0, ())
 
 POLICIES = ("slf", "srpt", "setf", "rr")
 
@@ -157,30 +164,44 @@ class Segment:
         return dict.fromkeys(self.jobs, self.rate)
 
 
-_END = attrgetter("end")
+class _Run(NamedTuple):
+    """A run in engine units: time unit `tu`, work unit `wu`, `speed`, the
+    boundary `ticks` (0, then each segment's end: an int, or a Fraction off
+    the grid), each segment's `jobs` and each event as (tick index, kind,
+    job)."""
+
+    tu: int
+    wu: int
+    speed: Fraction
+    ticks: list
+    jobs: list[tuple[int, ...]]
+    events: list[tuple[int, str, int | None]]
 
 
-class _Run:
-    """A run in engine units: the time unit, the speed, each segment as
-    (end, jobs) and each event as (segments before it, kind, job). The first
-    read of `views` builds the segments and events and drops the run."""
+def _units(x: Rat, u: int):
+    """x * u: an int when x's denominator divides u, else a Fraction."""
+    d = x.denominator
+    return x.numerator * (u // d) if not u % d else x * u
 
-    def __init__(self, *parts):
-        self._parts = parts
 
-    @cached_property
-    def views(self) -> tuple[list[Segment], list[Event]]:
-        unit, speed, run, logged = self._parts
-        del self._parts
-        rates = {k: speed / k if k else ZERO for k in {len(jobs) for _, jobs in run}}
-        segments: list[Segment] = []
-        start = ZERO
-        for end, jobs in run:
-            end = Fraction(end, unit)  # one Fraction per distinct time
-            segments.append(Segment(start, end, rates[len(jobs)], jobs))
-            start = end
-        events = [Event(segments[i - 1].end if i else ZERO, *ev) for i, *ev in logged]
-        return segments, events
+def _real(x, u: int) -> Fraction:
+    """x / u as a Fraction, for an int or Fraction x in engine units."""
+    if type(x) is int:
+        return Fraction(x, u)
+    return Fraction(x.numerator, x.denominator * u)
+
+
+def _whole(x):
+    """x, as an int when it is a Fraction of denominator 1."""
+    return x.numerator if type(x) is not int and x.denominator == 1 else x
+
+
+def _div(x, k: int):
+    """x / k exactly: an int when k divides the int x, else a Fraction. The
+    engine's one division, so it never makes a float."""
+    if type(x) is int:
+        return x // k if not x % k else Fraction(x, k)
+    return x / k
 
 
 @dataclass(eq=False)  # compared by identity: its engine-unit run has no value equality
@@ -189,20 +210,26 @@ class Schedule:
     completions: dict[int, Rat]
     end_time: Rat
     final_elapsed: dict[int, Rat]  # exact elapsed at end_time, all released jobs
-    run: _Run = field(repr=False)  # read through `segments` and `events`
+    run: _Run = field(repr=False)  # the one store: every query reads it
 
     @cached_property
     def segments(self) -> list[Segment]:
-        return self.run.views[0]
+        """Fraction views of the run, built on first read; no query reads
+        them (export, the benchmark's tracer and tests do). The times are
+        built here, not by `boundaries()`, which the tracer counts as a query."""
+        jobs, times = self.run.jobs, [_real(x, self.run.tu) for x in self.run.ticks]
+        rates = {k: self.run.speed / k if k else ZERO for k in set(map(len, jobs))}
+        return [Segment(times[i], times[i + 1], rates[len(js)], js) for i, js in enumerate(jobs)]
 
     @cached_property
     def events(self) -> list[Event]:
-        return self.run.views[1]
+        times = [ZERO, *(seg.end for seg in self.segments)]
+        return [Event(times[i], kind, job) for i, kind, job in self.run.events]
 
     def boundaries(self) -> list[Rat]:
         """0 and every segment end, in time order: segments tile
         [0, end_time], each starting where the previous one ends."""
-        return [ZERO, *map(_END, self.segments)]
+        return [_real(x, self.run.tu) for x in self.run.ticks]
 
     def active_count(self, t: Rat) -> int:
         """|{j : released by t, remaining > 0 at t}| (arrivals at t included):
@@ -214,92 +241,100 @@ class Schedule:
         """Exact elapsed work per job, counting work during [0, t).
 
         Copies the last checkpoint at or before the segment holding t and
-        replays the segments after it; the caller owns the returned dict.
+        replays the segments after it in work units; the caller owns the
+        returned dict.
         """
+        tu, wu, _, ticks, jobs, _ = self.run
+        x = _units(t, tu)
         seg_idx, snaps = self._index
-        hold = bisect_left(self.segments, t, key=_END)  # first with end >= t
+        hold = bisect_left(ticks, x, 1) - 1  # first segment with end >= x
         c = bisect_right(seg_idx, hold) - 1
         elapsed = dict(snaps[c])
-        for seg in islice(self.segments, seg_idx[c], hold + 1):
-            if seg.start >= t:
-                break
-            work = seg.rate * ((seg.end if seg.end <= t else t) - seg.start)
-            for jid in seg.jobs:
-                elapsed[jid] = elapsed.get(jid, ZERO) + work
-        return elapsed
+        for i in range(seg_idx[c], min(hold + 1, len(jobs))):
+            if jobs[i] and ticks[i] < x:
+                work = _div(min(ticks[i + 1], x) - ticks[i], len(jobs[i]))
+                for jid in jobs[i]:
+                    elapsed[jid] = elapsed.get(jid, 0) + work
+        return {jid: _real(e, wu) for jid, e in elapsed.items()}
 
     @cached_property
-    def _index(self) -> tuple[list[int], list[dict[int, Rat]]]:
-        """Checkpoints (i, elapsed over segments[:i]), built on first use;
-        see the module docstring for when a checkpoint is taken."""
+    def _index(self) -> tuple[list[int], list[dict]]:
+        """Checkpoints (i, elapsed over segments[:i] in work units), built on
+        first use; see the module docstring for when one is taken."""
         seg_idx: list[int] = [0]
-        snaps: list[dict[int, Rat]] = [{}]
-        running: dict[int, Rat] = {}
+        snaps: list[dict] = [{}]
+        running: dict = {}
         since = 0
-        for i, seg in enumerate(self.segments, 1):
-            work = seg.rate * (seg.end - seg.start)
-            for jid in seg.jobs:
-                running[jid] = running.get(jid, ZERO) + work
-            since += len(seg.jobs)
+        ticks = self.run.ticks
+        for i, js in enumerate(self.run.jobs):
+            if js:
+                work = _div(ticks[i + 1] - ticks[i], len(js))
+                for jid in js:
+                    running[jid] = running.get(jid, 0) + work
+            since += len(js)
             if since and since >= len(running):
-                seg_idx.append(i)
+                seg_idx.append(i + 1)
                 snaps.append(dict(running))
                 since = 0
         return seg_idx, snaps
 
-    # other modules read segments only through these queries
-
-    def _segments_after(self, t: Rat):
-        """Segments with end > t, in time order."""
-        return islice(self.segments, bisect_right(self.segments, t, key=_END), None)
+    # other modules read the run only through these queries, which take and
+    # return Fractions and compare ticks
 
     def jobs_before(self, t: Rat) -> tuple[int, ...]:
         """Jobs of the segment with start < t <= end (the work right before
         t); empty when that segment is idle or t is outside (0, end_time]."""
-        i = bisect_left(self.segments, t, key=_END)
-        if i < len(self.segments) and self.segments[i].start < t:
-            return self.segments[i].jobs
-        return ()
+        ticks, x = self.run.ticks, _units(t, self.run.tu)
+        i = bisect_left(ticks, x, 1)
+        return self.run.jobs[i - 1] if i < len(ticks) and ticks[i - 1] < x else ()
 
     def last_touch(self, job: int, t: Rat) -> Rat | None:
         """The end, capped at t, of the last segment starting before t that
         runs `job`; None if the job does not run before t."""
-        segs = self.segments
-        for i in range(min(bisect_left(segs, t, key=_END), len(segs) - 1), -1, -1):
-            seg = segs[i]
-            if seg.start < t and job in seg.jobs:
-                return min(seg.end, t)
+        tu, _, _, ticks, jobs, _ = self.run
+        x = _units(t, tu)
+        for i in range(min(bisect_left(ticks, x, 1), len(jobs)) - 1, -1, -1):
+            if job in jobs[i] and ticks[i] < x:
+                return t if ticks[i + 1] >= x else _real(ticks[i + 1], tu)
         return None
 
     def solo_runs(self, start: Rat):
         """(start, end, job) for each segment with end > `start`, in time
         order; `job` is the only job that runs, or None when the segment is
         idle or shared."""
-        for seg in self._segments_after(start):
-            job = seg.jobs[0] if len(seg.jobs) == 1 else None
-            yield seg.start, seg.end, job
+        tu, _, _, ticks, jobs, _ = self.run
+        i = bisect_right(ticks, _units(start, tu), 1) - 1
+        lo = _real(ticks[i], tu)
+        for x, js in zip(islice(ticks, i + 1, None), islice(jobs, i, None)):
+            hi = _real(x, tu)
+            yield lo, hi, js[0] if len(js) == 1 else None
+            lo = hi
 
     def known_times(self) -> dict[int, Rat]:
         """Job id -> the time of its `known` event (at most one per job)."""
-        return {ev.job: ev.t for ev in self.events if ev.kind == "known"}
+        tu, ticks = self.run.tu, self.run.ticks
+        return {job: _real(ticks[i], tu) for i, kind, job in self.run.events if kind == "known"}
 
     def reach_times(self, levels: dict[int, Rat], after: Rat) -> dict[int, Rat]:
         """Job id -> the first time at which the job's work since `after`
         equals its (positive) level; jobs that never get there are absent."""
-        done: dict[int, Rat] = {}
+        tu, wu, _, ticks, jobs, _ = self.run
+        a = _units(after, tu)
+        need = {jid: _units(level, wu) for jid, level in levels.items()}
+        done: dict = {}
         out: dict[int, Rat] = {}
-        for seg in self._segments_after(after):
-            lo = max(seg.start, after)
-            work = seg.rate * (seg.end - lo)
-            for jid in seg.jobs:
-                if jid not in levels or jid in out:
+        for i in range(bisect_right(ticks, a, 1) - 1, len(jobs)):
+            lo, k = max(ticks[i], a), len(jobs[i])
+            work = _div(ticks[i + 1] - lo, k) if k else 0
+            for jid in jobs[i]:
+                if jid not in need or jid in out:
                     continue
-                need = levels[jid] - done.get(jid, ZERO)
-                if need <= work:
-                    out[jid] = lo + need / seg.rate
+                rest = need[jid] - done.get(jid, 0)
+                if rest <= work:
+                    out[jid] = _real(lo + rest * k, tu)  # k ticks per unit of work
                 else:
-                    done[jid] = done.get(jid, ZERO) + work
-            if len(out) == len(levels):
+                    done[jid] = done.get(jid, 0) + work
+            if len(out) == len(need):
                 break
         return out
 
@@ -313,61 +348,56 @@ def _entry(level, jid: int) -> tuple:
     return (level.numerator << 64) // level.denominator, level, jid
 
 
-def _div(x, k: int):
-    """x / k exactly: an int when k divides the int x, else a Fraction. The
-    engine's one division, so it never makes a float."""
-    if type(x) is int and not x % k:
-        return x // k
-    return Fraction(x, k)
-
-
-def _ascending(times) -> tuple[list[Rat], dict[tuple[int, int], int]]:
-    """The distinct `times`, ascending, and the index of each by (numerator,
-    denominator); two times compare only when their `_entry` floors tie."""
-    distinct = {(t.numerator, t.denominator): t for t in times}
-    order = sorted(distinct, key=lambda k: _entry(distinct[k], 0))
-    return [distinct[k] for k in order], {k: i for i, k in enumerate(order)}
-
-
-class Grid(NamedTuple):
-    """Schedules' boundaries merged once: the distinct `times` in order,
-    `positions[k]` the index in `times` of each boundary of `schedules[k]`,
-    and `index` the index of each time by (numerator, denominator)."""
+@dataclass(frozen=True)
+class Grid:
+    """Schedules' boundaries merged once on one `unit`, the lcm of their time
+    units: the distinct `ticks` ascending, `positions[k]` the index in
+    `ticks` of each boundary of `schedules[k]`, and `index` that of each tick."""
 
     schedules: tuple[Schedule, ...]
-    times: list[Rat]
+    unit: int
+    ticks: list
     positions: list[list[int]]
-    index: dict[tuple[int, int], int]
+    index: dict
+
+    @cached_property
+    def times(self) -> list[Rat]:
+        return [_real(x, self.unit) for x in self.ticks]
 
     def position(self, t: Rat) -> int:
-        """The index of the first grid time >= t; len(times) past the end."""
-        i = self.index.get((t.numerator, t.denominator))
-        return bisect_left(self.times, t) if i is None else i
+        """The index of the first grid time >= t; len(ticks) past the end."""
+        x = _units(t, self.unit)
+        q = self.index.get(x)
+        return bisect_left(self.ticks, x) if q is None else q
 
     def steps(self, k: int, qs):
         """Yield, for each q of the ascending `qs` (which hold every position
         of schedule k), two (work per job, jobs) pairs: the segment ending at
-        q, whole, and the one holding times[q] inside it, up to times[q]."""
-        segs, pos, times = self.schedules[k].segments, self.positions[k], self.times
+        q, whole, and the one holding times[q] inside it, up to times[q].
+        Work is in 1/unit: m jobs at speed c/d do dt * c / (m * d) in dt ticks."""
+        run = self.schedules[k].run
+        c, d = run.speed.numerator, run.speed.denominator
+        pos, ticks, jobs = self.positions[k], self.ticks, run.jobs
         s = 0
         for q in qs:
             ended = inside = _NO_WORK
-            if s < len(segs) and pos[s + 1] == q:
-                seg = segs[s]
-                ended = seg.rate * (seg.end - seg.start), seg.jobs
+            if s < len(jobs) and pos[s + 1] == q:
+                if jobs[s]:
+                    ended = _div((ticks[q] - ticks[pos[s]]) * c, len(jobs[s]) * d), jobs[s]
                 s += 1
-            if s < len(segs) and pos[s] < q and segs[s].jobs:
-                seg = segs[s]
-                inside = seg.rate * (times[q] - seg.start), seg.jobs
+            if s < len(jobs) and pos[s] < q and jobs[s]:
+                inside = _div((ticks[q] - ticks[pos[s]]) * c, len(jobs[s]) * d), jobs[s]
             yield ended, inside
 
 
 def merge_grid(*schedules: Schedule) -> Grid:
     """The `Grid` of the schedules' boundaries (see the module docstring)."""
-    bounds = [s.boundaries() for s in schedules]
-    times, index = _ascending(t for b in bounds for t in b)
-    positions = [[index[t.numerator, t.denominator] for t in b] for b in bounds]
-    return Grid(schedules, times, positions, index)
+    unit = lcm(*[s.run.tu for s in schedules])
+    scale = [unit // s.run.tu for s in schedules]
+    bounds = [[x * m for x in s.run.ticks] for s, m in zip(schedules, scale)]
+    ticks = sorted({x for b in bounds for x in b})
+    index = {x: q for q, x in enumerate(ticks)}
+    return Grid(schedules, unit, ticks, [[index[x] for x in b] for b in bounds], index)
 
 
 class _Group:
@@ -428,26 +458,26 @@ def simulate(
     horizon = None if horizon is None else Fraction(horizon)
     inputs = [x for j in inst.jobs for x in (j.release.time, j.size)]
     inputs += [x for window in forbidden.intervals for x in window] + [horizon]
-    unit = b * lcm(*(x.denominator for x in inputs if x is not None))
+    # the distinct denominators, from a set: CPython 3.11 keeps a tuple built
+    # from a generator on the free list of its resized length, and a freed
+    # 20-tuple on a free list it never takes from, until a full collection
+    unit = b * lcm(*{x.denominator for x in inputs if x is not None})
     tu, wu = unit * speed.numerator, unit * speed.denominator
 
-    def scaled(x: Rat | None, u: int) -> int | None:
-        return None if x is None else x.numerator * (u // x.denominator)
-
-    horizon = scaled(horizon, tu)
-    size = {j.id: scaled(j.size, wu) for j in inst.jobs}
+    horizon = None if horizon is None else _units(horizon, tu)
+    size = {j.id: None if j.size is None else _units(j.size, wu) for j in inst.jobs}
     # knowledge threshold: known iff elapsed >= (1-eps) * p (declared, eps > 0)
     thr = {jid: p * (b - a) // b for jid, p in size.items() if p is not None and a}
 
     # arrival batches in time order, each in (epoch, id) order
     by_time: dict[int, list[int]] = {}
     for j in sorted(inst.jobs, key=lambda j: (j.release.epoch, j.id)):
-        by_time.setdefault(scaled(j.release.time, tu), []).append(j.id)
+        by_time.setdefault(_units(j.release.time, tu), []).append(j.id)
     arrival_times = sorted(by_time)
     batches = [by_time[x] for x in arrival_times]
     next_arrival_idx = 0
 
-    windows = [(scaled(lo, tu), scaled(hi, tu)) for lo, hi in forbidden.intervals]
+    windows = [(_units(lo, tu), _units(hi, tu)) for lo, hi in forbidden.intervals]
     window_idx = 0
 
     t = 0
@@ -471,12 +501,13 @@ def simulate(
     # snapshot of a cut run
     rr_off: dict = {}
 
-    # the run: each segment's (end, jobs); each event's segment count
-    run: list[tuple] = []
+    # the run: the boundary ticks, each segment's jobs, each event's tick index
+    ticks: list = [0]
+    seg_jobs: list[tuple[int, ...]] = []
     events: list[tuple[int, str, int | None]] = []
 
     def log(kind: str, job: int | None = None) -> None:
-        events.append((len(run), kind, job))
+        events.append((len(seg_jobs), kind, job))
 
     def push_known(jid: int) -> None:
         heapq.heappush(kn_heap, _entry(size[jid] - elapsed[jid], jid))
@@ -526,7 +557,7 @@ def simulate(
         assert running is None
         value = tier_vals.pop(0)
         running = tiers.pop(value)
-        running.off = value - acc
+        running.off = _whole(value - acc)
         return value
 
     def complete(jid: int) -> None:
@@ -676,16 +707,18 @@ def simulate(
         assert stop is not None, "stalled: no candidate boundary"
         assert stop > t, "no progress at a boundary"
         # reaching the goal sets the level to it, exactly; otherwise the run
-        # advances by the time over k, which can leave the grid
+        # advances by the time over k, which can leave the grid; a value
+        # that comes back to a whole number is an int again
         if regime == "pool":
             if hit:
-                acc = goal - running.off
+                acc = _whole(goal - running.off)
             else:
-                acc += _div(stop - t, len(jobs))
+                acc = _whole(acc + _div(stop - t, len(jobs)))
         elif regime == "solo":
-            elapsed[solo] = goal if hit else elapsed[solo] + (stop - t)
-        t = stop
-        run.append((t, jobs))
+            elapsed[solo] = goal if hit else _whole(elapsed[solo] + (stop - t))
+        t = _whole(stop)
+        ticks.append(t)
+        seg_jobs.append(jobs)
         n_events = len(events)
         if window_idx < len(windows) and t in windows[window_idx]:
             log("forbidden")
@@ -744,13 +777,13 @@ def simulate(
 
     return Schedule(
         inst,
-        {jid: Fraction(x, tu) for jid, x in completions.items()},
-        Fraction(t, tu),
+        {jid: _real(x, tu) for jid, x in completions.items()},
+        _real(t, tu),
         {
-            jid: inst.job(jid).size if jid in completions else Fraction(e, wu)
+            jid: inst.job(jid).size if jid in completions else _real(e, wu)
             for jid, e in final_elapsed.items()
         },
-        _Run(tu, speed, run, events),
+        _Run(tu, wu, speed, ticks, seg_jobs, events),
     )
 
 
@@ -816,10 +849,11 @@ def touched_jobs(sched: Schedule, start: Rat, end: Rat) -> set[int]:
     if end < start:
         raise SimulationError("interval must have start <= end")
     out: set[int] = set()
-    for seg in sched._segments_after(start) if end > start else ():
-        if seg.start >= end:
-            break
-        out.update(seg.jobs)
+    if end > start:
+        ticks, tu = sched.run.ticks, sched.run.tu
+        i = bisect_right(ticks, _units(start, tu), 1) - 1  # first with end > start
+        for js in islice(sched.run.jobs, i, bisect_left(ticks, _units(end, tu))):
+            out.update(js)
     return out
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from slflab.assignment import (
     AssignmentError,
+    WeightedBipartiteGraph,
     canonical_from_marginals,
     check_assignment,
     graph,
@@ -222,6 +223,20 @@ def test_merge_properties():
             assert m.vol(u) == a.vol(u)
         for v in b.right:
             assert m.vol_star(v) == b.vol_star(v)
+
+
+def test_merge_of_unequal_volumes_raises():
+    # a graph's two volume sums add the same edges, so only a graph that
+    # misreports one side can reach merge unbalanced; the fill's sum check
+    # rejects it
+    class Skewed(WeightedBipartiteGraph):
+        def vols_star(self):
+            return {v: 2 * x for v, x in super().vols_star().items()}
+
+    h1 = graph((1,), (101,), {(1, 101): F(2)})
+    h2 = Skewed((2,), (102,), {(2, 102): F(3)})
+    with pytest.raises(AssignmentError, match="volume sums differ"):
+        merge_default(h1, h2)
 
 
 def test_union():

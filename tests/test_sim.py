@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from slflab import certifier, reduction
 from slflab.core import Instance, Job, ReleaseTag, scale_instance
 from slflab.metrics import count_profile
 from slflab.policies import allocation_for
@@ -509,7 +510,7 @@ def test_indexed_elapsed_matches_plain_walk():
 def _check_grid(scheds):
     # the merged grid against the per-boundary queries: every boundary of
     # every schedule once, in order; counts equal active_count, and each
-    # schedule's steps rebuild elapsed_at at every grid time
+    # schedule's steps, in the grid's unit, rebuild elapsed_at at every time
     grid = merge_grid(*scheds)
     want = sorted({t for s in scheds for t in s.boundaries()})
     assert grid.times == want
@@ -523,11 +524,12 @@ def _check_grid(scheds):
         done: dict = {}
         for t, ((work, ended), (part, inside)) in zip(want, grid.steps(k, qs)):
             for jid in ended:
-                done[jid] = done.get(jid, F(0)) + work
+                done[jid] = done.get(jid, 0) + work
             elapsed = dict(done)
             for jid in inside:
-                elapsed[jid] = elapsed.get(jid, F(0)) + part
-            assert elapsed == s.elapsed_at(t), (k, t)
+                elapsed[jid] = elapsed.get(jid, 0) + part
+            want_work = {jid: e * grid.unit for jid, e in s.elapsed_at(t).items()}
+            assert elapsed == want_work, (k, t)
 
 
 def test_grid_matches_random_access_queries():
@@ -562,6 +564,15 @@ def test_grid_edge_cases():
     floors = Instance(
         F(1, 2), (Job(1, ReleaseTag(F(1, 3)), F(1)), Job(2, ReleaseTag(tie), F(1, 2)))
     )
+    # slf's tie level and rr's pools leave the integers: Fraction ticks
+    off = Instance(
+        F(1, 3),
+        (
+            Job(1, ReleaseTag(F(0)), F(1)),
+            Job(2, ReleaseTag(F(0)), F(1)),
+            Job(3, ReleaseTag(F(1)), F(2)),
+        ),
+    )
     cases = [
         # horizon cuts, releases after every schedule's end
         [simulate(cut, p, horizon=F(2)) for p in ("setf", "rr")],
@@ -573,7 +584,11 @@ def test_grid_edge_cases():
         [simulate(floors, p) for p in POLICIES],
         # two instances
         [simulate(inst, "setf") for inst in (epochs, scale_instance(epochs, F(1, 2)))],
+        # ticks off the integers, on one unit and on units 3 and 9
+        [simulate(off, p) for p in POLICIES],
+        [simulate(off, p, speed=s) for p in ("slf", "rr") for s in (F(1), F(3, 2))],
     ]
+    assert any(type(x) is F for x in merge_grid(*cases[-1]).ticks)
     for scheds in cases:
         _check_grid(scheds)
     assert merge_grid(*cases[3]).times[1:3] == [F(1, 3), tie]
@@ -712,11 +727,86 @@ def test_pinned_off_grid_digest():
 
 
 def test_every_returned_value_is_a_fraction():
-    # the engine runs on ints; none may leak out of a schedule, nor a float
+    # the engine runs on ints; none may leak out of a schedule or a query on
+    # it, nor a float
     on_grid = [simulate(toy_instance(), policy) for policy in POLICIES]
     for sched in (*on_grid, *_off_grid_runs()):
         values = [sched.end_time, *sched.completions.values(), *sched.final_elapsed.values()]
         values += [ev.t for ev in sched.events]
         for seg in sched.segments:
             values += [seg.start, seg.end, seg.rate]
-        assert all(type(x) is F for x in values)
+        mid = sched.end_time / 3
+        values += [*sched.boundaries(), *sched.known_times().values()]
+        values += [*sched.elapsed_at(mid).values(), *sched.elapsed_at(sched.end_time).values()]
+        values += [x for run in sched.solo_runs(mid) for x in run[:2]]
+        values += sched.reach_times(dict.fromkeys(sched.final_elapsed, F(1, 7)), mid).values()
+        values += [sched.last_touch(j, sched.end_time) for j in sched.final_elapsed]
+        values += merge_grid(sched, on_grid[0]).times
+        assert all(type(x) is F for x in values if x is not None)
+
+
+def _recorded_runs(monkeypatch, *modules):
+    """Every schedule that `modules` build through `simulate`, as a list
+    that fills while the test runs."""
+    made = []
+
+    def recording(*args, **kwargs):
+        made.append(simulate(*args, **kwargs))
+        return made[-1]
+
+    for module in modules:
+        monkeypatch.setattr(module, "simulate", recording)
+    return made
+
+
+def _reduce_shaped(rng, n):
+    """The reduce workload's shape: releases on a 1/4 grid over [0, n]."""
+    eps = F(rng.randint(1, 3), 4)
+    return Instance(
+        eps,
+        tuple(
+            Job(
+                i + 1,
+                ReleaseTag(F(rng.randint(0, 4 * n), 4)),
+                F(rng.randint(1, 12), rng.randint(1, 4)),
+            )
+            for i in range(n)
+        ),
+    )
+
+
+def test_run_ends_are_never_whole_fractions(monkeypatch):
+    # a value that leaves the integers and comes back is an int again: the
+    # four runs of reduction_check (slf, setf at speed 1/(1-eps), setf on
+    # scaled sizes, with and without forbidden windows) end no segment at a
+    # Fraction of denominator 1
+    made = _recorded_runs(monkeypatch, reduction)
+    rng = random.Random(58)
+    for _ in range(24):
+        inst = _reduce_shaped(rng, rng.randint(8, 16))
+        assert reduction.reduction_check(inst, inst.epsilon).ok
+    assert any(s.run.speed != 1 for s in made)
+    assert any(kind == "forbidden" for s in made for _, kind, _ in s.run.events)
+    assert any(type(x) is F for s in made for x in s.run.ticks)  # some leave the grid
+    for s in made:
+        assert not any(type(x) is F and x.denominator == 1 for x in s.run.ticks)
+
+
+def test_queries_leave_the_views_unbuilt(monkeypatch):
+    # reduction_check and one certify op (construction and verification)
+    # answer every query from the engine-unit run: no schedule they build
+    # has its segments or events built
+    reduced = _recorded_runs(monkeypatch, reduction)
+    certified = _recorded_runs(monkeypatch, certifier)
+    for cache in (certifier._sched, certifier._snapshot, certifier._plan, certifier._advance):
+        cache.cache_clear()
+    rng = random.Random(57)
+    for _ in range(8):
+        inst = _reduce_shaped(rng, rng.randint(4, 10))
+        assert reduction.reduction_check(inst, inst.epsilon).ok
+        times = simulate(inst, "slf").boundaries()
+        cert = certifier.create_valid_assignment(inst, times[len(times) // 2])
+        assert certifier.verify_certificate(cert).passed
+    assert reduced and certified
+    for s in reduced + certified:
+        assert "segments" not in vars(s) and "events" not in vars(s)
