@@ -377,7 +377,7 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (InstanceError, ValueError, OSError, KeyError) as exc:
+    except (InstanceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
 

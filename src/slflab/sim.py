@@ -48,12 +48,14 @@ elapsed is set, a Fraction that comes back to a whole number is an int again.
 
 The run is `Schedule`'s one store, in engine units (`_Run`): tu = L * c,
 wu = L * d, the speed, the boundary ticks (0, then each segment end: an
-int, or a Fraction off the grid), each segment's jobs and each event as
-(tick index, kind, job). Every query turns its times into ticks (t * tu, an
-int when t's denominator divides tu), compares and sums in engine units (a
-pool of k gives each member dt / k work in dt ticks) and turns only its
-answer into Fractions. `segments` and `events` are Fraction views, built
-on first read for export, the benchmark's tracer and tests.
+int, or a Fraction off the grid), each segment's jobs and start level (the
+solo job's elapsed or the pool's group level, to which rr's members add
+their offset) and each event as (tick index, kind, job). Every query turns
+its times into ticks (t * tu, an int when t's denominator divides tu),
+compares and sums in engine units (a pool of k gives each member dt / k
+work in dt ticks) and turns only its answer into Fractions. `segments` and
+`events` are Fraction views, built on first read for export, the
+benchmark's tracer and tests.
 
 A job whose size is known at elapsed 0 (eps = 1) is logged `known` on
 arrival, under every policy. A segment end that logs no event of its own
@@ -64,19 +66,19 @@ Every policy runs one job or shares the speed equally in one pool, so a
 `Segment` is (start, end, rate, jobs), and a reader multiplies once per
 segment. `Schedule.jobs_before(t)` names the jobs that ran right before t.
 
-A time asked on its own goes to `Schedule.elapsed_at`, answered from
-checkpoints of cumulative elapsed work in work units that the first query
-builds (never `simulate`), or to `active_count`, which counts the releases
-and the completions up to t. A checkpoint is taken once the job entries
-replayed since the last one reach the size of the running elapsed dict, so
-the checkpoints hold no more entries than the segments' job tuples and a
-query replays fewer than 2n job entries (n jobs) before it turns each sum
-into a Fraction. One pass of `states_from_elapsed` over the jobs builds
-both queue views at t from one elapsed map: every release at t arrived, and
-right before that batch. `state_at` is its argument checks, one
-`elapsed_at` and the first view; callers holding the elapsed map (the
-certifier, and the adversary for every queue it reads) call the builder
-alone.
+A time asked on its own goes to `Schedule.elapsed_at`, or to
+`active_count`, which counts the releases and the completions up to t.
+The first query (never `simulate`) builds one per-job index: per job, the
+ascending indices of the segments that run it, and each segment's end
+level, one `_div` per segment. A job's elapsed at t is its end level in its
+last segment starting before t, less the work after t in the segment
+holding t; `last_touch` and `reach_times` bisect the job's list. The index
+holds one int per member entry, O(segments x k) as the run's job tuples.
+One pass of `states_from_elapsed` over the jobs builds both queue views at
+t from one elapsed map: every release at t arrived, and right before that
+batch. `state_at` is its argument checks, one `elapsed_at` and the first
+view; callers holding the elapsed map (the certifier, and the adversary
+for every queue it reads) call the builder alone.
 
 The boundaries of several schedules go to `merge_grid`, which puts them on
 one unit U, the lcm of their time units, merges their ticks once into a
@@ -90,6 +92,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left, bisect_right, insort
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -167,15 +170,18 @@ class Segment:
 class _Run(NamedTuple):
     """A run in engine units: time unit `tu`, work unit `wu`, `speed`, the
     boundary `ticks` (0, then each segment's end: an int, or a Fraction off
-    the grid), each segment's `jobs` and each event as (tick index, kind,
-    job)."""
+    the grid), each segment's `jobs` and start `levels` (None when idle),
+    each event as (tick index, kind, job) and rr's `offs`, job -> what it
+    adds to a level (empty under the other policies)."""
 
     tu: int
     wu: int
     speed: Fraction
     ticks: list
     jobs: list[tuple[int, ...]]
+    levels: list
     events: list[tuple[int, str, int | None]]
+    offs: dict
 
 
 def _units(x: Rat, u: int):
@@ -238,45 +244,38 @@ class Schedule:
         return released - sum(c <= t for c in self.completions.values())
 
     def elapsed_at(self, t: Rat) -> dict[int, Rat]:
-        """Exact elapsed work per job, counting work during [0, t).
-
-        Copies the last checkpoint at or before the segment holding t and
-        replays the segments after it in work units; the caller owns the
-        returned dict.
-        """
-        tu, wu, _, ticks, jobs, _ = self.run
-        x = _units(t, tu)
-        seg_idx, snaps = self._index
-        hold = bisect_left(ticks, x, 1) - 1  # first segment with end >= x
-        c = bisect_right(seg_idx, hold) - 1
-        elapsed = dict(snaps[c])
-        for i in range(seg_idx[c], min(hold + 1, len(jobs))):
-            if jobs[i] and ticks[i] < x:
-                work = _div(min(ticks[i + 1], x) - ticks[i], len(jobs[i]))
-                for jid in jobs[i]:
-                    elapsed[jid] = elapsed.get(jid, 0) + work
-        return {jid: _real(e, wu) for jid, e in elapsed.items()}
+        """Exact elapsed work per job, counting work during [0, t): each
+        job's end level in the last segment starting before t that runs it,
+        less the work after t in the segment holding t; the caller owns the
+        returned dict."""
+        run, (runs, ends) = self.run, self._index
+        ticks, offs, x = run.ticks, run.offs, _units(t, run.tu)
+        p = bisect_left(ticks, x)  # segments [0, p) start before t
+        hold, cut = p - 1, 0
+        if 0 < p < len(ticks) and run.jobs[hold]:
+            cut = _div(ticks[p] - x, len(run.jobs[hold]))
+        out = {}
+        for jid, segs in runs.items():
+            if segs[0] >= p:
+                break  # runs is in order of first run
+            i = segs[bisect_left(segs, p) - 1]
+            e = ends[i] - cut if i == hold else ends[i]
+            out[jid] = _real(e + offs[jid] if offs else e, run.wu)
+        return out
 
     @cached_property
-    def _index(self) -> tuple[list[int], list[dict]]:
-        """Checkpoints (i, elapsed over segments[:i] in work units), built on
-        first use; see the module docstring for when one is taken."""
-        seg_idx: list[int] = [0]
-        snaps: list[dict] = [{}]
-        running: dict = {}
-        since = 0
-        ticks = self.run.ticks
+    def _index(self) -> tuple[dict[int, list[int]], list]:
+        """Per job in order of first run, the ascending indices of the
+        segments that run it; and each segment's end level (None when idle),
+        which a job adds its `offs` entry to."""
+        ticks, levels = self.run.ticks, self.run.levels
+        runs: dict[int, list[int]] = defaultdict(list)
+        ends: list = []
         for i, js in enumerate(self.run.jobs):
-            if js:
-                work = _div(ticks[i + 1] - ticks[i], len(js))
-                for jid in js:
-                    running[jid] = running.get(jid, 0) + work
-            since += len(js)
-            if since and since >= len(running):
-                seg_idx.append(i + 1)
-                snaps.append(dict(running))
-                since = 0
-        return seg_idx, snaps
+            ends.append(levels[i] + _div(ticks[i + 1] - ticks[i], len(js)) if js else None)
+            for jid in js:
+                runs[jid].append(i)
+        return runs, ends
 
     # other modules read the run only through these queries, which take and
     # return Fractions and compare ticks
@@ -291,18 +290,20 @@ class Schedule:
     def last_touch(self, job: int, t: Rat) -> Rat | None:
         """The end, capped at t, of the last segment starting before t that
         runs `job`; None if the job does not run before t."""
-        tu, _, _, ticks, jobs, _ = self.run
+        tu, ticks = self.run.tu, self.run.ticks
         x = _units(t, tu)
-        for i in range(min(bisect_left(ticks, x, 1), len(jobs)) - 1, -1, -1):
-            if job in jobs[i] and ticks[i] < x:
-                return t if ticks[i + 1] >= x else _real(ticks[i + 1], tu)
-        return None
+        segs = self._index[0].get(job, ())
+        r = bisect_left(segs, bisect_left(ticks, x))
+        if not r:
+            return None
+        end = ticks[segs[r - 1] + 1]
+        return t if end >= x else _real(end, tu)
 
     def solo_runs(self, start: Rat):
         """(start, end, job) for each segment with end > `start`, in time
         order; `job` is the only job that runs, or None when the segment is
         idle or shared."""
-        tu, _, _, ticks, jobs, _ = self.run
+        tu, ticks, jobs = self.run.tu, self.run.ticks, self.run.jobs
         i = bisect_right(ticks, _units(start, tu), 1) - 1
         lo = _real(ticks[i], tu)
         for x, js in zip(islice(ticks, i + 1, None), islice(jobs, i, None)):
@@ -317,25 +318,20 @@ class Schedule:
 
     def reach_times(self, levels: dict[int, Rat], after: Rat) -> dict[int, Rat]:
         """Job id -> the first time at which the job's work since `after`
-        equals its (positive) level; jobs that never get there are absent."""
-        tu, wu, _, ticks, jobs, _ = self.run
-        a = _units(after, tu)
-        need = {jid: _units(level, wu) for jid, level in levels.items()}
-        done: dict = {}
+        equals its (positive) level; jobs that never get there are absent.
+        Bisects the end levels of the job's segments for its elapsed at
+        `after` plus the level: every segment ending by `after` ends below."""
+        tu, wu, _, ticks, jobs, _, _, offs = self.run
+        runs, ends = self._index
+        base = self.elapsed_at(after)
         out: dict[int, Rat] = {}
-        for i in range(bisect_right(ticks, a, 1) - 1, len(jobs)):
-            lo, k = max(ticks[i], a), len(jobs[i])
-            work = _div(ticks[i + 1] - lo, k) if k else 0
-            for jid in jobs[i]:
-                if jid not in need or jid in out:
-                    continue
-                rest = need[jid] - done.get(jid, 0)
-                if rest <= work:
-                    out[jid] = _real(lo + rest * k, tu)  # k ticks per unit of work
-                else:
-                    done[jid] = done.get(jid, 0) + work
-            if len(out) == len(need):
-                break
+        for jid, level in levels.items():
+            segs = runs.get(jid, ())
+            goal = _units(base.get(jid, ZERO) + level, wu) - offs.get(jid, 0)
+            r = bisect_left(segs, goal, key=ends.__getitem__)
+            if r < len(segs):
+                i = segs[r]  # back from the segment's end, k ticks per unit of work
+                out[jid] = _real(ticks[i + 1] - (ends[i] - goal) * len(jobs[i]), tu)
         return out
 
 
@@ -497,13 +493,15 @@ def simulate(
     kn_heap: list[tuple] = []
     solo: int | None = None
 
-    # rr: a member's elapsed is rr_off + acc; read only by the final
-    # snapshot of a cut run
+    # rr: a member's elapsed is rr_off + acc; read by the final snapshot of
+    # a cut run and, as the run's `offs`, by the schedule's queries
     rr_off: dict = {}
 
-    # the run: the boundary ticks, each segment's jobs, each event's tick index
+    # the run: the boundary ticks, each segment's jobs and start level, each
+    # event's tick index
     ticks: list = [0]
     seg_jobs: list[tuple[int, ...]] = []
+    seg_levels: list = []
     events: list[tuple[int, str, int | None]] = []
 
     def log(kind: str, job: int | None = None) -> None:
@@ -601,11 +599,11 @@ def simulate(
     # --- allocation for the segment starting at t ---------------------------
 
     def choose() -> tuple[tuple[int, ...], str, object, object]:
-        """(jobs, regime, goal, work) of the segment starting at t.
+        """(jobs, regime, goal, level) of the segment starting at t.
 
-        goal is the elapsed (solo) or group level (pool) at which the run's
-        own next event falls, and work the per-job work up to it; both are
-        None when no such event is pending.
+        level is the solo job's elapsed or the pool's group level at t (None
+        when idle; rr's members add their `rr_off`), and goal the level at
+        which the run's own next event falls, None when none is pending.
         """
         nonlocal running, solo
         if in_window():
@@ -642,7 +640,7 @@ def simulate(
                 goal = thr[solo]
             else:
                 goal = size[solo]
-            return (solo,), "solo", goal, goal - elapsed[solo]
+            return (solo,), "solo", goal, elapsed[solo]
         if level is None:
             level = activate_tier()
         elif tier_vals and tier_vals[0] == level:
@@ -658,10 +656,7 @@ def simulate(
             )
             if x is not None
         ]
-        if not goals:
-            return tuple(running.members), "pool", None, None
-        goal = min(goals)
-        return tuple(running.members), "pool", goal, goal - level
+        return tuple(running.members), "pool", min(goals, default=None), level
 
     # --- main loop -----------------------------------------------------------
 
@@ -685,7 +680,7 @@ def simulate(
         if n_active == 0 and next_arrival_idx >= len(arrival_times):
             break
 
-        jobs, regime, goal, work = choose()
+        jobs, regime, goal, level = choose()
         # the first boundary set from outside the run: arrival, horizon or
         # window edge; at unit speed the run's own goal is work * k away
         outside: list = []
@@ -700,8 +695,8 @@ def simulate(
             outside.append(windows[window_idx][0])
         stop = min(outside) if outside else None
         hit = False
-        if work is not None:
-            t_hit = t + work * len(jobs)
+        if goal is not None:
+            t_hit = t + (goal - level) * len(jobs)
             if stop is None or t_hit <= stop:
                 stop, hit = t_hit, True
         assert stop is not None, "stalled: no candidate boundary"
@@ -719,6 +714,7 @@ def simulate(
         t = _whole(stop)
         ticks.append(t)
         seg_jobs.append(jobs)
+        seg_levels.append(level)
         n_events = len(events)
         if window_idx < len(windows) and t in windows[window_idx]:
             log("forbidden")
@@ -783,7 +779,7 @@ def simulate(
             jid: inst.job(jid).size if jid in completions else _real(e, wu)
             for jid, e in final_elapsed.items()
         },
-        _Run(tu, wu, speed, ticks, seg_jobs, events),
+        _Run(tu, wu, speed, ticks, seg_jobs, seg_levels, events, rr_off),
     )
 
 

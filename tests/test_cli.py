@@ -90,6 +90,17 @@ def test_malformed_instance_exit_2(tmp_path):
         assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2, doc
 
 
+def test_internal_key_error_is_not_an_input_error(tmp_path, monkeypatch):
+    # no input path raises KeyError, so one from inside the run is a bug and
+    # must not be reported as bad input (exit 2)
+    def lookup_fails(*args, **kwargs):
+        raise KeyError(7)
+
+    monkeypatch.setattr(cli, "simulate", lookup_fails)
+    with pytest.raises(KeyError):
+        main(["simulate", str(write_toy(tmp_path)), "--out", str(tmp_path / "out")])
+
+
 def test_compare_toy(tmp_path):
     inst = write_toy(tmp_path)
     out = tmp_path / "cmp"

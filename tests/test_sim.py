@@ -399,12 +399,7 @@ def test_schedule_queries_match_plain_scans():
                 cover = [seg.jobs for seg in segs if seg.start < t <= seg.end]
                 assert sched.jobs_before(t) == (cover[0] if cover else ())
                 for j in inst.jobs:
-                    ends = [
-                        min(seg.end, t)
-                        for seg in segs
-                        if seg.start < t and seg.rates.get(j.id, 0) > 0
-                    ]
-                    assert sched.last_touch(j.id, t) == (ends[-1] if ends else None)
+                    assert sched.last_touch(j.id, t) == _scan_last_touch(sched, j.id, t)
                 runs = [
                     (seg.start, seg.end, next(iter(seg.rates)) if len(seg.rates) == 1 else None)
                     for seg in segs
@@ -429,6 +424,32 @@ def _walk_elapsed(sched, t):
         if dur > 0:
             for jid, rate in seg.rates.items():
                 out[jid] = out.get(jid, F(0)) + rate * dur
+    return out
+
+
+def _scan_last_touch(sched, jid, t):
+    """Reference: the end, capped at t, of the last segment starting before t
+    that runs `jid`, from a scan over every segment."""
+    ends = [min(seg.end, t) for seg in sched.segments if seg.start < t and jid in seg.jobs]
+    return ends[-1] if ends else None
+
+
+def _scan_reach(sched, levels, after):
+    """Reference: the first time each job's work since `after` reaches its
+    level, accumulated segment by segment."""
+    done: dict = {}
+    out: dict = {}
+    for seg in sched.segments:
+        lo = max(seg.start, after)
+        if seg.end <= lo:
+            continue
+        for jid in seg.jobs:
+            if jid in levels and jid not in out:
+                rest = levels[jid] - done.get(jid, F(0))
+                if rest <= seg.rate * (seg.end - lo):
+                    out[jid] = lo + rest / seg.rate
+                else:
+                    done[jid] = done.get(jid, F(0)) + seg.rate * (seg.end - lo)
     return out
 
 
@@ -490,6 +511,10 @@ def test_indexed_elapsed_matches_plain_walk():
             probes = [F(0), *times, *mids, sched.end_time + F(1, 3), sched.end_time + 50]
             rng.shuffle(probes)  # queries in any order see the same index
             for t in probes:
+                for j in inst.jobs:
+                    assert sched.last_touch(j.id, t) == _scan_last_touch(sched, j.id, t)
+                levels = {j.id: F(rng.randint(1, 8), rng.randint(1, 4)) for j in inst.jobs}
+                assert sched.reach_times(levels, t) == _scan_reach(sched, levels, t), (policy, t)
                 want = _walk_elapsed(sched, t)
                 got = sched.elapsed_at(t)
                 assert got == want, (policy, t)
@@ -724,6 +749,14 @@ def test_pinned_off_grid_digest():
     for sched in _off_grid_runs():
         _digest_update(h, sched)
     assert h.hexdigest() == PINNED_OFF_GRID_DIGEST
+
+
+def test_index_agrees_with_the_end_snapshot():
+    # the engine's end snapshot and the per-job index are two computations
+    # of the work each job did by end_time
+    for sched in _off_grid_runs():
+        done = sched.elapsed_at(sched.end_time)
+        assert done == {j: e for j, e in sched.final_elapsed.items() if e > 0}
 
 
 def test_every_returned_value_is_a_fraction():
