@@ -20,17 +20,22 @@ class MetricsError(ValueError):
 def total_flow_time(sched: Schedule, inst: Instance) -> Rat:
     """Sum over jobs of completion time minus release time, exact.
 
-    Completion and release numerators are summed as integers per
-    denominator, and one Fraction per distinct denominator is added at the
-    end: the plain Fraction sum's value, without a gcd per job."""
-    completions = sched.completions
-    by_den: dict[int, int] = {}
+    The run's completion ticks and the release numerators are summed as
+    integers per denominator (a tick x/y of time unit u counts x at y * u),
+    and one Fraction per distinct denominator is added at the end: the
+    plain Fraction sum's value, without a gcd per job."""
+    done, ticks, tu = sched.run.done, sched.run.ticks, sched.run.tu
+    by_den: dict[int, int] = {tu: 0}
     for j in inst.jobs:
-        c = completions.get(j.id)
-        if c is None:
+        i = done.get(j.id)
+        if i is None:
             raise MetricsError(f"job {j.id} does not complete in the schedule")
-        r = j.release.time
-        by_den[c.denominator] = by_den.get(c.denominator, 0) + c.numerator
+        x, r = ticks[i], j.release.time
+        if type(x) is int:
+            by_den[tu] += x
+        else:
+            den = x.denominator * tu
+            by_den[den] = by_den.get(den, 0) + x.numerator
         by_den[r.denominator] = by_den.get(r.denominator, 0) - r.numerator
     return sum((Fraction(num, den) for den, num in by_den.items()), ZERO)
 
@@ -73,15 +78,21 @@ def count_profile(*schedules: Schedule) -> list[tuple[Rat, tuple[int, ...]]]:
 
 def grid_counts(grid: Grid) -> list[tuple[int, ...]]:
     """The active count of each schedule at each time of `grid`: prefix sums
-    of +1 at each release's position and -1 at each completion's. A release
-    after a horizon cut counts from the first grid time after it."""
+    of +1 at each arrival's position and -1 at each completion's, read off
+    the run's tick indices. A release after a horizon cut, which never
+    arrives, counts from the first grid time after it."""
     columns = []
-    for sched in grid.schedules:
+    for sched, pos in zip(grid.schedules, grid.positions):
+        run = sched.run
         steps = [0] * (len(grid.ticks) + 1)
+        for i, kind, _ in run.events:
+            if kind == "arrival":
+                steps[pos[i]] += 1
+        for i in run.done.values():
+            steps[pos[i]] -= 1
         for j in sched.instance.jobs:
-            steps[grid.position(j.release.time)] += 1
-        for c in sched.completions.values():
-            steps[grid.position(c)] -= 1
+            if j.id not in run.final:  # arrived jobs all have a final level
+                steps[grid.position(j.release.time)] += 1
         columns.append(accumulate(steps[:-1]))
     return list(zip(*columns))
 

@@ -124,7 +124,7 @@ def _setfi(grid: Grid, rows: list[tuple[int, ...]], p: int, i: int) -> ChainRepo
     there are compared, each once."""
     qs = sorted({*grid.positions[p], *grid.positions[i]})
     jobs = grid.schedules[p].instance.jobs
-    diff: dict[int, int | Fraction] = {}  # work in the grid's unit
+    diff: dict[int, int] = {}  # work in the grid's unit
     for q, ((wp, ended_p), (up, in_p)), ((wi, ended_i), (ui, in_i)) in zip(
         qs, grid.steps(p, qs), grid.steps(i, qs)
     ):
@@ -149,13 +149,23 @@ def _setfi(grid: Grid, rows: list[tuple[int, ...]], p: int, i: int) -> ChainRepo
 
 
 def known_work_intervals(alg: Schedule) -> IntervalSet:
-    """Positive-measure intervals where the schedule works on a known job."""
-    known = alg.known_times()
-    return IntervalSet.from_pairs(
-        (start, end)
-        for start, end, job in alg.solo_runs(ZERO)
-        if job in known and known[job] <= start
-    )
+    """Positive-measure intervals where the schedule works on a known job:
+    the maximal runs of segments, in tick order, whose one job's `known`
+    event came at or before the segment's start tick; only their endpoints
+    become Fractions."""
+    run = alg.run
+    known = {job: i for i, kind, job in run.events if kind == "known"}
+    spans: list[list[int]] = []
+    for i, js in enumerate(run.jobs):
+        if len(js) == 1 and known.get(js[0], i + 1) <= i:
+            if spans and spans[-1][1] == i:
+                spans[-1][1] = i + 1
+            else:
+                spans.append([i, i + 1])
+    ticks, tu = run.ticks, run.tu
+    # from a list: a tuple built from a generator is resized, and CPython
+    # 3.11 keeps it, once freed, on a free list it is not taken from
+    return IntervalSet(tuple([(Fraction(ticks[a], tu), Fraction(ticks[b], tu)) for a, b in spans]))
 
 
 def reduction_check(inst: Instance, epsilon: Rat) -> ChainReport:
@@ -213,4 +223,6 @@ def reduction_check(inst: Instance, epsilon: Rat) -> ChainReport:
 
 
 def _done_at(grid: Grid, k: int) -> dict[int, int]:
-    return {j: grid.position(c) for j, c in grid.schedules[k].completions.items()}
+    """Job id -> the grid position of its completion in schedule k."""
+    pos = grid.positions[k]
+    return {j: pos[i] for j, i in grid.schedules[k].run.done.items()}

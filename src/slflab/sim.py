@@ -33,29 +33,47 @@ when a job arrived. Paused tier groups are keyed by their level, an int or
 a Fraction, which hash and compare equal when their values are.
 
 The engine runs on an integer clock. L is the lcm of every release, size,
-horizon and window-endpoint denominator, times eps's; for speed c/d a time
-runs as t * L * c and a work as w * L * d, so every job runs at unit speed
-and each threshold (1 - eps) * p is an int. The run's own next event is the
+horizon and window-endpoint denominator, times eps's. For speed c/d a time
+runs as t * L * c ticks and a work as w * L * d * K units, where K is the
+run's work per tick: a solo job gains K units per tick, and each member of
+a pool of k gains K / k. K is lcm(2..m), grown one k at a time while it
+stays below 2**64, for the m jobs released strictly before the run's last
+arrival or window end; m = 0 under srpt and slf at eps = 1, which run no
+pools. Only those m jobs can be in a pool that a boundary from outside (an
+arrival or a window start; the horizon ends the run) cuts short, so such a
+cut leaves the pool's level an int while k divides K. A simultaneous
+release without windows has m = 0 and K = 1. The cap keeps every level
+within a few machine words whatever n is: lcm(2..1000) alone has 1438 bits.
+Each threshold (1 - eps) * p is an int. The run's own next event is the
 minimum of its targets in work units (the solo job's threshold or size, or
 the pool's next knowledge, completion or tier level and slf's tie level).
-Work w to go lies w time units away for a solo job and w * k for a pool of
-k, and is compared with the next arrival, the horizon and the window edge.
-A value leaves the integers only through `_div`, the one division: where a
-pool cut short advances its accumulator by dt / k, and at slf's tie level
-r * (b - a) / a (eps = a/b). It returns an int when exact, else a Fraction,
-never a float; where t, the accumulator, a group's offset or a solo job's
-elapsed is set, a Fraction that comes back to a whole number is an int again.
+Work w to go lies w * k / K ticks away for a pool of k (k = 1 for a solo
+job), and is compared with the next arrival, the horizon and the window
+edge. A value leaves the integers only through `_div`, the one division,
+which returns an int when exact, else a Fraction, never a float. Three
+kinds of values still leave them: a tick where a goal is reached w * k / K
+ticks away with K not dividing w * k, and the cut levels that follow from
+such an off-grid tick; slf's tie level r * (b - a) / a (eps = a/b); and the
+level of a pool of k that does not divide K, once m passes the cap (rr's
+long staggered runs). Where t, the accumulator, a group's offset or a solo
+job's elapsed is set, a Fraction that comes back to a whole number is an
+int again.
 
 The run is `Schedule`'s one store, in engine units (`_Run`): tu = L * c,
-wu = L * d, the speed, the boundary ticks (0, then each segment end: an
-int, or a Fraction off the grid), each segment's jobs and start level (the
-solo job's elapsed or the pool's group level, to which rr's members add
-their offset) and each event as (tick index, kind, job). Every query turns
-its times into ticks (t * tu, an int when t's denominator divides tu),
-compares and sums in engine units (a pool of k gives each member dt / k
-work in dt ticks) and turns only its answer into Fractions. `segments` and
-`events` are Fraction views, built on first read for export, the
-benchmark's tracer and tests.
+wu = L * d * K, K itself, the speed, the boundary ticks (0, then each
+segment end: an int, or a Fraction off the grid), each segment's jobs and
+start level (the solo job's elapsed or the pool's group level, to which
+rr's members add their offset), each event as (tick index, kind, job), and
+two maps made at the end of the run: each completed job's tick index, in
+completion order, and each arrived job's level at the last tick, in arrival
+order. Every query turns its times into ticks (t * tu, an int when t's
+denominator divides tu), compares and sums in engine units (a pool of k
+gives each member dt * K / k work in dt ticks) and turns only its answer
+into Fractions. `completions`, `end_time` and `final_elapsed` are Fraction
+views of the run, built on first read, as are `segments` and `events` (for
+export, the benchmark's tracer and tests). `metrics.total_flow_time` sums
+the completion ticks and the reduction chain reads tick indices, so
+neither builds a view.
 
 A job whose size is known at elapsed 0 (eps = 1) is logged `known` on
 arrival, under every policy. A segment end that logs no event of its own
@@ -81,11 +99,13 @@ view; callers holding the elapsed map (the certifier, and the adversary
 for every queue it reads) call the builder alone.
 
 The boundaries of several schedules go to `merge_grid`, which puts them on
-one unit U, the lcm of their time units, merges their ticks once into a
-`Grid` and reads them as integer positions, so its readers compare no
-times: `metrics.grid_counts` sums counts over positions and `Grid.steps`
-gives a schedule's work at each in 1/U units, dt * c / (k * d) for speed
-c/d. `Grid.times` builds the Fraction times on first read.
+one unit U: the lcm of their time units times the denominators of their
+off-grid ticks, times the lcm of k * d over their pools of k at speed c/d.
+It merges their ticks once into a `Grid` of ints and reads them as integer
+positions, so its readers compare no times: `metrics.grid_counts` sums
+counts over the positions of each run's arrival and completion ticks, and
+`Grid.steps` gives a schedule's work at each in 1/U units, dt * c // (k *
+d), an int. `Grid.times` builds the Fraction times on first read.
 """
 
 from __future__ import annotations
@@ -168,20 +188,26 @@ class Segment:
 
 
 class _Run(NamedTuple):
-    """A run in engine units: time unit `tu`, work unit `wu`, `speed`, the
+    """A run in engine units: time unit `tu`, work unit `wu` (L * d * K),
+    `per_tick` (K: the work a solo job gains per tick), `speed`, the
     boundary `ticks` (0, then each segment's end: an int, or a Fraction off
     the grid), each segment's `jobs` and start `levels` (None when idle),
-    each event as (tick index, kind, job) and rr's `offs`, job -> what it
-    adds to a level (empty under the other policies)."""
+    each event as (tick index, kind, job), rr's `offs`, job -> what it adds
+    to a level (empty under the other policies), `done`, job -> the tick
+    index of its completion, in completion order, and `final`, job -> its
+    level at the last tick, in arrival order."""
 
     tu: int
     wu: int
+    per_tick: int
     speed: Fraction
     ticks: list
     jobs: list[tuple[int, ...]]
     levels: list
     events: list[tuple[int, str, int | None]]
     offs: dict
+    done: dict[int, int]
+    final: dict
 
 
 def _units(x: Rat, u: int):
@@ -213,10 +239,28 @@ def _div(x, k: int):
 @dataclass(eq=False)  # compared by identity: its engine-unit run has no value equality
 class Schedule:
     instance: Instance
-    completions: dict[int, Rat]
-    end_time: Rat
-    final_elapsed: dict[int, Rat]  # exact elapsed at end_time, all released jobs
     run: _Run = field(repr=False)  # the one store: every query reads it
+
+    @cached_property
+    def completions(self) -> dict[int, Rat]:
+        """Job id -> completion time, in completion order: a view of the
+        run's `done`, built on first read."""
+        ticks, tu = self.run.ticks, self.run.tu
+        return {jid: _real(ticks[i], tu) for jid, i in self.run.done.items()}
+
+    @cached_property
+    def end_time(self) -> Rat:
+        return _real(self.run.ticks[-1], self.run.tu)
+
+    @cached_property
+    def final_elapsed(self) -> dict[int, Rat]:
+        """Exact elapsed work at end_time of every job that arrived, in
+        arrival order: a view of the run's `final`, built on first read."""
+        done, wu, job = self.run.done, self.run.wu, self.instance.job
+        return {
+            jid: job(jid).size if jid in done else _real(e, wu)
+            for jid, e in self.run.final.items()
+        }
 
     @cached_property
     def segments(self) -> list[Segment]:
@@ -253,7 +297,7 @@ class Schedule:
         p = bisect_left(ticks, x)  # segments [0, p) start before t
         hold, cut = p - 1, 0
         if 0 < p < len(ticks) and run.jobs[hold]:
-            cut = _div(ticks[p] - x, len(run.jobs[hold]))
+            cut = _div((ticks[p] - x) * run.per_tick, len(run.jobs[hold]))
         out = {}
         for jid, segs in runs.items():
             if segs[0] >= p:
@@ -268,17 +312,19 @@ class Schedule:
         """Per job in order of first run, the ascending indices of the
         segments that run it; and each segment's end level (None when idle),
         which a job adds its `offs` entry to."""
-        ticks, levels = self.run.ticks, self.run.levels
+        ticks, levels, per_tick = self.run.ticks, self.run.levels, self.run.per_tick
         runs: dict[int, list[int]] = defaultdict(list)
         ends: list = []
         for i, js in enumerate(self.run.jobs):
-            ends.append(levels[i] + _div(ticks[i + 1] - ticks[i], len(js)) if js else None)
+            dt = ticks[i + 1] - ticks[i]
+            ends.append(levels[i] + _div(dt * per_tick, len(js)) if js else None)
             for jid in js:
                 runs[jid].append(i)
         return runs, ends
 
-    # other modules read the run only through these queries, which take and
-    # return Fractions and compare ticks
+    # these queries take and return Fractions and compare ticks; other
+    # modules read the run directly only for tick indices and completion
+    # ticks (`metrics`, `reduction`)
 
     def jobs_before(self, t: Rat) -> tuple[int, ...]:
         """Jobs of the segment with start < t <= end (the work right before
@@ -321,17 +367,18 @@ class Schedule:
         equals its (positive) level; jobs that never get there are absent.
         Bisects the end levels of the job's segments for its elapsed at
         `after` plus the level: every segment ending by `after` ends below."""
-        tu, wu, _, ticks, jobs, _, _, offs = self.run
-        runs, ends = self._index
+        run, (runs, ends) = self.run, self._index
+        ticks, jobs, offs = run.ticks, run.jobs, run.offs
         base = self.elapsed_at(after)
         out: dict[int, Rat] = {}
         for jid, level in levels.items():
             segs = runs.get(jid, ())
-            goal = _units(base.get(jid, ZERO) + level, wu) - offs.get(jid, 0)
+            goal = _units(base.get(jid, ZERO) + level, run.wu) - offs.get(jid, 0)
             r = bisect_left(segs, goal, key=ends.__getitem__)
             if r < len(segs):
-                i = segs[r]  # back from the segment's end, k ticks per unit of work
-                out[jid] = _real(ticks[i + 1] - (ends[i] - goal) * len(jobs[i]), tu)
+                i = segs[r]  # back from the segment's end, k / K ticks per unit of work
+                back = _div((ends[i] - goal) * len(jobs[i]), run.per_tick)
+                out[jid] = _real(ticks[i + 1] - back, run.tu)
         return out
 
 
@@ -346,8 +393,8 @@ def _entry(level, jid: int) -> tuple:
 
 @dataclass(frozen=True)
 class Grid:
-    """Schedules' boundaries merged once on one `unit`, the lcm of their time
-    units: the distinct `ticks` ascending, `positions[k]` the index in
+    """Schedules' boundaries merged once on one `unit` (see `merge_grid`),
+    as ints: the distinct `ticks` ascending, `positions[k]` the index in
     `ticks` of each boundary of `schedules[k]`, and `index` that of each tick."""
 
     schedules: tuple[Schedule, ...]
@@ -370,7 +417,8 @@ class Grid:
         """Yield, for each q of the ascending `qs` (which hold every position
         of schedule k), two (work per job, jobs) pairs: the segment ending at
         q, whole, and the one holding times[q] inside it, up to times[q].
-        Work is in 1/unit: m jobs at speed c/d do dt * c / (m * d) in dt ticks."""
+        Work is in 1/unit: m jobs at speed c/d do dt * c // (m * d) in dt
+        ticks, an int, as the unit clears m * d."""
         run = self.schedules[k].run
         c, d = run.speed.numerator, run.speed.denominator
         pos, ticks, jobs = self.positions[k], self.ticks, run.jobs
@@ -379,18 +427,30 @@ class Grid:
             ended = inside = _NO_WORK
             if s < len(jobs) and pos[s + 1] == q:
                 if jobs[s]:
-                    ended = _div((ticks[q] - ticks[pos[s]]) * c, len(jobs[s]) * d), jobs[s]
+                    ended = (ticks[q] - ticks[pos[s]]) * c // (len(jobs[s]) * d), jobs[s]
                 s += 1
             if s < len(jobs) and pos[s] < q and jobs[s]:
-                inside = _div((ticks[q] - ticks[pos[s]]) * c, len(jobs[s]) * d), jobs[s]
+                inside = (ticks[q] - ticks[pos[s]]) * c // (len(jobs[s]) * d), jobs[s]
             yield ended, inside
 
 
 def merge_grid(*schedules: Schedule) -> Grid:
-    """The `Grid` of the schedules' boundaries (see the module docstring)."""
-    unit = lcm(*[s.run.tu for s in schedules])
-    scale = [unit // s.run.tu for s in schedules]
-    bounds = [[x * m for x in s.run.ticks] for s, m in zip(schedules, scale)]
+    """The `Grid` of the schedules' boundaries (see the module docstring).
+    Its unit is the lcm of each run's time unit times the denominators of
+    its off-grid ticks, times the lcm of m * d over each run's pools of m
+    at speed c/d: so every tick is an int, and `Grid.steps`' work too."""
+    time = work = 1
+    for s in schedules:
+        run = s.run
+        off_grid = {x.denominator for x in run.ticks if type(x) is not int}
+        time = lcm(time, run.tu * lcm(*off_grid))
+        # from a set, not a generator (see the unit in `simulate`)
+        work = lcm(work, *{m * run.speed.denominator for m in map(len, run.jobs) if m})
+    unit = time * work
+    bounds = []
+    for s in schedules:
+        m = unit // s.run.tu  # a multiple of every tick's denominator
+        bounds.append([x.numerator * (m // x.denominator) for x in s.run.ticks])
     ticks = sorted({x for b in bounds for x in b})
     index = {x: q for q, x in enumerate(ticks)}
     return Grid(schedules, unit, ticks, [[index[x] for x in b] for b in bounds], index)
@@ -448,8 +508,8 @@ def simulate(
     if not declared_all and horizon is None:
         raise SimulationError("undeclared jobs never complete; horizon required")
 
-    # the run's units (see the module docstring): time * L * c and work * L * d
-    # for speed c/d, so every job runs at unit speed
+    # the run's units (see the module docstring): time * L * c and work
+    # * L * d * K for speed c/d, so every job runs at K work units per tick
     a, b = eps.numerator, eps.denominator
     horizon = None if horizon is None else Fraction(horizon)
     inputs = [x for j in inst.jobs for x in (j.release.time, j.size)]
@@ -458,12 +518,8 @@ def simulate(
     # from a generator on the free list of its resized length, and a freed
     # 20-tuple on a free list it never takes from, until a full collection
     unit = b * lcm(*{x.denominator for x in inputs if x is not None})
-    tu, wu = unit * speed.numerator, unit * speed.denominator
-
+    tu = unit * speed.numerator
     horizon = None if horizon is None else _units(horizon, tu)
-    size = {j.id: None if j.size is None else _units(j.size, wu) for j in inst.jobs}
-    # knowledge threshold: known iff elapsed >= (1-eps) * p (declared, eps > 0)
-    thr = {jid: p * (b - a) // b for jid, p in size.items() if p is not None and a}
 
     # arrival batches in time order, each in (epoch, id) order
     by_time: dict[int, list[int]] = {}
@@ -476,9 +532,25 @@ def simulate(
     windows = [(_units(lo, tu), _units(hi, tu)) for lo, hi in forbidden.intervals]
     window_idx = 0
 
+    # K = lcm(2..m), grown while below 2**64, for the m jobs released before
+    # the last arrival or window end: only those can be in a pool that a
+    # boundary from outside cuts short, and a pool of k | K gains K / k each
+    cut_by = max([*arrival_times[-1:], *(hi for _, hi in windows[-1:])], default=0)
+    m = 0 if srpt_like else sum(map(len, batches[: bisect_left(arrival_times, cut_by)]))
+    per_tick = 1
+    for k in range(2, m + 1):
+        if (grown := lcm(per_tick, k)) >> 64:
+            break
+        per_tick = grown
+    wu = unit * speed.denominator * per_tick
+
+    size = {j.id: None if j.size is None else _units(j.size, wu) for j in inst.jobs}
+    # knowledge threshold: known iff elapsed >= (1-eps) * p (declared, eps > 0)
+    thr = {jid: p * (b - a) // b for jid, p in size.items() if p is not None and a}
+
     t = 0
     elapsed: dict = {}  # materialized elapsed (jobs outside groups)
-    completions: dict = {}
+    done: dict = {}  # job -> the tick index of its completion
     known_logged: set[int] = set()
     n_active = 0
 
@@ -560,7 +632,7 @@ def simulate(
 
     def complete(jid: int) -> None:
         nonlocal n_active
-        completions[jid] = t
+        done[jid] = len(seg_jobs)
         n_active -= 1
         log("completion", jid)
 
@@ -682,7 +754,7 @@ def simulate(
 
         jobs, regime, goal, level = choose()
         # the first boundary set from outside the run: arrival, horizon or
-        # window edge; at unit speed the run's own goal is work * k away
+        # window edge; the run's own goal is work * k / K ticks away
         outside: list = []
         if next_arrival_idx < len(arrival_times):
             outside.append(arrival_times[next_arrival_idx])
@@ -696,21 +768,23 @@ def simulate(
         stop = min(outside) if outside else None
         hit = False
         if goal is not None:
-            t_hit = t + (goal - level) * len(jobs)
+            away = (goal - level) * len(jobs)
+            t_hit = t + (away if per_tick == 1 else _div(away, per_tick))
             if stop is None or t_hit <= stop:
                 stop, hit = t_hit, True
         assert stop is not None, "stalled: no candidate boundary"
         assert stop > t, "no progress at a boundary"
         # reaching the goal sets the level to it, exactly; otherwise the run
-        # advances by the time over k, which can leave the grid; a value
-        # that comes back to a whole number is an int again
+        # advances by K times the time over k, which leaves the integers only
+        # when k does not divide K or the time is off the grid; a value that
+        # comes back to a whole number is an int again
         if regime == "pool":
             if hit:
                 acc = _whole(goal - running.off)
             else:
-                acc = _whole(acc + _div(stop - t, len(jobs)))
+                acc = _whole(acc + _div((stop - t) * per_tick, len(jobs)))
         elif regime == "solo":
-            elapsed[solo] = goal if hit else _whole(elapsed[solo] + (stop - t))
+            elapsed[solo] = goal if hit else _whole(elapsed[solo] + (stop - t) * per_tick)
         t = _whole(stop)
         ticks.append(t)
         seg_jobs.append(jobs)
@@ -759,28 +833,21 @@ def simulate(
                 log("mode")
 
     # materialize group members for the final snapshot
-    final_elapsed = dict(elapsed)
     if running is not None:
         if policy == "rr":
             for jid in running.members:
-                final_elapsed[jid] = rr_off[jid] + acc
+                elapsed[jid] = rr_off[jid] + acc
         else:
             for jid in running.members:
-                final_elapsed[jid] = run_level()
+                elapsed[jid] = run_level()
     for group in tiers.values():
         for jid in group.members:
-            final_elapsed[jid] = group.level
+            elapsed[jid] = group.level
 
-    return Schedule(
-        inst,
-        {jid: _real(x, tu) for jid, x in completions.items()},
-        _real(t, tu),
-        {
-            jid: inst.job(jid).size if jid in completions else _real(e, wu)
-            for jid, e in final_elapsed.items()
-        },
-        _Run(tu, wu, speed, ticks, seg_jobs, seg_levels, events, rr_off),
+    run = _Run(
+        tu, wu, per_tick, speed, ticks, seg_jobs, seg_levels, events, rr_off, done, elapsed
     )
+    return Schedule(inst, run)
 
 
 # --- queries over schedules -------------------------------------------------

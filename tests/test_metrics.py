@@ -12,7 +12,7 @@ from slflab.metrics import (
     plot_data_csv,
     total_flow_time,
 )
-from slflab.sim import simulate
+from slflab.sim import EMPTY_INTERVALS, IntervalSet, simulate
 
 from .helpers import random_instance, toy_instance
 
@@ -45,20 +45,28 @@ def test_incomplete_schedule_rejected():
 
 def test_total_flow_time_matches_plain_sum():
     # staggered releases with denominators 1..3 and sizes with 1..4, under
-    # every policy: rr's 1/k rates and slf's thresholds mix the denominators
+    # every policy: rr's 1/k rates and slf's thresholds mix the denominators;
+    # at speed 4/3 with a window in thirds, some completion ticks leave the
+    # run's integers
     rng = random.Random(25)
+    window = IntervalSet.from_pairs([(F(1, 3), F(5, 3))])
     dens = set()
+    off_grid = 0
     for _ in range(30):
         eps = F(rng.randint(1, 9), 10)
         inst = random_instance(rng, eps, rng.randint(1, 9))
         for policy in ("slf", "srpt", "setf", "rr"):
-            sched = simulate(inst, policy)
-            plain = F(0)
-            for j in inst.jobs:
-                plain += sched.completions[j.id] - j.release.time
-            assert total_flow_time(sched, inst) == plain
-            dens.update(c.denominator for c in sched.completions.values())
+            for speed, forbidden in ((F(1), EMPTY_INTERVALS), (F(4, 3), window)):
+                sched = simulate(inst, policy, speed=speed, forbidden=forbidden)
+                plain = F(0)
+                for j in inst.jobs:
+                    plain += sched.completions[j.id] - j.release.time
+                assert total_flow_time(sched, inst) == plain
+                dens.update(c.denominator for c in sched.completions.values())
+                ticks = sched.run.ticks
+                off_grid += any(type(ticks[i]) is F for i in sched.run.done.values())
     assert len(dens) > 10
+    assert off_grid > 10
 
 
 def test_total_flow_time_names_first_missing_job():

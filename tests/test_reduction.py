@@ -201,10 +201,10 @@ def _chain_per_boundary(fast, slow, idled, alg):
 
 
 def _swap_first_completions(sched):
-    a, b, *_ = sorted(sched.completions)
-    done = dict(sched.completions)
+    a, b, *_ = sorted(sched.run.done)
+    done = dict(sched.run.done)
     done[a], done[b] = done[b], done[a]
-    return dataclasses.replace(sched, completions=done)
+    return dataclasses.replace(sched, run=sched.run._replace(done=done))
 
 
 def _delayed(inst):
@@ -269,6 +269,23 @@ def test_known_work_intervals_toy():
     # the known runs in the worked example: job 6, job 5, jobs 3,4, job 2, job 1
     assert (F(3), F(7, 2)) in intervals.intervals
     assert (F(6), F(7)) in intervals.intervals
+
+
+def test_known_work_intervals_match_the_merged_solo_runs():
+    # the tick walk against its definition: the solo runs of a known job,
+    # as Fraction pairs merged by `IntervalSet.from_pairs`
+    rng = random.Random(59)
+    for trial in range(40):
+        eps = F(rng.randint(1, 3), 4)
+        inst = random_instance(rng, eps, rng.randint(1, 9))
+        alg = simulate(inst, "slf", speed=(F(1), F(4, 3))[trial % 2])
+        known = alg.known_times()
+        want = IntervalSet.from_pairs(
+            (start, end)
+            for start, end, job in alg.solo_runs(F(0))
+            if job in known and known[job] <= start
+        )
+        assert known_work_intervals(alg) == want, inst
 
 
 def test_reduction_chain_toy():

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
@@ -613,7 +614,7 @@ def test_grid_edge_cases():
         [simulate(off, p) for p in POLICIES],
         [simulate(off, p, speed=s) for p in ("slf", "rr") for s in (F(1), F(3, 2))],
     ]
-    assert any(type(x) is F for x in merge_grid(*cases[-1]).ticks)
+    assert any(type(x) is F for s in cases[-1] for x in s.run.ticks)
     for scheds in cases:
         _check_grid(scheds)
     assert merge_grid(*cases[3]).times[1:3] == [F(1, 3), tie]
@@ -753,10 +754,45 @@ def test_pinned_off_grid_digest():
 
 def test_index_agrees_with_the_end_snapshot():
     # the engine's end snapshot and the per-job index are two computations
-    # of the work each job did by end_time
+    # of the work each job did by end_time; the views built from the run
+    # equal scans of the event log, in its order
     for sched in _off_grid_runs():
         done = sched.elapsed_at(sched.end_time)
         assert done == {j: e for j, e in sched.final_elapsed.items() if e > 0}
+        events = sched.events
+        completed = [(ev.job, ev.t) for ev in events if ev.kind == "completion"]
+        assert list(sched.completions.items()) == completed
+        assert sched.end_time == sched.boundaries()[-1]
+        arrived = [ev.job for ev in events if ev.kind == "arrival"]
+        sizes = {j: sched.instance.job(j).size for j, _ in completed}
+        want = [(j, sizes[j] if j in sizes else done.get(j, F(0))) for j in arrived]
+        assert list(sched.final_elapsed.items()) == want
+
+
+def test_work_per_tick_is_capped_and_one_without_cut_pools():
+    # K = lcm(2..m) over the m jobs released before the last arrival or
+    # window end, grown while below 2**64; srpt and a simultaneous release
+    # have no pool that a boundary from outside cuts short
+    rng = random.Random(59)
+    staggered = Instance(
+        F(1, 2),
+        tuple(
+            Job(i + 1, ReleaseTag(F(i, 2)), F(rng.randint(1, 800), rng.randint(1, 3)))
+            for i in range(200)
+        ),
+    )
+    at_once = staggered.with_jobs(Job(j.id, ReleaseTag(F(0)), j.size) for j in staggered.jobs)
+    window = IntervalSet.from_pairs([(F(1), F(2))])
+    cap = lcm(*range(2, 47))  # lcm(2..47) >= 2**64
+    assert cap < 2**64 <= lcm(cap, 47)
+    for policy in POLICIES:
+        assert simulate(staggered, policy).run.per_tick == (1 if policy == "srpt" else cap)
+        assert simulate(at_once, policy).run.per_tick == 1
+        windowed = simulate(at_once, policy, forbidden=window).run.per_tick
+        assert windowed == (1 if policy == "srpt" else cap)
+    few = staggered.with_jobs(staggered.jobs[:6])  # jobs 1..5 precede the last
+    assert simulate(few, "setf").run.per_tick == lcm(2, 3, 4, 5)
+    assert simulate(Instance(F(1), few.jobs), "slf").run.per_tick == 1  # slf at eps 1 is srpt
 
 
 def test_every_returned_value_is_a_fraction():
@@ -825,10 +861,26 @@ def test_run_ends_are_never_whole_fractions(monkeypatch):
         assert not any(type(x) is F and x.denominator == 1 for x in s.run.ticks)
 
 
+def test_setf_pools_on_reduce_shapes_stay_on_the_integers():
+    # on releases in quarters, every setf pool cut short gains K / k per
+    # member and tick, an int, at speeds 1 and 4/3, with or without a window
+    rng = random.Random(60)
+    window = IntervalSet.from_pairs([(F(1, 3), F(5, 2))])
+    segments = 0
+    for _ in range(16):
+        inst = _reduce_shaped(rng, rng.randint(2, 16))
+        for speed in (F(1), F(4, 3)):
+            for forbidden in (EMPTY_INTERVALS, window):
+                run = simulate(inst, "setf", speed=speed, forbidden=forbidden).run
+                assert not any(type(x) is F for x in run.levels), (inst, speed, forbidden)
+                segments += len(run.levels)
+    assert segments > 1000
+
+
 def test_queries_leave_the_views_unbuilt(monkeypatch):
     # reduction_check and one certify op (construction and verification)
     # answer every query from the engine-unit run: no schedule they build
-    # has its segments or events built
+    # has a Fraction view built
     reduced = _recorded_runs(monkeypatch, reduction)
     certified = _recorded_runs(monkeypatch, certifier)
     for cache in (certifier._sched, certifier._snapshot, certifier._plan, certifier._advance):
@@ -841,5 +893,6 @@ def test_queries_leave_the_views_unbuilt(monkeypatch):
         cert = certifier.create_valid_assignment(inst, times[len(times) // 2])
         assert certifier.verify_certificate(cert).passed
     assert reduced and certified
+    views = {"segments", "events", "completions", "end_time", "final_elapsed"}
     for s in reduced + certified:
-        assert "segments" not in vars(s) and "events" not in vars(s)
+        assert not views & set(vars(s))
