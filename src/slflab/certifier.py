@@ -46,9 +46,11 @@ holds times that a run never asks for again, and grows the process's memory.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -718,16 +720,12 @@ def _plan(inst: Instance, cur: Instance, s: Rat) -> _Plan:
     if not post:
         nxt = min((j.release.time for j in cur.jobs if j.release.time > s), default=None)
         return _Plan(unknown, batch, "idle", nxt)
-    # known-run: the maximal run of solo known jobs from K(s)
-    known_now = {i for i, st in post.items() if st.known}
-    run_end = s
-    for _, end, job in alg.solo_runs(s):
-        if job not in known_now:
-            break
-        run_end = end
-    if run_end == s:
+    # known-run: the maximal run of solo known jobs that holds s
+    runs = alg.known_runs
+    r = bisect_right(runs, s, key=itemgetter(1))  # the first run ending after s
+    if r == len(runs) or runs[r][0] > s:
         raise CounterexampleError("known-run-empty", s=s)
-    return _Plan(unknown, batch, "known-run", run_end)
+    return _Plan(unknown, batch, "known-run", runs[r][1])
 
 
 def _stop_point(plan: _Plan, alg: Schedule, s: Rat, t: Rat) -> Rat:

@@ -78,21 +78,17 @@ def count_profile(*schedules: Schedule) -> list[tuple[Rat, tuple[int, ...]]]:
 
 def grid_counts(grid: Grid) -> list[tuple[int, ...]]:
     """The active count of each schedule at each time of `grid`: prefix sums
-    of +1 at each arrival's position and -1 at each completion's, read off
-    the run's tick indices. A release after a horizon cut, which never
-    arrives, counts from the first grid time after it."""
+    of +1 at each job's release position and -1 at each completion's, read
+    off the run's tick indices. A release is a boundary of the run, so its
+    position is the job's arrival; a release after a horizon cut, which
+    never arrives, counts from the first grid time after it."""
     columns = []
     for sched, pos in zip(grid.schedules, grid.positions):
-        run = sched.run
         steps = [0] * (len(grid.ticks) + 1)
-        for i, kind, _ in run.events:
-            if kind == "arrival":
-                steps[pos[i]] += 1
-        for i in run.done.values():
-            steps[pos[i]] -= 1
         for j in sched.instance.jobs:
-            if j.id not in run.final:  # arrived jobs all have a final level
-                steps[grid.position(j.release.time)] += 1
+            steps[grid.position(j.release.time)] += 1
+        for i in sched.run.done.values():
+            steps[pos[i]] -= 1
         columns.append(accumulate(steps[:-1]))
     return list(zip(*columns))
 

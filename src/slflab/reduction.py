@@ -150,22 +150,8 @@ def _setfi(grid: Grid, rows: list[tuple[int, ...]], p: int, i: int) -> ChainRepo
 
 def known_work_intervals(alg: Schedule) -> IntervalSet:
     """Positive-measure intervals where the schedule works on a known job:
-    the maximal runs of segments, in tick order, whose one job's `known`
-    event came at or before the segment's start tick; only their endpoints
-    become Fractions."""
-    run = alg.run
-    known = {job: i for i, kind, job in run.events if kind == "known"}
-    spans: list[list[int]] = []
-    for i, js in enumerate(run.jobs):
-        if len(js) == 1 and known.get(js[0], i + 1) <= i:
-            if spans and spans[-1][1] == i:
-                spans[-1][1] = i + 1
-            else:
-                spans.append([i, i + 1])
-    ticks, tu = run.ticks, run.tu
-    # from a list: a tuple built from a generator is resized, and CPython
-    # 3.11 keeps it, once freed, on a free list it is not taken from
-    return IntervalSet(tuple([(Fraction(ticks[a], tu), Fraction(ticks[b], tu)) for a, b in spans]))
+    its `known_runs`."""
+    return IntervalSet(alg.known_runs)
 
 
 def reduction_check(inst: Instance, epsilon: Rat) -> ChainReport:

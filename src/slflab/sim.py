@@ -63,17 +63,19 @@ The run is `Schedule`'s one store, in engine units (`_Run`): tu = L * c,
 wu = L * d * K, K itself, the speed, the boundary ticks (0, then each
 segment end: an int, or a Fraction off the grid), each segment's jobs and
 start level (the solo job's elapsed or the pool's group level, to which
-rr's members add their offset), each event as (tick index, kind, job), and
-two maps made at the end of the run: each completed job's tick index, in
-completion order, and each arrived job's level at the last tick, in arrival
-order. Every query turns its times into ticks (t * tu, an int when t's
-denominator divides tu), compares and sums in engine units (a pool of k
-gives each member dt * K / k work in dt ticks) and turns only its answer
-into Fractions. `completions`, `end_time` and `final_elapsed` are Fraction
-views of the run, built on first read, as are `segments` and `events` (for
-export, the benchmark's tracer and tests). `metrics.total_flow_time` sums
-the completion ticks and the reduction chain reads tick indices, so
-neither builds a view.
+rr's members add their offset), each event as (tick index, kind, job), the
+tick index of each job's completion and of its `known` event, both recorded
+as the run goes, and each arrived job's level at the last tick. Only the
+`events` view reads the event log. Every query turns its times into ticks
+(t * tu, an int when t's denominator divides tu), compares and sums in
+engine units (a pool of k gives each member dt * K / k work in dt ticks)
+and turns only its answer into Fractions. `completions`, `end_time`,
+`final_elapsed`, `known_times()` and `known_runs` (the maximal runs of solo
+segments whose job was known at the segment's start) are Fraction views of
+the run, built on first read, as are `segments` and `events` (for export,
+the benchmark's tracer and tests). `metrics.total_flow_time` sums the
+completion ticks and the reduction chain reads tick indices, so neither
+builds a view.
 
 A job whose size is known at elapsed 0 (eps = 1) is logged `known` on
 arrival, under every policy. A segment end that logs no event of its own
@@ -103,7 +105,7 @@ one unit U: the lcm of their time units times the denominators of their
 off-grid ticks, times the lcm of k * d over their pools of k at speed c/d.
 It merges their ticks once into a `Grid` of ints and reads them as integer
 positions, so its readers compare no times: `metrics.grid_counts` sums
-counts over the positions of each run's arrival and completion ticks, and
+counts over the positions of each job's release and completion, and
 `Grid.steps` gives a schedule's work at each in 1/U units, dt * c // (k *
 d), an int. `Grid.times` builds the Fraction times on first read.
 """
@@ -193,9 +195,10 @@ class _Run(NamedTuple):
     boundary `ticks` (0, then each segment's end: an int, or a Fraction off
     the grid), each segment's `jobs` and start `levels` (None when idle),
     each event as (tick index, kind, job), rr's `offs`, job -> what it adds
-    to a level (empty under the other policies), `done`, job -> the tick
-    index of its completion, in completion order, and `final`, job -> its
-    level at the last tick, in arrival order."""
+    to a level (empty under the other policies), `done` and `known`, job ->
+    the tick index of its completion or its `known` event, in event order,
+    and `final`, job -> its level at the last tick, in arrival order. Only
+    the `Schedule.events` view reads `events`."""
 
     tu: int
     wu: int
@@ -207,6 +210,7 @@ class _Run(NamedTuple):
     events: list[tuple[int, str, int | None]]
     offs: dict
     done: dict[int, int]
+    known: dict[int, int]
     final: dict
 
 
@@ -345,22 +349,27 @@ class Schedule:
         end = ticks[segs[r - 1] + 1]
         return t if end >= x else _real(end, tu)
 
-    def solo_runs(self, start: Rat):
-        """(start, end, job) for each segment with end > `start`, in time
-        order; `job` is the only job that runs, or None when the segment is
-        idle or shared."""
-        tu, ticks, jobs = self.run.tu, self.run.ticks, self.run.jobs
-        i = bisect_right(ticks, _units(start, tu), 1) - 1
-        lo = _real(ticks[i], tu)
-        for x, js in zip(islice(ticks, i + 1, None), islice(jobs, i, None)):
-            hi = _real(x, tu)
-            yield lo, hi, js[0] if len(js) == 1 else None
-            lo = hi
-
     def known_times(self) -> dict[int, Rat]:
         """Job id -> the time of its `known` event (at most one per job)."""
         tu, ticks = self.run.tu, self.run.ticks
-        return {job: _real(ticks[i], tu) for i, kind, job in self.run.events if kind == "known"}
+        return {job: _real(ticks[i], tu) for job, i in self.run.known.items()}
+
+    @cached_property
+    def known_runs(self) -> tuple[tuple[Rat, Rat], ...]:
+        """The maximal runs of solo segments whose job was known at the
+        segment's start, as (start, end) pairs in time order."""
+        run, known = self.run, self.run.known
+        spans: list[list[int]] = []
+        for i, js in enumerate(run.jobs):
+            if len(js) == 1 and known.get(js[0], i + 1) <= i:
+                if spans and spans[-1][1] == i:
+                    spans[-1][1] = i + 1
+                else:
+                    spans.append([i, i + 1])
+        ticks, tu = run.ticks, run.tu
+        # from a list: a tuple built from a generator is resized, and CPython
+        # 3.11 keeps it, once freed, on a free list it is not taken from
+        return tuple([(_real(ticks[a], tu), _real(ticks[b], tu)) for a, b in spans])
 
     def reach_times(self, levels: dict[int, Rat], after: Rat) -> dict[int, Rat]:
         """Job id -> the first time at which the job's work since `after`
@@ -551,7 +560,7 @@ def simulate(
     t = 0
     elapsed: dict = {}  # materialized elapsed (jobs outside groups)
     done: dict = {}  # job -> the tick index of its completion
-    known_logged: set[int] = set()
+    known: dict = {}  # job -> the tick index of its `known` event
     n_active = 0
 
     acc = 0  # per-member work accumulated by the running group
@@ -600,7 +609,7 @@ def simulate(
         g = _Group({jid}, 0)
         p = size[jid]
         if p is not None:
-            if jid in thr and jid not in known_logged:
+            if jid in thr:
                 g.know.append(_entry(thr[jid], jid))
             g.comp.append(_entry(p, jid))
         return g
@@ -637,9 +646,9 @@ def simulate(
         log("completion", jid)
 
     def mark_known(jid: int) -> None:
-        if jid not in known_logged:
-            known_logged.add(jid)
-            log("known", jid)
+        del thr[jid]  # thr holds only the jobs not yet known
+        known[jid] = len(seg_jobs)
+        log("known", jid)
 
     def arrive(jid: int) -> None:
         nonlocal n_active, solo
@@ -659,7 +668,7 @@ def simulate(
             running.members.add(jid)
             p = size[jid]
             if p is not None:  # keys are absolute levels of acc
-                if jid in thr and jid not in known_logged:
+                if jid in thr:
                     heapq.heappush(running.know, _entry(thr[jid] + acc, jid))
                 heapq.heappush(running.comp, _entry(p + acc, jid))
         else:  # slf (eps < 1) / setf: a fresh zero-elapsed tier
@@ -708,7 +717,7 @@ def simulate(
             # the solo job keeps the machine until it completes or a batch
             # arrives: its (remaining, id) only shrinks, and under slf the
             # paused pool makes no job known
-            if solo in thr and solo not in known_logged:
+            if solo in thr:
                 goal = thr[solo]
             else:
                 goal = size[solo]
@@ -819,7 +828,7 @@ def simulate(
                 running = None
         elif hit and regime == "solo":
             # the goal was the threshold while unknown, else the size
-            if solo in thr and solo not in known_logged:
+            if solo in thr:
                 mark_known(solo)
             else:
                 complete(solo)
@@ -845,7 +854,7 @@ def simulate(
             elapsed[jid] = group.level
 
     run = _Run(
-        tu, wu, per_tick, speed, ticks, seg_jobs, seg_levels, events, rr_off, done, elapsed
+        tu, wu, per_tick, speed, ticks, seg_jobs, seg_levels, events, rr_off, done, known, elapsed
     )
     return Schedule(inst, run)
 

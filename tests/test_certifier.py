@@ -477,3 +477,49 @@ def test_certificate_carries_the_cached_instance(monkeypatch):
                 assert len(compares) <= 2, (t, len(compares))
             assert cert.original is _sched(fresh, "slf").instance
             assert cert.original == fresh and cert.original is not fresh
+
+
+def _walked_known_run_stop(alg, inst, s):
+    """The known-run stop by a walk: the solo segments from the one holding
+    s, up to the first whose job is not known at s; s when there is none."""
+    known_now = {i for i, st in state_at(alg, inst, s).items() if st.known}
+    stop = s
+    for seg in alg.segments:
+        if seg.end <= s:
+            continue
+        if len(seg.jobs) != 1 or seg.jobs[0] not in known_now:
+            break
+        stop = seg.end
+    return stop
+
+
+def test_known_run_stop_matches_the_segment_walk():
+    # `_plan` bisects `known_runs` for the run holding s; at every slf
+    # boundary with no batch and a non-empty queue it stops where the walk
+    # does, on random instances and on instances whose jobs were moved to
+    # an epoch at x-plus, as `create_valid_assignment` moves them
+    rng = random.Random(23)
+    compared = empty = 0
+    for trial in range(120):
+        eps = rng.choice([F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(9, 10)])
+        inst = random_instance(rng, eps, rng.randint(1, 8))
+        if trial % 2:
+            times = sorted({F(0)} | {j.release.time for j in inst.jobs})
+            x = rng.choice(times)
+            inst = move_jobs(inst, x, rng.choice([y for y in times if y >= x]))
+        alg = simulate(inst, "slf")
+        for s in alg.boundaries():
+            snap = _snapshot(inst, "slf", s)
+            if snap.states.keys() != snap.before.keys() or not snap.states:
+                continue  # a batch at s, or an idle queue
+            want = _walked_known_run_stop(alg, inst, s)
+            if want == s:
+                with pytest.raises(CounterexampleError) as err:
+                    _plan(inst, inst, s)
+                assert err.value.check == "known-run-empty"
+                empty += 1
+            else:
+                plan = _plan(inst, inst, s)
+                assert (plan.case, plan.stop) == ("known-run", want), (inst, s)
+            compared += 1
+    assert compared > 500 and empty, (compared, empty)

@@ -170,6 +170,31 @@ def test_count_profile_matches_merged_grid():
             assert count_profile(*group) == want
 
 
+def test_counts_past_a_horizon():
+    # job 3 is released exactly at the horizon and arrives there; job 4,
+    # released after it, never arrives in the cut run and counts as active
+    # from its release on, read off the full run's later boundaries
+    horizon = F(2)
+    inst = Instance(
+        F(1, 2),
+        (
+            Job(1, ReleaseTag(F(0)), F(3)),
+            Job(2, ReleaseTag(F(1, 2)), F(1)),
+            Job(3, ReleaseTag(horizon), F(1)),
+            Job(4, ReleaseTag(F(5, 2)), F(1, 2)),
+        ),
+    )
+    for policy in ("slf", "srpt", "setf", "rr"):
+        cut = simulate(inst, policy, horizon=horizon)
+        assert cut.end_time == horizon and 3 in cut.final_elapsed and 4 not in cut.final_elapsed
+        full = simulate(inst, policy)
+        profile = count_profile(cut, full)
+        assert [t for t, _ in profile] == full.boundaries(), policy
+        for t, counts in profile:
+            assert counts == (cut.active_count(t), full.active_count(t)), (policy, t)
+        assert profile[-1][1][0] == len(inst.jobs) - len(cut.completions)
+
+
 def test_plot_csv_shape():
     inst = toy_instance()
     rep = local_competitiveness(simulate(inst, "slf"), simulate(inst, "srpt"), F(2))

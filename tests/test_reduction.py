@@ -272,18 +272,19 @@ def test_known_work_intervals_toy():
 
 
 def test_known_work_intervals_match_the_merged_solo_runs():
-    # the tick walk against its definition: the solo runs of a known job,
-    # as Fraction pairs merged by `IntervalSet.from_pairs`
+    # the tick walk against its definition: the solo segments of a known
+    # job, scanned from the `segments` and `events` views, as Fraction pairs
+    # merged by `IntervalSet.from_pairs`
     rng = random.Random(59)
     for trial in range(40):
         eps = F(rng.randint(1, 3), 4)
         inst = random_instance(rng, eps, rng.randint(1, 9))
         alg = simulate(inst, "slf", speed=(F(1), F(4, 3))[trial % 2])
-        known = alg.known_times()
+        known = {ev.job: ev.t for ev in alg.events if ev.kind == "known"}
         want = IntervalSet.from_pairs(
-            (start, end)
-            for start, end, job in alg.solo_runs(F(0))
-            if job in known and known[job] <= start
+            (seg.start, seg.end)
+            for seg in alg.segments
+            if len(seg.jobs) == 1 and seg.jobs[0] in known and known[seg.jobs[0]] <= seg.start
         )
         assert known_work_intervals(alg) == want, inst
 

@@ -23,7 +23,7 @@ from slflab.sim import (
     touched_jobs,
 )
 
-from .helpers import random_instance, segment_tuples, toy_instance
+from .helpers import random_instance, scan_known_runs, segment_tuples, toy_instance
 
 
 def test_toy_worked_example():
@@ -381,6 +381,7 @@ def test_schedule_queries_match_plain_scans():
                     if st.known:
                         first_known.setdefault(jid, t)
             assert sched.known_times() == first_known, policy
+            assert sched.known_runs == scan_known_runs(sched), policy
             # reach_times: work since `after` first equals the level there
             after = rng.choice(probes)
             base = sched.elapsed_at(after)
@@ -401,12 +402,6 @@ def test_schedule_queries_match_plain_scans():
                 assert sched.jobs_before(t) == (cover[0] if cover else ())
                 for j in inst.jobs:
                     assert sched.last_touch(j.id, t) == _scan_last_touch(sched, j.id, t)
-                runs = [
-                    (seg.start, seg.end, next(iter(seg.rates)) if len(seg.rates) == 1 else None)
-                    for seg in segs
-                    if seg.end > t
-                ]
-                assert list(sched.solo_runs(t)) == runs
                 end = t + F(rng.randint(0, 3), 2)
                 touched = {
                     jid
@@ -763,6 +758,8 @@ def test_index_agrees_with_the_end_snapshot():
         completed = [(ev.job, ev.t) for ev in events if ev.kind == "completion"]
         assert list(sched.completions.items()) == completed
         assert sched.end_time == sched.boundaries()[-1]
+        known = [(ev.job, ev.t) for ev in events if ev.kind == "known"]
+        assert list(sched.known_times().items()) == known
         arrived = [ev.job for ev in events if ev.kind == "arrival"]
         sizes = {j: sched.instance.job(j).size for j, _ in completed}
         want = [(j, sizes[j] if j in sizes else done.get(j, F(0))) for j in arrived]
@@ -807,7 +804,7 @@ def test_every_returned_value_is_a_fraction():
         mid = sched.end_time / 3
         values += [*sched.boundaries(), *sched.known_times().values()]
         values += [*sched.elapsed_at(mid).values(), *sched.elapsed_at(sched.end_time).values()]
-        values += [x for run in sched.solo_runs(mid) for x in run[:2]]
+        values += [x for run in sched.known_runs for x in run]
         values += sched.reach_times(dict.fromkeys(sched.final_elapsed, F(1, 7)), mid).values()
         values += [sched.last_touch(j, sched.end_time) for j in sched.final_elapsed]
         values += merge_grid(sched, on_grid[0]).times
