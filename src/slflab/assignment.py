@@ -44,12 +44,6 @@ class WeightedBipartiteGraph:
 
     # -- volumes -------------------------------------------------------------
 
-    def vol(self, u: int) -> Rat:
-        return sum((w for (a, _), w in self.weights.items() if a == u), ZERO)
-
-    def vol_star(self, v: int) -> Rat:
-        return sum((w for (_, b), w in self.weights.items() if b == v), ZERO)
-
     def vols(self) -> dict[int, Rat]:
         out = {u: ZERO for u in self.left}
         for (u, _), w in self.weights.items():

@@ -16,8 +16,10 @@ STEP_CACHE_SIZE (8192) entries like the schedule cache `_sched`:
   - `_advance`, keyed on (instance, cur, s, x): every lemma check of the
     step, Inv3 included (`_canonical_at` checks the graph a step builds),
     its transcript record and the next state (cur', s').
-Entries hold tuples, instances and records, never graphs or state dicts,
-and each transcript gets its own copy of a record. Per target, every
+Entries hold tuples, instances and records, never graphs or state dicts.
+A record is immutable (a frozen dataclass whose details are a read-only
+mapping of ints, tuples and rationals), so every transcript that takes a
+cached step holds that step's record itself. Per target, every
 iteration still checks Inv1 on the window (s, t] (vacuous, so skipped, when
 no job is unknown right before s), resolves x from t, and counts against the
 iteration guard; the final assignment at t is built and checked per target
@@ -70,7 +72,7 @@ from .assignment import (
     suffix_reaching,
     union,
 )
-from .core import Instance, Rat, ReleaseTag, ceil_inv, rat_str
+from .core import Instance, Rat, ReleaseTag, ceil_inv, jsonable, rat_str
 from .sim import JobState, Schedule, simulate, states_from_elapsed, touched_jobs
 
 ZERO = Fraction(0)
@@ -201,18 +203,9 @@ class WorkSplit:
     slf_s: Mapping[int, JobState]
     slf_ell: Mapping[int, JobState]
     opt_ell: Mapping[int, JobState]
-
-    @property
-    def delta_total(self) -> Rat:
-        return sum(self.delta.values(), ZERO)
-
-    @property
-    def tau_total(self) -> Rat:
-        return sum(self.tau.values(), ZERO)
-
-    @property
-    def tau_star_total(self) -> Rat:
-        return sum(self.tau_star.values(), ZERO)
+    delta_total: Rat
+    tau_total: Rat
+    tau_star_total: Rat
 
 
 def _leader_of(inst: Instance, new_ids) -> int:
@@ -276,11 +269,11 @@ def compute_work_split(inst: Instance, s: Rat, ell: Rat, new_ids) -> WorkSplit:
         tau[i] = max(ea - eo, ZERO)
         tau_star[i] = max(eo - ea, ZERO)
 
-    dtot = sum(delta.values(), ZERO)
-    ttot = sum(tau.values(), ZERO)
-    tstot = sum(tau_star.values(), ZERO)
-    nu = (ell - s) - dtot - ttot
-    nu_star = (ell - s) - dtot - tstot
+    delta_total = sum(delta.values(), ZERO)
+    tau_total = sum(tau.values(), ZERO)
+    tau_star_total = sum(tau_star.values(), ZERO)
+    nu = (ell - s) - delta_total - tau_total
+    nu_star = (ell - s) - delta_total - tau_star_total
     if nu < 0 or nu_star < 0:
         raise CounterexampleError("work-split-negative-nu", nu=nu, nu_star=nu_star)
 
@@ -361,6 +354,9 @@ def compute_work_split(inst: Instance, s: Rat, ell: Rat, new_ids) -> WorkSplit:
         slf_s=pre,
         slf_ell=slf_ell,
         opt_ell=opt_ell,
+        delta_total=delta_total,
+        tau_total=tau_total,
+        tau_star_total=tau_star_total,
     )
 
 
@@ -374,15 +370,19 @@ def _matching_on(ids, weights_by_id: dict[int, Rat], order_key) -> WeightedBipar
     return graph(keep, keep, w)
 
 
-def _family_right_order(vols: dict[int, Rat], families) -> tuple[int, ...]:
-    """Non-increasing volume order whose ties follow each construction
-    family's internal order (prefix-compatibility of the union with its
-    parts; with distinct volumes this is just the default order)."""
+def _union_in_family_order(graphs, families) -> WeightedBipartiteGraph:
+    """The union of `graphs`, its right side in non-increasing volume order
+    whose ties follow each construction family's internal order
+    (prefix-compatibility of the union with its parts; with distinct volumes
+    this is just the default order)."""
+    out = union(*graphs)
+    vols = out.vols_star()
     rank: dict[int, tuple[int, int]] = {}
     for fi, fam in enumerate(families):
         for pos, v in enumerate(fam):
             rank.setdefault(v, (fi, pos))
-    return tuple(sorted(vols, key=lambda v: (-vols[v],) + rank.get(v, (99, v))))
+    order = tuple(sorted(vols, key=lambda v: (-vols[v],) + rank.get(v, (99, v))))
+    return graph(out.left, order, out.weights)
 
 
 def update_valid_assignment(
@@ -409,15 +409,15 @@ def update_valid_assignment(
     if not is_forward(sigma):
         raise CounterexampleError("sigma-not-forward")
     pre_opt = _snapshot(inst, "srpt", s).before
-    if sigma.vols() != _remaining(ws.slf_s):
+    vols, vols_star = sigma.vols(), sigma.vols_star()
+    if vols != _remaining(ws.slf_s):
         raise CounterexampleError("sigma-left-marginals")
-    if sigma.vols_star() != _remaining(pre_opt):
+    if vols_star != _remaining(pre_opt):
         raise CounterexampleError("sigma-right-marginals")
 
     m2_w = {i: size[i] - ws.delta[i] for i in new_ids}
 
-    h1p, _h1s = split(sigma, min(ws.nu, ws.nu_star))
-    h2 = h1p
+    h2 = split(sigma, min(ws.nu, ws.nu_star))[0]
 
     r_ell = _remaining(ws.slf_ell)
     r_star_ell = _remaining(ws.opt_ell)
@@ -433,11 +433,12 @@ def update_valid_assignment(
     else:
         sigma_prime = _update_two(inst, ws, kprime, h2, m2_w, r_ell, r_star_ell)
 
-    _verify_marginal_properties(ws, sigma, size, sigma_prime, pre_opt)
+    vols_p, vols_star_p = sigma_prime.vols(), sigma_prime.vols_star()
+    _verify_marginal_properties(ws, size, pre_opt, vols, vols_star, vols_p, vols_star_p)
 
-    if sigma_prime.vols() != r_ell:
+    if vols_p != r_ell:
         raise CounterexampleError("updated-left-marginals")
-    if sigma_prime.vols_star() != r_star_ell:
+    if vols_star_p != r_star_ell:
         raise CounterexampleError("updated-right-marginals")
     phi = prefix_expansion(sigma_prime)
     if phi > kprime:
@@ -480,6 +481,7 @@ def _update_one(inst, ws: WorkSplit, kprime, h2, m2_w, r_ell, r_star_ell, r_star
     g = greedy_matching(
         g_order, opl_order, h3s.vols(), {i: ws.tau[i] for i in ws.O_plus}
     )
+    g_vols = g.vols()
 
     # context lemma: every suffix member but the front-most carries at least
     # eps/(1-eps) * gamma of demand
@@ -487,16 +489,12 @@ def _update_one(inst, ws: WorkSplit, kprime, h2, m2_w, r_ell, r_star_ell, r_star
     for j in g_order:
         if j == front:
             continue
-        if g.vol(j) * (1 - eps) < eps * ws.gamma:
+        if g_vols[j] * (1 - eps) < eps * ws.gamma:
             raise CounterexampleError(
-                "update1-volume-bound", job=j, vol=g.vol(j), gamma=ws.gamma
+                "update1-volume-bound", job=j, vol=g_vols[j], gamma=ws.gamma
             )
 
-    out = union(g, m3, h3p, md)
-    order = _family_right_order(
-        out.vols_star(), [h3p.right, opl_order, md.right]
-    )
-    return graph(out.left, order, out.weights)
+    return _union_in_family_order((g, m3, h3p, md), (h3p.right, opl_order, md.right))
 
 
 def _update_two(inst, ws: WorkSplit, kprime, h2, m2_w, r_ell, r_star_ell):
@@ -521,7 +519,6 @@ def _update_two(inst, ws: WorkSplit, kprime, h2, m2_w, r_ell, r_star_ell):
         raise CounterexampleError("claim-Y-exists", d=d, reached=reached)
 
     by_r_star = lambda i: (-(r_star_ell.get(i, ZERO)), i)
-    by_r = lambda i: (-(r_ell.get(i, ZERO)), i)
     m3_w = dict(m2_w)
     for i in ws.O_plus:
         m3_w[i] = m3_w[i] - ws.tau[i]
@@ -530,6 +527,7 @@ def _update_two(inst, ws: WorkSplit, kprime, h2, m2_w, r_ell, r_star_ell):
     m3 = _matching_on(ws.new_ids, m3_w, by_r_star)
 
     h2p, h2s = split(h2, d)
+    s_vols, s_vols_star = h2s.vols(), h2s.vols_star()
     phi2p = prefix_expansion(h2p)
     if phi2p > kprime:
         raise CounterexampleError("split-expansion", phi=phi2p, bound=kprime)
@@ -539,9 +537,9 @@ def _update_two(inst, ws: WorkSplit, kprime, h2, m2_w, r_ell, r_star_ell):
         if set(h2s.right) != set(Y):
             raise CounterexampleError("update2-Y-mismatch", Y=Y, right=h2s.right)
         for j in X:
-            if h2s.vol(j) * (1 - eps) > eps * ws.gamma:
+            if s_vols[j] * (1 - eps) > eps * ws.gamma:
                 raise CounterexampleError(
-                    "update2-suffix-volume-cap", job=j, vol=h2s.vol(j)
+                    "update2-suffix-volume-cap", job=j, vol=s_vols[j]
                 )
 
     # the optimum's partial job z is weakly largest in A+; it must head the
@@ -555,23 +553,20 @@ def _update_two(inst, ws: WorkSplit, kprime, h2, m2_w, r_ell, r_star_ell):
     )
     demands = {i: ws.tau[i] for i in ws.O_plus}
     for v in Y:
-        demands[v] = demands.get(v, ZERO) + h2s.vol_star(v)
+        demands[v] = demands.get(v, ZERO) + s_vols_star[v]
     astar_order = tuple(sorted(demands, key=by_r_star))
     g = greedy_matching(
         a_order, astar_order, {i: ws.tau_star[i] for i in ws.A_plus}, demands
     )
-    out = union(g, m3, h2p)
-    order = _family_right_order(
-        out.vols_star(), [h2p.right, astar_order, m3.right]
-    )
-    return graph(out.left, order, out.weights)
+    return _union_in_family_order((g, m3, h2p), (h2p.right, astar_order, m3.right))
 
 
-def _verify_marginal_properties(ws: WorkSplit, h1, size, hp, pre_opt):
-    """The five per-job volume identities of the updated graph; `size[i]` is
-    new job i's volume on both sides of its diagonal matching."""
-    vol_hp = hp.vols()
-    vol_hp_star = hp.vols_star()
+def _verify_marginal_properties(
+    ws: WorkSplit, size, pre_opt, vol_h1, vol_h1_star, vol_hp, vol_hp_star
+):
+    """The five per-job volume identities of the updated graph, from the
+    volumes of the graph before (h1) and after (hp) the update; `size[i]`
+    is new job i's volume on both sides of its diagonal matching."""
     for i in ws.new_ids:
         lhs = size[i] - vol_hp.get(i, ZERO)
         if lhs != ws.delta[i] + ws.tau[i]:
@@ -579,7 +574,6 @@ def _verify_marginal_properties(ws: WorkSplit, h1, size, hp, pre_opt):
         lhs = size[i] - vol_hp_star.get(i, ZERO)
         if lhs != ws.delta[i] + ws.tau_star[i]:
             raise CounterexampleError("H'-property-4", job=i, got=lhs)
-    vol_h1 = h1.vols()
     for i, st in ws.slf_s.items():
         if i in ws.K_s - ws.K_ell:
             lhs = vol_h1.get(i, ZERO) - vol_hp.get(i, ZERO)
@@ -588,7 +582,6 @@ def _verify_marginal_properties(ws: WorkSplit, h1, size, hp, pre_opt):
         else:
             if vol_hp.get(i, ZERO) != vol_h1.get(i, ZERO):
                 raise CounterexampleError("H'-property-3", job=i)
-    vol_h1_star = h1.vols_star()
     for i, st in pre_opt.items():
         r_now = ws.opt_ell[i].remaining if i in ws.opt_ell else ZERO
         lhs = vol_h1_star.get(i, ZERO) - vol_hp_star.get(i, ZERO)
@@ -599,23 +592,18 @@ def _verify_marginal_properties(ws: WorkSplit, h1, size, hp, pre_opt):
 # --- the main loop -------------------------------------------------------------
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class IterationRecord:
+    """One iteration of the certificate loop, shared by every transcript
+    that takes it: `details` is a read-only mapping of immutable values."""
+
     case: str
     s: Rat
     s_next: Rat
-    details: dict = field(default_factory=dict)
+    details: Mapping[str, object] = field(default_factory=lambda: MappingProxyType({}))
 
     def to_json(self) -> dict:
-        out = {"case": self.case, "s": rat_str(self.s), "s_next": rat_str(self.s_next)}
-        for k, v in self.details.items():
-            out[k] = rat_str(v) if isinstance(v, Fraction) else v
-        return out
-
-    def copy(self) -> "IterationRecord":
-        """A record whose details, and the lists in them, are its own."""
-        details = {k: list(v) if isinstance(v, list) else v for k, v in self.details.items()}
-        return IterationRecord(self.case, self.s, self.s_next, details)
+        return jsonable({"case": self.case, "s": self.s, "s_next": self.s_next, **self.details})
 
 
 @dataclass
@@ -756,7 +744,7 @@ def _advance(
         if want != sorted(hp.vols().values()):
             raise CounterexampleError("srpt-lemma-marginals", s=s, s_next=x)
         record = IterationRecord(
-            "known-run", s, x, {"phi_witness": prefix_expansion(hp)}
+            "known-run", s, x, MappingProxyType({"phi_witness": prefix_expansion(hp)})
         )
         return record, cur, x
     # a batch exactly at x is the next iteration's problem; moving it
@@ -767,8 +755,8 @@ def _advance(
         # the equal instance the schedule cache keeps, if another step made
         # one: the next steps' lookups on it are then identity hits
         moved = _sched(moved, "slf").instance
-        details = {"until": x, "jobs": sorted(j.id for j in movers)}
-        return IterationRecord("move", s, s, details), moved, s
+        details = {"until": x, "jobs": tuple(sorted(j.id for j in movers))}
+        return IterationRecord("move", s, s, MappingProxyType(details)), moved, s
     sigma = _canonical_at(cur, s)
     if x == plan.stop:
         case = "fast-forward-knowledge"
@@ -787,10 +775,10 @@ def _advance(
     sigma_prime = update_valid_assignment(cur, plan.batch, s, x, sigma)
     details = {
         "leader": plan.leader,
-        "batch": list(plan.batch),
+        "batch": plan.batch,
         "phi_witness": prefix_expansion(sigma_prime),
     }
-    return IterationRecord(case, s, x, details), cur, x
+    return IterationRecord(case, s, x, MappingProxyType(details)), cur, x
 
 
 def create_valid_assignment(inst: Instance, t: Rat) -> Certificate:
@@ -818,9 +806,8 @@ def create_valid_assignment(inst: Instance, t: Rat) -> Certificate:
     cur = root
     s = ZERO
     if eps == 1:
-        transcript.append(
-            IterationRecord("identity", t, t, {"note": "eps=1: alg coincides with opt"})
-        )
+        note = MappingProxyType({"note": "eps=1: alg coincides with opt"})
+        transcript.append(IterationRecord("identity", t, t, note))
         s = t
 
     max_iter = 6 * len(inst.jobs) + 16
@@ -839,7 +826,7 @@ def create_valid_assignment(inst: Instance, t: Rat) -> Certificate:
             raise
         _check_magical(alg, s, t, plan.unknown)
         record, cur, s = _advance(root, cur, s, _stop_point(plan, alg, s, t))
-        transcript.append(record.copy())
+        transcript.append(record)
 
     final = canonical_from_marginals(*_marginals(cur, t))
     checked = check_assignment(final, eps)

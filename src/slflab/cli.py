@@ -34,6 +34,7 @@ from .core import (
     InstanceError,
     as_rat,
     ceil_inv,
+    jsonable,
     parse_instance,
     parse_rat,
     rat_str,
@@ -87,20 +88,6 @@ def _outdir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _jsonable(value):
-    """JSON form of a check's context or witness: rat-strings for rationals,
-    sorted lists for sets, lists for tuples."""
-    if isinstance(value, Fraction):
-        return rat_str(value)
-    if isinstance(value, set):
-        return [_jsonable(v) for v in sorted(value)]
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    return value
 
 
 def cmd_simulate(args) -> int:
@@ -169,7 +156,7 @@ def cmd_certify(args) -> int:
             "kind": "counterexample",
             "check": check,
             "time": rat_str(t),
-            "context": _jsonable(context),
+            "context": jsonable(context),
         }
         (out / "counterexample.json").write_text(serialize_instance(inst, meta=meta))
         print(f"certificate failed: {check}; see counterexample.json", file=sys.stderr)
@@ -186,7 +173,7 @@ def cmd_adversary(args) -> int:
         eps, args.rounds, tail_m=args.tail, policy=args.policy
     )
     out = _outdir(args)
-    doc = _jsonable(
+    doc = jsonable(
         {
             "epsilon": eps,
             "policy": args.policy,
@@ -295,7 +282,7 @@ def cmd_reduce(args) -> int:
     inst = _load_instance(args.instance)
     eps = parse_rat(args.epsilon) if args.epsilon is not None else inst.epsilon
     report = reduction_check(inst, eps)
-    witness = _jsonable(report.witness)
+    witness = jsonable(report.witness)
     doc = {"ok": report.ok, "checks": report.checks, "witness": witness}
     out = _outdir(args)
     (out / "reduction.json").write_text(json.dumps(doc, indent=2))

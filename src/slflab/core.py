@@ -46,6 +46,20 @@ def rat_str(x: Rat) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+def jsonable(value):
+    """JSON form of a value: rat-strings for rationals, sorted lists for
+    sets, lists for tuples, string keys for dicts."""
+    if isinstance(value, Fraction):
+        return rat_str(value)
+    if isinstance(value, set):
+        return [jsonable(v) for v in sorted(value)]
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): jsonable(v) for k, v in value.items()}
+    return value
+
+
 def ceil_inv(epsilon: Rat) -> int:
     """The integer ceiling of 1/epsilon for epsilon in (0, 1]."""
     if epsilon <= 0:

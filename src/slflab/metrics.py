@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .core import Instance, Rat, rat_str
+from .core import Instance, Rat, jsonable, rat_str
 from .sim import Grid, Schedule, merge_grid
 
 ZERO = Fraction(0)
@@ -55,18 +55,17 @@ class CompetitivenessReport:
     passed: bool
     table: list[tuple[Rat, int, int]]  # (t, |ALG(t)|, |OPT(t)|)
 
-    def to_json(self, flow_alg: Rat | None = None, flow_opt: Rat | None = None) -> str:
+    def to_json(self, flow_alg: Rat, flow_opt: Rat) -> str:
         doc = {
-            "rho": rat_str(self.rho),
-            "max_count_ratio": rat_str(self.max_count_ratio),
-            "witness": None if self.witness_time is None else rat_str(self.witness_time),
+            "rho": self.rho,
+            "max_count_ratio": self.max_count_ratio,
+            "witness": self.witness_time,
             "local_ok": self.passed,
+            "flow_alg": flow_alg,
+            "flow_opt": flow_opt,
+            "ratio": flow_alg / flow_opt,
         }
-        if flow_alg is not None and flow_opt is not None:
-            doc["flow_alg"] = rat_str(flow_alg)
-            doc["flow_opt"] = rat_str(flow_opt)
-            doc["ratio"] = rat_str(flow_alg / flow_opt)
-        return json.dumps(doc, indent=2)
+        return json.dumps(jsonable(doc), indent=2)
 
 
 def count_profile(*schedules: Schedule) -> list[tuple[Rat, tuple[int, ...]]]:

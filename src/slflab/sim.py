@@ -62,20 +62,20 @@ int again.
 The run is `Schedule`'s one store, in engine units (`_Run`): tu = L * c,
 wu = L * d * K, K itself, the speed, the boundary ticks (0, then each
 segment end: an int, or a Fraction off the grid), each segment's jobs and
-start level (the solo job's elapsed or the pool's group level, to which
-rr's members add their offset), each event as (tick index, kind, job), the
-tick index of each job's completion and of its `known` event, both recorded
-as the run goes, and each arrived job's level at the last tick. Only the
-`events` view reads the event log. Every query turns its times into ticks
-(t * tu, an int when t's denominator divides tu), compares and sums in
-engine units (a pool of k gives each member dt * K / k work in dt ticks)
-and turns only its answer into Fractions. `completions`, `end_time`,
-`final_elapsed`, `known_times()` and `known_runs` (the maximal runs of solo
-segments whose job was known at the segment's start) are Fraction views of
-the run, built on first read, as are `segments` and `events` (for export,
-the benchmark's tracer and tests). `metrics.total_flow_time` sums the
-completion ticks and the reduction chain reads tick indices, so neither
-builds a view.
+end level (the solo job's elapsed or the pool's group level once the engine
+has stepped to the segment's end, to which rr's members add their offset),
+each event as (tick index, kind, job), the tick index of each job's
+completion and of its `known` event, both recorded as the run goes, and each
+arrived job's level at the last tick. Only the `events` view reads the event
+log. Every query turns its times into ticks (t * tu, an int when t's
+denominator divides tu), compares and sums in engine units (a pool of k
+gives each member dt * K / k work in dt ticks) and turns only its answer
+into Fractions. `completions`, `end_time`, `final_elapsed`, `known_times()`
+and `known_runs` (the maximal runs of solo segments whose job was known at
+the segment's start) are Fraction views of the run, built on first read, as
+are `segments` and `events` (for export, the benchmark's tracer and tests).
+`metrics.total_flow_time` sums the completion ticks and the reduction chain
+reads tick indices, so neither builds a view.
 
 A job whose size is known at elapsed 0 (eps = 1) is logged `known` on
 arrival, under every policy. A segment end that logs no event of its own
@@ -86,19 +86,18 @@ Every policy runs one job or shares the speed equally in one pool, so a
 `Segment` is (start, end, rate, jobs), and a reader multiplies once per
 segment. `Schedule.jobs_before(t)` names the jobs that ran right before t.
 
-A time asked on its own goes to `Schedule.elapsed_at`, or to
-`active_count`, which counts the releases and the completions up to t.
-The first query (never `simulate`) builds one per-job index: per job, the
-ascending indices of the segments that run it, and each segment's end
-level, one `_div` per segment. A job's elapsed at t is its end level in its
-last segment starting before t, less the work after t in the segment
-holding t; `last_touch` and `reach_times` bisect the job's list. The index
-holds one int per member entry, O(segments x k) as the run's job tuples.
-One pass of `states_from_elapsed` over the jobs builds both queue views at
-t from one elapsed map: every release at t arrived, and right before that
-batch. `state_at` is its argument checks, one `elapsed_at` and the first
-view; callers holding the elapsed map (the certifier, and the adversary
-for every queue it reads) call the builder alone.
+A time asked on its own goes to `Schedule.elapsed_at`, or to `active_count`,
+which counts the releases and the completions up to t. The first query
+(never `simulate`) builds one per-job index: per job, the ascending indices
+of the segments that run it. A job's elapsed at t is the end level the
+engine recorded for its last segment starting before t, less the work after
+t in the segment holding t; `last_touch` and `reach_times` bisect the job's
+list. The index holds one int per member entry, O(segments x k) as the run's
+job tuples. One pass of `states_from_elapsed` over the jobs builds both
+queue views at t from one elapsed map: every release at t arrived, and right
+before that batch. `state_at` is its argument checks, one `elapsed_at` and
+the first view; callers holding the elapsed map (the certifier, and the
+adversary for every queue it reads) call the builder alone.
 
 The boundaries of several schedules go to `merge_grid`, which puts them on
 one unit U: the lcm of their time units times the denominators of their
@@ -192,13 +191,14 @@ class Segment:
 class _Run(NamedTuple):
     """A run in engine units: time unit `tu`, work unit `wu` (L * d * K),
     `per_tick` (K: the work a solo job gains per tick), `speed`, the
-    boundary `ticks` (0, then each segment's end: an int, or a Fraction off
-    the grid), each segment's `jobs` and start `levels` (None when idle),
-    each event as (tick index, kind, job), rr's `offs`, job -> what it adds
-    to a level (empty under the other policies), `done` and `known`, job ->
-    the tick index of its completion or its `known` event, in event order,
-    and `final`, job -> its level at the last tick, in arrival order. Only
-    the `Schedule.events` view reads `events`."""
+    boundary `ticks` (0, then each segment's end: an int, or a Fraction
+    off the grid), each segment's `jobs` and the end `levels` the engine
+    steps to (the pool's `run_level()` or the solo job's elapsed; None
+    when idle), each event as (tick index, kind, job), rr's `offs`, job ->
+    what it adds to a level (empty under the other policies), `done` and
+    `known`, job -> the tick index of its completion or its `known` event,
+    in event order, and `final`, job -> its level at the last tick, in
+    arrival order. Only the `Schedule.events` view reads `events`."""
 
     tu: int
     wu: int
@@ -277,7 +277,7 @@ class Schedule:
 
     @cached_property
     def events(self) -> list[Event]:
-        times = [ZERO, *(seg.end for seg in self.segments)]
+        times = [_real(x, self.run.tu) for x in self.run.ticks]
         return [Event(times[i], kind, job) for i, kind, job in self.run.events]
 
     def boundaries(self) -> list[Rat]:
@@ -296,8 +296,8 @@ class Schedule:
         job's end level in the last segment starting before t that runs it,
         less the work after t in the segment holding t; the caller owns the
         returned dict."""
-        run, (runs, ends) = self.run, self._index
-        ticks, offs, x = run.ticks, run.offs, _units(t, run.tu)
+        run, runs = self.run, self._index
+        ticks, ends, offs, x = run.ticks, run.levels, run.offs, _units(t, run.tu)
         p = bisect_left(ticks, x)  # segments [0, p) start before t
         hold, cut = p - 1, 0
         if 0 < p < len(ticks) and run.jobs[hold]:
@@ -312,19 +312,14 @@ class Schedule:
         return out
 
     @cached_property
-    def _index(self) -> tuple[dict[int, list[int]], list]:
+    def _index(self) -> dict[int, list[int]]:
         """Per job in order of first run, the ascending indices of the
-        segments that run it; and each segment's end level (None when idle),
-        which a job adds its `offs` entry to."""
-        ticks, levels, per_tick = self.run.ticks, self.run.levels, self.run.per_tick
+        segments that run it."""
         runs: dict[int, list[int]] = defaultdict(list)
-        ends: list = []
         for i, js in enumerate(self.run.jobs):
-            dt = ticks[i + 1] - ticks[i]
-            ends.append(levels[i] + _div(dt * per_tick, len(js)) if js else None)
             for jid in js:
                 runs[jid].append(i)
-        return runs, ends
+        return runs
 
     # these queries take and return Fractions and compare ticks; other
     # modules read the run directly only for tick indices and completion
@@ -342,7 +337,7 @@ class Schedule:
         runs `job`; None if the job does not run before t."""
         tu, ticks = self.run.tu, self.run.ticks
         x = _units(t, tu)
-        segs = self._index[0].get(job, ())
+        segs = self._index.get(job, ())
         r = bisect_left(segs, bisect_left(ticks, x))
         if not r:
             return None
@@ -376,8 +371,8 @@ class Schedule:
         equals its (positive) level; jobs that never get there are absent.
         Bisects the end levels of the job's segments for its elapsed at
         `after` plus the level: every segment ending by `after` ends below."""
-        run, (runs, ends) = self.run, self._index
-        ticks, jobs, offs = run.ticks, run.jobs, run.offs
+        run, runs = self.run, self._index
+        ticks, jobs, ends, offs = run.ticks, run.jobs, run.levels, run.offs
         base = self.elapsed_at(after)
         out: dict[int, Rat] = {}
         for jid, level in levels.items():
@@ -578,7 +573,7 @@ def simulate(
     # a cut run and, as the run's `offs`, by the schedule's queries
     rr_off: dict = {}
 
-    # the run: the boundary ticks, each segment's jobs and start level, each
+    # the run: the boundary ticks, each segment's jobs and end level, each
     # event's tick index
     ticks: list = [0]
     seg_jobs: list[tuple[int, ...]] = []
@@ -786,14 +781,16 @@ def simulate(
         # reaching the goal sets the level to it, exactly; otherwise the run
         # advances by K times the time over k, which leaves the integers only
         # when k does not divide K or the time is off the grid; a value that
-        # comes back to a whole number is an int again
+        # comes back to a whole number is an int again; `level` becomes the
+        # segment's end level (still None when idle)
         if regime == "pool":
             if hit:
                 acc = _whole(goal - running.off)
             else:
                 acc = _whole(acc + _div((stop - t) * per_tick, len(jobs)))
+            level = run_level()
         elif regime == "solo":
-            elapsed[solo] = goal if hit else _whole(elapsed[solo] + (stop - t) * per_tick)
+            level = elapsed[solo] = goal if hit else _whole(elapsed[solo] + (stop - t) * per_tick)
         t = _whole(stop)
         ticks.append(t)
         seg_jobs.append(jobs)

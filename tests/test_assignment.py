@@ -124,13 +124,14 @@ def test_greedy_matching_random_properties():
         vals = [a - b for a, b in zip(cuts + [total], [F(0)] + cuts)]
         cstar = {100 + i: v for i, v in enumerate(vals)}
         h = greedy_matching(tuple(c), tuple(cstar), c, cstar)
-        assert h.vols() == {u: w for u, w in c.items() if w > 0} or all(
-            h.vol(u) == c[u] for u in c
+        vols, vols_star = h.vols(), h.vols_star()
+        assert vols == {u: w for u, w in c.items() if w > 0} or all(
+            vols[u] == c[u] for u in c
         )
         for u in c:
-            assert h.vol(u) == c[u]
+            assert vols[u] == c[u]
         for v in cstar:
-            assert h.vol_star(v) == cstar[v]
+            assert vols_star[v] == cstar[v]
         assert is_backward(h)
 
 
@@ -219,10 +220,11 @@ def test_merge_properties():
             continue
         m = merge_default(a, b)
         assert is_forward(m)
-        for u in a.left:
-            assert m.vol(u) == a.vol(u)
-        for v in b.right:
-            assert m.vol_star(v) == b.vol_star(v)
+        m_vols, m_vols_star = m.vols(), m.vols_star()
+        for u, w in a.vols().items():
+            assert m_vols[u] == w
+        for v, w in b.vols_star().items():
+            assert m_vols_star[v] == w
 
 
 def test_merge_of_unequal_volumes_raises():

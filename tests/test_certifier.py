@@ -206,7 +206,7 @@ def test_create_staggered_instance_moves_batch():
     cert = create_valid_assignment(inst, F(23))
     assert verify_certificate(cert).passed
     moves = [r for r in cert.transcript if r.case == "move"]
-    assert moves and moves[0].details["jobs"] == [3, 4]
+    assert moves and moves[0].details["jobs"] == (3, 4)
     tags = {j.id: j.release for j in cert.transformed.jobs}
     assert tags[3].time == F(0) and tags[3].epoch > 0
     assert tags[4].time == F(0) and tags[4].epoch > 0
@@ -366,6 +366,25 @@ def test_snapshot_is_read_only():
             view.pop(key)
     # a second read is the same shared entry, unchanged
     assert _snapshot(inst, "slf", F(5)) is snap
+
+
+def test_transcript_records_are_read_only():
+    # targets 20 and 23 take the same move and fast-forward steps, so their
+    # transcripts hold the step cache's records themselves
+    inst = staggered_instance()
+    a = create_valid_assignment(inst, F(20)).transcript
+    b = create_valid_assignment(inst, F(23)).transcript
+    assert [r.case for r in a] == ["move", "fast-forward-knowledge", "known-run"]
+    assert a[0] is b[0] and a[1] is b[1] and a[2] is not b[2]
+    assert a[0].details["jobs"] == (3, 4) and a[1].details["batch"] == (1, 2, 3, 4)
+    for record in a:
+        with pytest.raises(AttributeError):
+            record.s_next = record.s
+        key = next(iter(record.details))
+        with pytest.raises(TypeError):
+            record.details[key] = record.details[key]
+        with pytest.raises(TypeError):
+            del record.details[key]
 
 
 def test_snapshot_matches_state_at():
