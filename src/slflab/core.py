@@ -156,8 +156,13 @@ class Instance:
         return Instance(self.epsilon, tuple(jobs))
 
 
+_JOB_FIELDS = frozenset({"id", "release", "size", "epoch"})
+
+
 def parse_instance(text: str) -> Instance:
-    """Parse the instance JSON document (see README for the schema)."""
+    """Parse the instance JSON document (see README for the schema). Each
+    distinct rat-string is parsed once: a sampled family repeats its
+    releases and sizes (the exp family releases every job at "0")."""
     try:
         doc = json.loads(text, parse_float=Fraction, parse_int=int)
     except json.JSONDecodeError as exc:
@@ -167,22 +172,31 @@ def parse_instance(text: str) -> Instance:
     eps = as_rat(doc["epsilon"], "epsilon")
     if not isinstance(doc["jobs"], list):
         raise InstanceError("'jobs' must be a list")
+    parsed: dict[str, Rat] = {}  # rat-string -> its value, for this document
+
+    def rat(value, what: str) -> Rat:
+        if type(value) is not str:
+            return as_rat(value, what)
+        x = parsed.get(value)
+        if x is None:
+            x = parsed[value] = as_rat(value, what)
+        return x
+
     jobs = []
     for entry in doc["jobs"]:
         if not isinstance(entry, dict):
             raise InstanceError("job entries must be objects")
-        unknown = set(entry) - {"id", "release", "size", "epoch"}
-        if unknown:
-            raise InstanceError(f"unknown job fields: {sorted(unknown)}")
+        if not entry.keys() <= _JOB_FIELDS:
+            raise InstanceError(f"unknown job fields: {sorted(entry.keys() - _JOB_FIELDS)}")
         jid = entry.get("id")
         if type(jid) is not int:  # bool is an int subclass
             raise InstanceError("job id must be an integer")
-        release = as_rat(entry.get("release", 0), f"job {jid} release")
+        release = rat(entry.get("release", 0), f"job {jid} release")
         epoch = entry.get("epoch", 0)
         if type(epoch) is not int:
             raise InstanceError(f"job {jid}: epoch must be an integer")
         raw_size = entry.get("size")
-        size = None if raw_size is None else as_rat(raw_size, f"job {jid} size")
+        size = None if raw_size is None else rat(raw_size, f"job {jid} size")
         jobs.append(Job(jid, ReleaseTag(release, epoch), size))
     return Instance(eps, tuple(jobs))
 

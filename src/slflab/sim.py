@@ -61,21 +61,26 @@ int again.
 
 The run is `Schedule`'s one store, in engine units (`_Run`): tu = L * c,
 wu = L * d * K, K itself, the speed, the boundary ticks (0, then each
-segment end: an int, or a Fraction off the grid), each segment's jobs and
-end level (the solo job's elapsed or the pool's group level once the engine
-has stepped to the segment's end, to which rr's members add their offset),
-each event as (tick index, kind, job), the tick index of each job's
-completion and of its `known` event, both recorded as the run goes, and each
-arrived job's level at the last tick. Only the `events` view reads the event
-log. Every query turns its times into ticks (t * tu, an int when t's
-denominator divides tu), compares and sums in engine units (a pool of k
-gives each member dt * K / k work in dt ticks) and turns only its answer
-into Fractions. `completions`, `end_time`, `final_elapsed`, `known_times()`
-and `known_runs` (the maximal runs of solo segments whose job was known at
-the segment's start) are Fraction views of the run, built on first read, as
-are `segments` and `events` (for export, the benchmark's tracer and tests).
-`metrics.total_flow_time` sums the completion ticks and the reduction chain
-reads tick indices, so neither builds a view.
+segment end: an int, or a Fraction off the grid), and per segment, in O(1)
+whatever its pool size, its pool size k, its holder (the solo job, or the
+running group's negative key; None when idle) and its end level (the solo
+job's elapsed or the group's level once the engine has stepped to the
+segment's end, to which rr's members add their offset). Each job's spans
+(from segment index, holder) log its holders until it completes: on
+arrival, when its group merges into one at least as large (the larger side
+keeps its key, so a job moves at most log2 n times) and on slf's exit on
+knowledge. Then each event as (tick index, kind, job), the tick index of
+each job's completion and of its `known` event, both recorded as the run
+goes, and each arrived job's level at the last tick. Only the `events`
+view reads the event log. Every query turns its times into ticks (t * tu,
+an int when t's denominator divides tu), compares and sums in engine units
+(a pool of k gives each member dt * K / k work in dt ticks) and turns only
+its answer into Fractions. `completions`, `end_time`, `final_elapsed`,
+`known_times()` and `known_runs` (the maximal runs of solo segments whose
+job was known at the segment's start) are Fraction views of the run, built
+on first read, as are `segments` and `events` (for export, the benchmark's
+tracer and tests). `metrics.total_flow_time` sums the completion ticks and
+the reduction chain reads tick indices, so neither builds a view.
 
 A job whose size is known at elapsed 0 (eps = 1) is logged `known` on
 arrival, under every policy. A segment end that logs no event of its own
@@ -84,17 +89,19 @@ arrival, under every policy. A segment end that logs no event of its own
 
 Every policy runs one job or shares the speed equally in one pool, so a
 `Segment` is (start, end, rate, jobs), and a reader multiplies once per
-segment. `Schedule.jobs_before(t)` names the jobs that ran right before t.
+segment. Only the `segments` view and `Grid.steps` list a segment's jobs,
+replayed from the spans on first read. `Schedule.jobs_before(t)` names the
+jobs that ran right before t.
 
 A time asked on its own goes to `Schedule.elapsed_at`, or to `active_count`,
 which counts the releases and the completions up to t. The first query
-(never `simulate`) builds one per-job index: per job, the ascending indices
-of the segments that run it. A job's elapsed at t is the end level the
-engine recorded for its last segment starting before t, less the work after
-t in the segment holding t; `last_touch` and `reach_times` bisect the job's
-list. The index holds one int per member entry, O(segments x k) as the run's
-job tuples. One pass of `states_from_elapsed` over the jobs builds both
-queue views at t from one elapsed map: every release at t arrived, and right
+(never `simulate`) lists each holder's segments, O(segments) ints in all. A
+job's elapsed at t is the end level of the last segment starting before t
+that runs it, less the work after t in the segment holding t: its spans
+from the latest, each bisecting its holder's segments. `last_touch`,
+`jobs_before`, `touched_jobs`, `reach_times` and `known_runs` read the same
+spans. One pass of `states_from_elapsed` over the jobs builds both queue
+views at t from one elapsed map: every release at t arrived, and right
 before that batch. `state_at` is its argument checks, one `elapsed_at` and
 the first view; callers holding the elapsed map (the certifier, and the
 adversary for every queue it reads) call the builder alone.
@@ -117,8 +124,9 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
+from itertools import count
 from math import lcm
+from operator import itemgetter
 from typing import NamedTuple
 
 from .core import Instance, Rat
@@ -179,7 +187,7 @@ class Segment:
     start: Rat
     end: Rat
     rate: Rat  # work units per time unit of each job; 0 exactly when idle
-    jobs: tuple[int, ...]  # in the engine's member order; empty when idle
+    jobs: tuple[int, ...]  # ascending; empty when idle
 
     @property
     def rates(self) -> dict[int, Rat]:
@@ -192,21 +200,27 @@ class _Run(NamedTuple):
     """A run in engine units: time unit `tu`, work unit `wu` (L * d * K),
     `per_tick` (K: the work a solo job gains per tick), `speed`, the
     boundary `ticks` (0, then each segment's end: an int, or a Fraction
-    off the grid), each segment's `jobs` and the end `levels` the engine
-    steps to (the pool's `run_level()` or the solo job's elapsed; None
-    when idle), each event as (tick index, kind, job), rr's `offs`, job ->
-    what it adds to a level (empty under the other policies), `done` and
-    `known`, job -> the tick index of its completion or its `known` event,
-    in event order, and `final`, job -> its level at the last tick, in
-    arrival order. Only the `Schedule.events` view reads `events`."""
+    off the grid), and per segment its pool size in `sizes` (0 when idle),
+    its `holders` (the solo job, the running group's negative key, or None
+    when idle) and the end `levels` the engine steps to (the pool's
+    `run_level()` or the solo job's elapsed; None when idle). `spans`, job
+    -> its (segment index, holder) pairs, in arrival order: from that
+    segment on the job runs with that holder, until its `done` index. Then
+    each event as (tick index, kind, job), rr's `offs`, job -> what it
+    adds to a level (empty under the other policies), `done` and `known`,
+    job -> the tick index of its completion or its `known` event, in event
+    order, and `final`, job -> its level at the last tick, in arrival
+    order. Only the `Schedule.events` view reads `events`."""
 
     tu: int
     wu: int
     per_tick: int
     speed: Fraction
     ticks: list
-    jobs: list[tuple[int, ...]]
+    sizes: list[int]
+    holders: list
     levels: list
+    spans: dict[int, list[tuple]]
     events: list[tuple[int, str, int | None]]
     offs: dict
     done: dict[int, int]
@@ -271,9 +285,43 @@ class Schedule:
         """Fraction views of the run, built on first read; no query reads
         them (export, the benchmark's tracer and tests do). The times are
         built here, not by `boundaries()`, which the tracer counts as a query."""
-        jobs, times = self.run.jobs, [_real(x, self.run.tu) for x in self.run.ticks]
-        rates = {k: self.run.speed / k if k else ZERO for k in set(map(len, jobs))}
-        return [Segment(times[i], times[i + 1], rates[len(js)], js) for i, js in enumerate(jobs)]
+        run = self.run
+        times = [_real(x, run.tu) for x in run.ticks]
+        rates = {k: run.speed / k if k else ZERO for k in set(run.sizes)}
+        return [
+            Segment(times[i], times[i + 1], rates[k], js)
+            for i, (k, js) in enumerate(zip(run.sizes, self._members))
+        ]
+
+    @cached_property
+    def _members(self) -> list[tuple[int, ...]]:
+        """Each segment's jobs, ascending, replayed from the spans on first
+        read; only `segments` and `Grid.steps` read it. A holder's segments
+        share one tuple until its jobs change."""
+        run = self.run
+        moves = []  # (segment index, job, holder left, holder joined)
+        for jid, log in run.spans.items():
+            if jid in run.done:  # it leaves its last holder on completion
+                log = [*log, (run.done[jid], None)]
+            moves += [(i, jid, old, h) for (i, h), (_, old) in zip(log, [(0, None), *log])]
+        moves.sort(key=itemgetter(0))  # stable: a job's moves at one index stay in order
+        moves.append((len(run.holders), 0, None, None))  # a stop past the last segment
+        held: dict = defaultdict(set)  # holder -> its jobs
+        view: dict = {}  # holder -> its jobs as a tuple, until they change
+        out, m = [], 0
+        for i, h in enumerate(run.holders):
+            while moves[m][0] == i:
+                _, jid, old, new = moves[m]
+                m += 1
+                held[old].discard(jid)
+                held[new].add(jid)
+                view.pop(old, None)
+                view.pop(new, None)
+            jobs = view.get(h)
+            if jobs is None:
+                jobs = view[h] = () if h is None else tuple(sorted(held[h]))
+            out.append(jobs)
+        return out
 
     @cached_property
     def events(self) -> list[Event]:
@@ -291,57 +339,101 @@ class Schedule:
         released = sum(j.release.time <= t for j in self.instance.jobs)
         return released - sum(c <= t for c in self.completions.values())
 
+    # these queries read the jobs' spans and each holder's segments: they
+    # take and return Fractions and compare ticks; other modules read the run
+    # directly only for tick indices and completion ticks (`metrics`,
+    # `reduction`)
+
+    @cached_property
+    def _runs(self) -> dict:
+        """Holder -> the ascending indices of the segments it runs."""
+        runs: dict = defaultdict(list)
+        for i, h in enumerate(self.run.holders):
+            runs[h].append(i)
+        runs.pop(None, None)  # idle segments run no one
+        return runs
+
+    def _last_run(self, jid: int, log: list, hi: int) -> int:
+        """The last segment before segment `hi` that runs `jid`, whose spans
+        are `log`, or -1: its completing segment once it is complete, else
+        its spans from the latest, each bisecting its holder's segments."""
+        d = self.run.done.get(jid)
+        if d is not None and d <= hi:
+            return d - 1
+        runs = self._runs
+        for f, h in reversed(log):
+            if f < hi:
+                r = runs.get(h)
+                if r:
+                    q = bisect_left(r, hi)
+                    if q and r[q - 1] >= f:
+                        return r[q - 1]
+                hi = f
+        return -1
+
+    def _ran(self, lo: int, hi: int) -> set[int]:
+        """The jobs that run in a segment of [lo, hi)."""
+        held = set(self.run.holders[lo:hi]) - {None}
+        out = {h for h in held if h > 0}  # a solo job holds its own segments
+        if len(out) < len(held):  # and a group ran: its jobs' spans say who
+            for jid, log in self.run.spans.items():
+                if log[0][0] >= hi:
+                    break  # spans is in arrival order
+                if jid not in out and self._last_run(jid, log, hi) >= lo:
+                    out.add(jid)
+        return out
+
+    def _slices(self, job: int, runs: dict):
+        """Per span of `job` in time order, (r, a, b): r[a:b] are the
+        segments of its holder in `runs` (holder -> its segments) while
+        the job is with it."""
+        log, end = self.run.spans.get(job, ()), self.run.done.get(job, len(self.run.levels))
+        for (f, h), (nxt, _) in zip(log, [*log[1:], (end, None)]):
+            r = runs.get(h)
+            if r:
+                yield r, bisect_left(r, f), bisect_left(r, nxt)
+
     def elapsed_at(self, t: Rat) -> dict[int, Rat]:
         """Exact elapsed work per job, counting work during [0, t): each
         job's end level in the last segment starting before t that runs it,
         less the work after t in the segment holding t; the caller owns the
         returned dict."""
-        run, runs = self.run, self._index
+        run = self.run
         ticks, ends, offs, x = run.ticks, run.levels, run.offs, _units(t, run.tu)
         p = bisect_left(ticks, x)  # segments [0, p) start before t
         hold, cut = p - 1, 0
-        if 0 < p < len(ticks) and run.jobs[hold]:
-            cut = _div((ticks[p] - x) * run.per_tick, len(run.jobs[hold]))
+        if 0 < p < len(ticks) and run.sizes[hold]:
+            cut = _div((ticks[p] - x) * run.per_tick, run.sizes[hold])
         out = {}
-        for jid, segs in runs.items():
-            if segs[0] >= p:
-                break  # runs is in order of first run
-            i = segs[bisect_left(segs, p) - 1]
-            e = ends[i] - cut if i == hold else ends[i]
-            out[jid] = _real(e + offs[jid] if offs else e, run.wu)
+        for jid, log in run.spans.items():
+            if log[0][0] >= p:
+                break  # spans is in arrival order
+            i = self._last_run(jid, log, p)
+            if i >= 0:
+                e = ends[i] - cut if i == hold else ends[i]
+                out[jid] = _real(e + offs[jid] if offs else e, run.wu)
         return out
-
-    @cached_property
-    def _index(self) -> dict[int, list[int]]:
-        """Per job in order of first run, the ascending indices of the
-        segments that run it."""
-        runs: dict[int, list[int]] = defaultdict(list)
-        for i, js in enumerate(self.run.jobs):
-            for jid in js:
-                runs[jid].append(i)
-        return runs
-
-    # these queries take and return Fractions and compare ticks; other
-    # modules read the run directly only for tick indices and completion
-    # ticks (`metrics`, `reduction`)
 
     def jobs_before(self, t: Rat) -> tuple[int, ...]:
         """Jobs of the segment with start < t <= end (the work right before
-        t); empty when that segment is idle or t is outside (0, end_time]."""
+        t), ascending; empty when that segment is idle or t is outside
+        (0, end_time]."""
         ticks, x = self.run.ticks, _units(t, self.run.tu)
         i = bisect_left(ticks, x, 1)
-        return self.run.jobs[i - 1] if i < len(ticks) and ticks[i - 1] < x else ()
+        if i == len(ticks) or ticks[i - 1] >= x:
+            return ()
+        h = self.run.holders[i - 1]
+        return (h,) if h is not None and h > 0 else tuple(sorted(self._ran(i - 1, i)))
 
     def last_touch(self, job: int, t: Rat) -> Rat | None:
         """The end, capped at t, of the last segment starting before t that
         runs `job`; None if the job does not run before t."""
         tu, ticks = self.run.tu, self.run.ticks
         x = _units(t, tu)
-        segs = self._index.get(job, ())
-        r = bisect_left(segs, bisect_left(ticks, x))
-        if not r:
+        i = self._last_run(job, self.run.spans.get(job, ()), bisect_left(ticks, x))
+        if i < 0:
             return None
-        end = ticks[segs[r - 1] + 1]
+        end = ticks[i + 1]
         return t if end >= x else _real(end, tu)
 
     def known_times(self) -> dict[int, Rat]:
@@ -354,13 +446,24 @@ class Schedule:
         """The maximal runs of solo segments whose job was known at the
         segment's start, as (start, end) pairs in time order."""
         run, known = self.run, self.run.known
+        ones: list[int] = []
+        pools: dict = defaultdict(list)  # group -> its segments with one member
+        for i, (k, h) in enumerate(zip(run.sizes, run.holders)):
+            if k == 1 and h > 0:  # a solo job
+                if known.get(h, i + 1) <= i:
+                    ones.append(i)
+            elif k == 1:
+                pools[h].append(i)
+        if pools:  # each known job's pools of one, from its `known` tick on
+            for j, s in known.items():
+                ones += [i for r, a, b in self._slices(j, pools) for i in r[a:b] if i >= s]
+            ones.sort()
         spans: list[list[int]] = []
-        for i, js in enumerate(run.jobs):
-            if len(js) == 1 and known.get(js[0], i + 1) <= i:
-                if spans and spans[-1][1] == i:
-                    spans[-1][1] = i + 1
-                else:
-                    spans.append([i, i + 1])
+        for i in ones:
+            if spans and spans[-1][1] == i:
+                spans[-1][1] = i + 1
+            else:
+                spans.append([i, i + 1])
         ticks, tu = run.ticks, run.tu
         # from a list: a tuple built from a generator is resized, and CPython
         # 3.11 keeps it, once freed, on a free list it is not taken from
@@ -369,20 +472,22 @@ class Schedule:
     def reach_times(self, levels: dict[int, Rat], after: Rat) -> dict[int, Rat]:
         """Job id -> the first time at which the job's work since `after`
         equals its (positive) level; jobs that never get there are absent.
-        Bisects the end levels of the job's segments for its elapsed at
-        `after` plus the level: every segment ending by `after` ends below."""
-        run, runs = self.run, self._index
-        ticks, jobs, ends, offs = run.ticks, run.jobs, run.levels, run.offs
+        Bisects the end levels of the job's segments, span by span, for its
+        elapsed at `after` plus the level: every segment ending by `after`
+        ends below."""
+        run, runs = self.run, self._runs
+        ticks, ends, offs = run.ticks, run.levels, run.offs
         base = self.elapsed_at(after)
         out: dict[int, Rat] = {}
         for jid, level in levels.items():
-            segs = runs.get(jid, ())
             goal = _units(base.get(jid, ZERO) + level, run.wu) - offs.get(jid, 0)
-            r = bisect_left(segs, goal, key=ends.__getitem__)
-            if r < len(segs):
-                i = segs[r]  # back from the segment's end, k / K ticks per unit of work
-                back = _div((ends[i] - goal) * len(jobs[i]), run.per_tick)
-                out[jid] = _real(ticks[i + 1] - back, run.tu)
+            for r, a, b in self._slices(jid, runs):
+                q = bisect_left(r, goal, a, b, key=ends.__getitem__)
+                if q < b:
+                    i = r[q]  # back from the segment's end, k / K ticks per unit of work
+                    back = _div((ends[i] - goal) * run.sizes[i], run.per_tick)
+                    out[jid] = _real(ticks[i + 1] - back, run.tu)
+                    break
         return out
 
 
@@ -423,18 +528,18 @@ class Grid:
         q, whole, and the one holding times[q] inside it, up to times[q].
         Work is in 1/unit: m jobs at speed c/d do dt * c // (m * d) in dt
         ticks, an int, as the unit clears m * d."""
-        run = self.schedules[k].run
-        c, d = run.speed.numerator, run.speed.denominator
-        pos, ticks, jobs = self.positions[k], self.ticks, run.jobs
+        sched = self.schedules[k]
+        c, d = sched.run.speed.numerator, sched.run.speed.denominator
+        pos, ticks, sizes, jobs = self.positions[k], self.ticks, sched.run.sizes, sched._members
         s = 0
         for q in qs:
             ended = inside = _NO_WORK
-            if s < len(jobs) and pos[s + 1] == q:
-                if jobs[s]:
-                    ended = (ticks[q] - ticks[pos[s]]) * c // (len(jobs[s]) * d), jobs[s]
+            if s < len(sizes) and pos[s + 1] == q:
+                if sizes[s]:
+                    ended = (ticks[q] - ticks[pos[s]]) * c // (sizes[s] * d), jobs[s]
                 s += 1
-            if s < len(jobs) and pos[s] < q and jobs[s]:
-                inside = (ticks[q] - ticks[pos[s]]) * c // (len(jobs[s]) * d), jobs[s]
+            if s < len(sizes) and pos[s] < q and sizes[s]:
+                inside = (ticks[q] - ticks[pos[s]]) * c // (sizes[s] * d), jobs[s]
             yield ended, inside
 
 
@@ -449,7 +554,7 @@ def merge_grid(*schedules: Schedule) -> Grid:
         off_grid = {x.denominator for x in run.ticks if type(x) is not int}
         time = lcm(time, run.tu * lcm(*off_grid))
         # from a set, not a generator (see the unit in `simulate`)
-        work = lcm(work, *{m * run.speed.denominator for m in map(len, run.jobs) if m})
+        work = lcm(work, *{m * run.speed.denominator for m in run.sizes if m})
     unit = time * work
     bounds = []
     for s in schedules:
@@ -467,28 +572,34 @@ class _Group:
     so a group can be paused and resumed in O(1) without re-keying; the
     level a top entry waits for is read from the entry. A tier group's
     levels are its members' thresholds and sizes; rr's are absolute
-    accumulator levels.
+    accumulator levels. `key`, a negative int, names the group as the
+    holder of the segments it runs.
     """
 
-    __slots__ = ("members", "know", "comp", "level", "off")
+    __slots__ = ("members", "know", "comp", "level", "off", "key")
 
-    def __init__(self, members: set[int], level):
-        self.members = members
+    def __init__(self, key: int):
+        self.members: set[int] = set()
         self.know: list[tuple] = []
         self.comp: list[tuple] = []
-        self.level = level  # static elapsed while paused
+        self.level = 0  # static elapsed while paused
         self.off = None  # level = off + acc while running
+        self.key = key
 
-    def absorb(self, other: "_Group") -> None:
+    def absorb(self, other: "_Group") -> set[int]:
+        """Take `other`'s members in; the larger side keeps its key, so only
+        the smaller side's members change holder. Returns those."""
         if len(other.members) > len(self.members):
             self.members, other.members = other.members, self.members
             self.know, other.know = other.know, self.know
             self.comp, other.comp = other.comp, self.comp
+            self.key, other.key = other.key, self.key
         self.members |= other.members
         for entry in other.know:
             heapq.heappush(self.know, entry)
         for entry in other.comp:
             heapq.heappush(self.comp, entry)
+        return other.members
 
 
 def simulate(
@@ -573,15 +684,25 @@ def simulate(
     # a cut run and, as the run's `offs`, by the schedule's queries
     rr_off: dict = {}
 
-    # the run: the boundary ticks, each segment's jobs and end level, each
-    # event's tick index
+    # the run: the boundary ticks, each segment's pool size, holder and end
+    # level, each job's spans, each event's tick index
     ticks: list = [0]
-    seg_jobs: list[tuple[int, ...]] = []
-    seg_levels: list = []
+    sizes: list[int] = []
+    holders: list = []
+    levels: list = []
+    spans: dict[int, list[tuple]] = {}
     events: list[tuple[int, str, int | None]] = []
+    keys = count(-1, -1)  # group keys, negative: job ids are positive
 
     def log(kind: str, job: int | None = None) -> None:
-        events.append((len(seg_jobs), kind, job))
+        events.append((len(levels), kind, job))
+
+    def merge(into: _Group, other: _Group) -> None:
+        """`other` joins `into`: the jobs that change holder run with it
+        from the next segment on."""
+        i = len(levels)
+        for jid in into.absorb(other):
+            spans[jid].append((i, into.key))
 
     def push_known(jid: int) -> None:
         heapq.heappush(kn_heap, _entry(size[jid] - elapsed[jid], jid))
@@ -598,16 +719,17 @@ def simulate(
         if tier is group:
             insort(tier_vals, group.level)
         else:
-            tier.absorb(group)
+            merge(tier, group)
 
-    def new_group(jid: int) -> _Group:
-        g = _Group({jid}, 0)
+    def join(g: _Group, jid: int, base) -> None:
+        """The arriving `jid` joins `g`, whose heap levels start at `base`."""
+        g.members.add(jid)
+        spans[jid] = [(len(levels), g.key)]
         p = size[jid]
         if p is not None:
             if jid in thr:
-                g.know.append(_entry(thr[jid], jid))
-            g.comp.append(_entry(p, jid))
-        return g
+                heapq.heappush(g.know, _entry(thr[jid] + base, jid))
+            heapq.heappush(g.comp, _entry(p + base, jid))
 
     def group_peek(heap: list[tuple], g: _Group):
         """The level the first member of `heap` waits for; drops the entries
@@ -636,13 +758,13 @@ def simulate(
 
     def complete(jid: int) -> None:
         nonlocal n_active
-        done[jid] = len(seg_jobs)
+        done[jid] = len(levels)
         n_active -= 1
         log("completion", jid)
 
     def mark_known(jid: int) -> None:
         del thr[jid]  # thr holds only the jobs not yet known
-        known[jid] = len(seg_jobs)
+        known[jid] = len(levels)
         log("known", jid)
 
     def arrive(jid: int) -> None:
@@ -656,39 +778,39 @@ def simulate(
         if thr.get(jid) == 0:  # eps == 1: known on arrival, for every policy
             mark_known(jid)
         if srpt_like:
+            spans[jid] = [(len(levels), jid)]
             push_known(jid)
-        elif policy == "rr":
+        elif policy == "rr":  # keys are absolute levels of acc
             rr_off[jid] = -acc
             assert running is not None
-            running.members.add(jid)
-            p = size[jid]
-            if p is not None:  # keys are absolute levels of acc
-                if jid in thr:
-                    heapq.heappush(running.know, _entry(thr[jid] + acc, jid))
-                heapq.heappush(running.comp, _entry(p + acc, jid))
-        else:  # slf (eps < 1) / setf: a fresh zero-elapsed tier
-            add_tier(new_group(jid))
+            join(running, jid, acc)
+        else:  # slf (eps < 1) / setf: the zero-elapsed tier
+            if 0 not in tiers:
+                add_tier(_Group(next(keys)))
+            join(tiers[0], jid, 0)
 
     def in_window() -> bool:
         return window_idx < len(windows) and windows[window_idx][0] <= t
 
     # --- allocation for the segment starting at t ---------------------------
 
-    def choose() -> tuple[tuple[int, ...], str, object, object]:
-        """(jobs, regime, goal, level) of the segment starting at t.
+    def choose() -> tuple:
+        """(holder, k, regime, goal, level) of the segment starting at t.
 
-        level is the solo job's elapsed or the pool's group level at t (None
-        when idle; rr's members add their `rr_off`), and goal the level at
-        which the run's own next event falls, None when none is pending.
+        holder is the solo job or the running group's key (None when idle),
+        k the pool size (1 for a solo job, 0 when idle), level the solo job's
+        elapsed or the pool's group level at t (None when idle; rr's members
+        add their `rr_off`), and goal the level at which the run's own next
+        event falls, None when none is pending.
         """
         nonlocal running, solo
         if in_window():
             if policy in ("slf", "setf") and running is not None:
                 pause_running(run_level())
-            return (), "idle", None, None
+            return None, 0, "idle", None, None
         level = tie = None
         if solo is None and n_active == 0:
-            return (), "idle", None, None
+            return None, 0, "idle", None, None
         if solo is None and srpt_like:
             solo = heapq.heappop(kn_heap)[2]
         elif solo is None:
@@ -716,28 +838,28 @@ def simulate(
                 goal = thr[solo]
             else:
                 goal = size[solo]
-            return (solo,), "solo", goal, elapsed[solo]
+            return solo, 1, "solo", goal, elapsed[solo]
         if level is None:
             level = activate_tier()
         elif tier_vals and tier_vals[0] == level:
-            running.absorb(tiers.pop(level))
+            merge(running, tiers.pop(level))
             tier_vals.pop(0)
-        goals = [
-            x
-            for x in (
-                group_peek(running.know, running),
-                group_peek(running.comp, running),
-                tier_vals[0] if tier_vals else None,
-                tie,  # slf: the estimates tie at this level
-            )
-            if x is not None
-        ]
-        return tuple(running.members), "pool", min(goals, default=None), level
+        # the least of the next knowledge, completion and tier levels and
+        # slf's tie level: a running minimum over the candidates
+        goal = group_peek(running.know, running)
+        x = group_peek(running.comp, running)
+        if x is not None and (goal is None or x < goal):
+            goal = x
+        if tier_vals and (goal is None or tier_vals[0] < goal):
+            goal = tier_vals[0]
+        if tie is not None and (goal is None or tie < goal):
+            goal = tie
+        return running.key, len(running.members), "pool", goal, level
 
     # --- main loop -----------------------------------------------------------
 
     if policy == "rr":
-        running = _Group(set(), 0)
+        running = _Group(next(keys))
         running.off = 0
 
     while True:
@@ -756,23 +878,24 @@ def simulate(
         if n_active == 0 and next_arrival_idx >= len(arrival_times):
             break
 
-        jobs, regime, goal, level = choose()
-        # the first boundary set from outside the run: arrival, horizon or
-        # window edge; the run's own goal is work * k / K ticks away
-        outside: list = []
+        holder, k, regime, goal, level = choose()
+        # the first boundary set from outside the run, a running minimum over
+        # the horizon, the next arrival and the window edge; the run's own
+        # goal is work * k / K ticks away
+        stop = horizon
         if next_arrival_idx < len(arrival_times):
-            outside.append(arrival_times[next_arrival_idx])
-        if horizon is not None:
-            outside.append(horizon)
+            x = arrival_times[next_arrival_idx]
+            if stop is None or x < stop:
+                stop = x
         if regime == "idle":
-            if in_window():
-                outside.append(windows[window_idx][1])
-        elif window_idx < len(windows):
-            outside.append(windows[window_idx][0])
-        stop = min(outside) if outside else None
+            x = windows[window_idx][1] if in_window() else None
+        else:
+            x = windows[window_idx][0] if window_idx < len(windows) else None
+        if x is not None and (stop is None or x < stop):
+            stop = x
         hit = False
         if goal is not None:
-            away = (goal - level) * len(jobs)
+            away = (goal - level) * k
             t_hit = t + (away if per_tick == 1 else _div(away, per_tick))
             if stop is None or t_hit <= stop:
                 stop, hit = t_hit, True
@@ -787,14 +910,15 @@ def simulate(
             if hit:
                 acc = _whole(goal - running.off)
             else:
-                acc = _whole(acc + _div((stop - t) * per_tick, len(jobs)))
+                acc = _whole(acc + _div((stop - t) * per_tick, k))
             level = run_level()
         elif regime == "solo":
             level = elapsed[solo] = goal if hit else _whole(elapsed[solo] + (stop - t) * per_tick)
         t = _whole(stop)
         ticks.append(t)
-        seg_jobs.append(jobs)
-        seg_levels.append(level)
+        sizes.append(k)
+        holders.append(holder)
+        levels.append(level)
         n_events = len(events)
         if window_idx < len(windows) and t in windows[window_idx]:
             log("forbidden")
@@ -810,6 +934,7 @@ def simulate(
                 if policy == "slf":
                     g.members.discard(jid)
                     elapsed[jid] = goal
+                    spans[jid].append((len(levels), jid))
                     push_known(jid)
             while True:
                 ck = group_peek(g.comp, g)
@@ -851,7 +976,8 @@ def simulate(
             elapsed[jid] = group.level
 
     run = _Run(
-        tu, wu, per_tick, speed, ticks, seg_jobs, seg_levels, events, rr_off, done, known, elapsed
+        tu, wu, per_tick, speed, ticks, sizes, holders, levels, spans, events, rr_off, done, known,
+        elapsed,
     )
     return Schedule(inst, run)
 
@@ -917,13 +1043,11 @@ def touched_jobs(sched: Schedule, start: Rat, end: Rat) -> set[int]:
         start, end = Fraction(start), Fraction(end)
     if end < start:
         raise SimulationError("interval must have start <= end")
-    out: set[int] = set()
-    if end > start:
-        ticks, tu = sched.run.ticks, sched.run.tu
-        i = bisect_right(ticks, _units(start, tu), 1) - 1  # first with end > start
-        for js in islice(sched.run.jobs, i, bisect_left(ticks, _units(end, tu))):
-            out.update(js)
-    return out
+    if end == start:
+        return set()
+    ticks, tu = sched.run.ticks, sched.run.tu
+    i = bisect_right(ticks, _units(start, tu), 1) - 1  # first with end > start
+    return sched._ran(i, bisect_left(ticks, _units(end, tu)))
 
 
 def export_segments_csv(sched: Schedule) -> str:

@@ -6,8 +6,9 @@ from math import lcm
 import pytest
 
 from slflab import certifier, reduction
+from slflab.adversary import exp_simultaneous_sample
 from slflab.core import Instance, Job, ReleaseTag, scale_instance
-from slflab.metrics import count_profile
+from slflab.metrics import count_profile, total_flow_time
 from slflab.policies import allocation_for
 from slflab.sim import (
     EMPTY_INTERVALS,
@@ -370,46 +371,86 @@ def test_schedule_queries_match_plain_scans():
             eps = F(1)  # sizes known on arrival, for every policy
         inst = random_instance(rng, eps, rng.randint(1, 7))
         for policy in ("slf", "srpt", "setf", "rr"):
-            sched = simulate(inst, policy)
-            segs = sched.segments
-            times = sched.boundaries()
-            probes = sorted(set(times) | {(a + b) / 2 for a, b in zip(times, times[1:])})
-            # each known event is the first boundary where state_at says known
-            first_known: dict = {}
-            for t in times:
-                for jid, st in state_at(sched, inst, t).items():
-                    if st.known:
-                        first_known.setdefault(jid, t)
-            assert sched.known_times() == first_known, policy
-            assert sched.known_runs == scan_known_runs(sched), policy
-            # reach_times: work since `after` first equals the level there
-            after = rng.choice(probes)
-            base = sched.elapsed_at(after)
-            levels = {j.id: j.size * F(rng.randint(1, 4), 4) for j in inst.jobs}
-            reach = sched.reach_times(levels, after)
-            for jid, level in levels.items():
-                def work(t):
-                    return sched.elapsed_at(t).get(jid, F(0)) - base.get(jid, F(0))
+            _check_queries(simulate(inst, policy), inst, rng)
+    # groups that merge and split: the queries read each job's spans across
+    # the groups it moved through
+    moves = 0
+    for inst, kwargs in _absorb_heavy_cases(random.Random(10)):
+        for policy in ("slf", "srpt", "setf", "rr"):
+            sched = simulate(inst, policy, **kwargs)
+            _check_queries(sched, inst, rng, probes=24)
+            for log in sched.run.spans.values():
+                moves += max(0, sum(h is not None and h < 0 for _, h in log) - 1)
+    assert moves > 150
 
-                if jid in reach:
-                    assert work(reach[jid]) == level
-                    assert all(work(b) < level for b in times if after <= b < reach[jid])
-                else:
-                    assert work(sched.end_time) < level
-            # the bisected queries agree with scans over every segment
-            for t in probes + [sched.end_time + 1]:
-                cover = [seg.jobs for seg in segs if seg.start < t <= seg.end]
-                assert sched.jobs_before(t) == (cover[0] if cover else ())
-                for j in inst.jobs:
-                    assert sched.last_touch(j.id, t) == _scan_last_touch(sched, j.id, t)
-                end = t + F(rng.randint(0, 3), 2)
-                touched = {
-                    jid
-                    for seg in segs
-                    if min(seg.end, end) > max(seg.start, t)
-                    for jid in seg.rates
-                }
-                assert touched_jobs(sched, t, end) == touched
+
+def _absorb_heavy_cases(rng):
+    """12 to 40 jobs in three to six simultaneous batches, sizes drawn from
+    three, so slf and setf tiers meet at equal levels many times; the 20-job
+    instance again with a forbidden window and cut by a horizon."""
+    cases = []
+    for n in (12, 20, 28, 40):
+        times = [F(rng.randint(0, 4 * n), 4) for _ in range(rng.randint(3, 6))]
+        sizes = [F(rng.randint(1, 8), rng.randint(1, 2)) for _ in range(3)]
+        jobs = tuple(
+            Job(i + 1, ReleaseTag(rng.choice(times)), rng.choice(sizes)) for i in range(n)
+        )
+        cases.append((Instance(F(rng.randint(1, 3), 4), jobs), {}))
+    inst = cases[1][0]
+    end = simulate(inst, "rr").end_time
+    cases.append((inst, {"forbidden": IntervalSet.from_pairs([(end / 4, end / 3)])}))
+    cases.append((inst, {"horizon": end / 2}))
+    return cases
+
+
+def _check_queries(sched, inst, rng, probes=None):
+    """Every query that reads the spans against a scan of the `segments`
+    view, at every boundary and midpoint (`probes` of them, drawn, if set)."""
+    segs = sched.segments
+    assert [len(seg.jobs) for seg in segs] == sched.run.sizes
+    times = sched.boundaries()
+    points = sorted(set(times) | {(a + b) / 2 for a, b in zip(times, times[1:])})
+    # each known event is the first boundary where state_at says known
+    first_known: dict = {}
+    for t in times:
+        for jid, st in state_at(sched, inst, t).items():
+            if st.known:
+                first_known.setdefault(jid, t)
+    assert sched.known_times() == first_known
+    assert sched.known_runs == scan_known_runs(sched)
+    # reach_times: work since `after` first equals the level there
+    after = rng.choice(points)
+    base = sched.elapsed_at(after)
+    levels = {j.id: j.size * F(rng.randint(1, 4), 4) for j in inst.jobs}
+    reach = sched.reach_times(levels, after)
+    for jid, level in levels.items():
+        def work(t):
+            return sched.elapsed_at(t).get(jid, F(0)) - base.get(jid, F(0))
+
+        if jid in reach:
+            assert work(reach[jid]) == level
+            assert all(work(b) < level for b in times if after <= b < reach[jid])
+        else:
+            assert work(sched.end_time) < level
+    if probes is not None:
+        assert reach == _scan_reach(sched, levels, after)
+        points = rng.sample(points, min(probes, len(points)))
+    # the bisected queries agree with scans over every segment
+    for t in points + [sched.end_time + 1]:
+        cover = [seg.jobs for seg in segs if seg.start < t <= seg.end]
+        assert sched.jobs_before(t) == (cover[0] if cover else ())
+        for j in inst.jobs:
+            assert sched.last_touch(j.id, t) == _scan_last_touch(sched, j.id, t)
+        end = t + F(rng.randint(0, 3), 2)
+        touched = {
+            jid
+            for seg in segs
+            if min(seg.end, end) > max(seg.start, t)
+            for jid in seg.rates
+        }
+        assert touched_jobs(sched, t, end) == touched
+        if probes is not None:
+            assert sched.elapsed_at(t) == _walk_elapsed(sched, t)
 
 
 def _walk_elapsed(sched, t):
@@ -748,9 +789,9 @@ def test_pinned_off_grid_digest():
 
 
 def test_index_agrees_with_the_end_snapshot():
-    # the engine's end snapshot and the per-job index are two computations
-    # of the work each job did by end_time; the views built from the run
-    # equal scans of the event log, in its order
+    # the engine's end snapshot and elapsed_at, read from the spans, are two
+    # computations of the work each job did by end_time; the views built from
+    # the run equal scans of the event log, in its order
     for sched in _off_grid_runs():
         done = sched.elapsed_at(sched.end_time)
         assert done == {j: e for j, e in sched.final_elapsed.items() if e > 0}
@@ -893,3 +934,33 @@ def test_queries_leave_the_views_unbuilt(monkeypatch):
     views = {"segments", "events", "completions", "end_time", "final_elapsed"}
     for s in reduced + certified:
         assert not views & set(vars(s))
+
+
+def test_spans_stay_within_n_log_n_and_sweep_builds_no_member_view():
+    # a job's spans: its arrival, each move into a group at least as large
+    # (so at most floor(log2 n) of them), slf's exit on knowledge and its
+    # completion
+    rng = random.Random(62)
+    for n, staggered in ((256, False), (500, True)):
+        inst = Instance(
+            F(1, 2),
+            tuple(
+                Job(
+                    i + 1,
+                    ReleaseTag(F(i, 2) if staggered else F(0)),
+                    F(rng.randint(1, 4 * n), rng.randint(1, 3)),
+                )
+                for i in range(n)
+            ),
+        )
+        for policy in ("slf", "setf", "rr"):
+            stored = sum(map(len, simulate(inst, policy).run.spans.values()))
+            assert stored <= n * (n.bit_length() + 1), (n, policy, stored)
+    # the sweep op's path: simulate, the exact flow ratio, the completions
+    inst = exp_simultaneous_sample(200, seed=7, epsilon=F(1, 2))
+    for policy in ("slf", "setf", "rr"):
+        alg, opt = simulate(inst, policy), simulate(inst, "srpt")
+        assert 1 <= total_flow_time(alg, inst) / total_flow_time(opt, inst) <= 2
+        assert len(alg.completions) == len(opt.completions) == 200
+        for s in (alg, opt):
+            assert not {"_members", "segments"} & set(vars(s)), policy
