@@ -90,17 +90,23 @@ arrival, under every policy. A segment end that logs no event of its own
 Every policy runs one job or shares the speed equally in one pool, so a
 `Segment` is (start, end, rate, jobs), and a reader multiplies once per
 segment. Only the `segments` view and `Grid.steps` list a segment's jobs,
-replayed from the spans on first read. `Schedule.jobs_before(t)` names the
-jobs that ran right before t.
+built on first read from the holders' stays (below).
+`Schedule.jobs_before(t)` names the jobs that ran right before t.
 
 A time asked on its own goes to `Schedule.elapsed_at`, or to `active_count`,
 which counts the releases and the completions up to t. The first query
 (never `simulate`) lists each holder's segments, O(segments) ints in all. A
 job's elapsed at t is the end level of the last segment starting before t
 that runs it, less the work after t in the segment holding t: its spans
-from the latest, each bisecting its holder's segments. `last_touch`,
-`jobs_before`, `touched_jobs`, `reach_times` and `known_runs` read the same
-spans. One pass of `states_from_elapsed` over the jobs builds both queue
+from the latest, each bisecting its holder's segments. `last_touch` and
+`reach_times` read the same spans. Who ran in a group's segments is read
+from one table instead, built by the first such query in O(spans) from the
+spans and `done`: each holder's stays (from segment, to segment, job), the
+job being with the holder in segments [from, to). `jobs_before` filters the
+stays of one holder, `touched_jobs` those of the holders in its window, and
+`known_runs` slices each known job's stays by its holder's segments of one,
+a solo job's and a pool of one's alike; no query lists a segment's jobs.
+One pass of `states_from_elapsed` over the jobs builds both queue
 views at t from one elapsed map: every release at t arrived, and right
 before that batch. `state_at` is its argument checks, one `elapsed_at` and
 the first view; callers holding the elapsed map (the certifier, and the
@@ -126,7 +132,6 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import count
 from math import lcm
-from operator import itemgetter
 from typing import NamedTuple
 
 from .core import Instance, Rat
@@ -205,7 +210,8 @@ class _Run(NamedTuple):
     when idle) and the end `levels` the engine steps to (the pool's
     `run_level()` or the solo job's elapsed; None when idle). `spans`, job
     -> its (segment index, holder) pairs, in arrival order: from that
-    segment on the job runs with that holder, until its `done` index. Then
+    segment on the job is with that holder, until its next span or its
+    `done` index (`Schedule._stays` holds the same, per holder). Then
     each event as (tick index, kind, job), rr's `offs`, job -> what it
     adds to a level (empty under the other policies), `done` and `known`,
     job -> the tick index of its completion or its `known` event, in event
@@ -295,32 +301,17 @@ class Schedule:
 
     @cached_property
     def _members(self) -> list[tuple[int, ...]]:
-        """Each segment's jobs, ascending, replayed from the spans on first
-        read; only `segments` and `Grid.steps` read it. A holder's segments
-        share one tuple until its jobs change."""
-        run = self.run
-        moves = []  # (segment index, job, holder left, holder joined)
-        for jid, log in run.spans.items():
-            if jid in run.done:  # it leaves its last holder on completion
-                log = [*log, (run.done[jid], None)]
-            moves += [(i, jid, old, h) for (i, h), (_, old) in zip(log, [(0, None), *log])]
-        moves.sort(key=itemgetter(0))  # stable: a job's moves at one index stay in order
-        moves.append((len(run.holders), 0, None, None))  # a stop past the last segment
-        held: dict = defaultdict(set)  # holder -> its jobs
-        view: dict = {}  # holder -> its jobs as a tuple, until they change
-        out, m = [], 0
-        for i, h in enumerate(run.holders):
-            while moves[m][0] == i:
-                _, jid, old, new = moves[m]
-                m += 1
-                held[old].discard(jid)
-                held[new].add(jid)
-                view.pop(old, None)
-                view.pop(new, None)
-            jobs = view.get(h)
-            if jobs is None:
-                jobs = view[h] = () if h is None else tuple(sorted(held[h]))
-            out.append(jobs)
+        """Each segment's jobs, ascending, built on first read: each stay
+        adds its job to its holder's segments in [from, to); only `segments`
+        and `Grid.steps` read it."""
+        runs, out = self._runs, [[] for _ in self.run.holders]
+        for h, stays in self._stays.items():
+            r = runs.get(h, ())
+            for f, to, jid in stays:  # in job order, so each list ascends
+                for i in r[bisect_left(r, f) : bisect_left(r, to)]:
+                    out[i].append(jid)
+        for i, jobs in enumerate(out):  # each list freed as its tuple is made
+            out[i] = tuple(jobs)
         return out
 
     @cached_property
@@ -339,10 +330,10 @@ class Schedule:
         released = sum(j.release.time <= t for j in self.instance.jobs)
         return released - sum(c <= t for c in self.completions.values())
 
-    # these queries read the jobs' spans and each holder's segments: they
-    # take and return Fractions and compare ticks; other modules read the run
-    # directly only for tick indices and completion ticks (`metrics`,
-    # `reduction`)
+    # these queries read the jobs' spans or the holders' stays, and each
+    # holder's segments: they take and return Fractions and compare ticks;
+    # other modules read the run directly only for tick indices and
+    # completion ticks (`metrics`, `reduction`)
 
     @cached_property
     def _runs(self) -> dict:
@@ -371,27 +362,31 @@ class Schedule:
                 hi = f
         return -1
 
+    @cached_property
+    def _stays(self) -> dict:
+        """Holder -> its stays (from segment, to segment, job), in job order:
+        the job is with the holder in segments [from, to), from its spans and
+        `done`."""
+        run, stays = self.run, defaultdict(list)
+        for jid in sorted(run.spans):
+            to = run.done.get(jid, len(run.levels))
+            for f, h in reversed(run.spans[jid]):  # each span ends where the next starts
+                stays[h].append((f, to, jid))
+                to = f
+        return stays
+
     def _ran(self, lo: int, hi: int) -> set[int]:
-        """The jobs that run in a segment of [lo, hi)."""
-        held = set(self.run.holders[lo:hi]) - {None}
-        out = {h for h in held if h > 0}  # a solo job holds its own segments
-        if len(out) < len(held):  # and a group ran: its jobs' spans say who
-            for jid, log in self.run.spans.items():
-                if log[0][0] >= hi:
-                    break  # spans is in arrival order
-                if jid not in out and self._last_run(jid, log, hi) >= lo:
+        """The jobs that run in a segment of [lo, hi): per holder there, the
+        jobs of its stays that hold one of its segments in it."""
+        runs, out = self._runs, set()
+        for h in set(self.run.holders[lo:hi]) - {None}:
+            r = runs[h]
+            a, b = bisect_left(r, lo), bisect_left(r, hi)
+            for f, to, jid in self._stays[h]:
+                q = bisect_left(r, f, a, b)
+                if q < b and r[q] < to:
                     out.add(jid)
         return out
-
-    def _slices(self, job: int, runs: dict):
-        """Per span of `job` in time order, (r, a, b): r[a:b] are the
-        segments of its holder in `runs` (holder -> its segments) while
-        the job is with it."""
-        log, end = self.run.spans.get(job, ()), self.run.done.get(job, len(self.run.levels))
-        for (f, h), (nxt, _) in zip(log, [*log[1:], (end, None)]):
-            r = runs.get(h)
-            if r:
-                yield r, bisect_left(r, f), bisect_left(r, nxt)
 
     def elapsed_at(self, t: Rat) -> dict[int, Rat]:
         """Exact elapsed work per job, counting work during [0, t): each
@@ -422,8 +417,8 @@ class Schedule:
         i = bisect_left(ticks, x, 1)
         if i == len(ticks) or ticks[i - 1] >= x:
             return ()
-        h = self.run.holders[i - 1]
-        return (h,) if h is not None and h > 0 else tuple(sorted(self._ran(i - 1, i)))
+        h = self.run.holders[i - 1]  # its stays are in job order
+        return () if h is None else tuple(j for f, to, j in self._stays[h] if f < i <= to)
 
     def last_touch(self, job: int, t: Rat) -> Rat | None:
         """The end, capped at t, of the last segment starting before t that
@@ -445,29 +440,19 @@ class Schedule:
     def known_runs(self) -> tuple[tuple[Rat, Rat], ...]:
         """The maximal runs of solo segments whose job was known at the
         segment's start, as (start, end) pairs in time order."""
-        run, known = self.run, self.run.known
-        ones: list[int] = []
-        pools: dict = defaultdict(list)  # group -> its segments with one member
-        for i, (k, h) in enumerate(zip(run.sizes, run.holders)):
-            if k == 1 and h > 0:  # a solo job
-                if known.get(h, i + 1) <= i:
-                    ones.append(i)
-            elif k == 1:
-                pools[h].append(i)
-        if pools:  # each known job's pools of one, from its `known` tick on
-            for j, s in known.items():
-                ones += [i for r, a, b in self._slices(j, pools) for i in r[a:b] if i >= s]
-            ones.sort()
-        spans: list[list[int]] = []
-        for i in ones:
-            if spans and spans[-1][1] == i:
-                spans[-1][1] = i + 1
-            else:
-                spans.append([i, i + 1])
+        run, known, runs = self.run, self.run.known, self._runs
+        ones: set[int] = set()
+        for h, stays in self._stays.items():  # a solo job's one stay, a group's
+            r = [i for i in runs.get(h, ()) if run.sizes[i] == 1]
+            for f, to, jid in stays:
+                if jid in known:  # its segments of one from its `known` tick on
+                    ones.update(r[bisect_left(r, max(f, known[jid])) : bisect_left(r, to)])
+        starts = sorted(i for i in ones if i - 1 not in ones)
+        ends = sorted(i + 1 for i in ones if i + 1 not in ones)
         ticks, tu = run.ticks, run.tu
         # from a list: a tuple built from a generator is resized, and CPython
         # 3.11 keeps it, once freed, on a free list it is not taken from
-        return tuple([(_real(ticks[a], tu), _real(ticks[b], tu)) for a, b in spans])
+        return tuple([(_real(ticks[a], tu), _real(ticks[b], tu)) for a, b in zip(starts, ends)])
 
     def reach_times(self, levels: dict[int, Rat], after: Rat) -> dict[int, Rat]:
         """Job id -> the first time at which the job's work since `after`
@@ -481,7 +466,10 @@ class Schedule:
         out: dict[int, Rat] = {}
         for jid, level in levels.items():
             goal = _units(base.get(jid, ZERO) + level, run.wu) - offs.get(jid, 0)
-            for r, a, b in self._slices(jid, runs):
+            log = run.spans.get(jid, ())
+            for (f, h), (to, _) in zip(log, [*log[1:], (run.done.get(jid, len(ends)), None)]):
+                r = runs.get(h, ())
+                a, b = bisect_left(r, f), bisect_left(r, to)
                 q = bisect_left(r, goal, a, b, key=ends.__getitem__)
                 if q < b:
                     i = r[q]  # back from the segment's end, k / K ticks per unit of work

@@ -405,10 +405,16 @@ def _absorb_heavy_cases(rng):
 
 def _check_queries(sched, inst, rng, probes=None):
     """Every query that reads the spans against a scan of the `segments`
-    view, at every boundary and midpoint (`probes` of them, drawn, if set)."""
+    view, at every boundary and midpoint (`probes` of them, drawn, if set).
+    The view and the group queries both read the holders' stays, so the
+    view is first checked against `elapsed_at`, which reads the spans alone:
+    a segment's jobs are those whose elapsed work rises across it."""
     segs = sched.segments
     assert [len(seg.jobs) for seg in segs] == sched.run.sizes
     times = sched.boundaries()
+    at = [sched.elapsed_at(t) for t in times]
+    for seg, e0, e1 in zip(segs, at, at[1:]):
+        assert seg.jobs == tuple(sorted(j for j, e in e1.items() if e > e0.get(j, 0)))
     points = sorted(set(times) | {(a + b) / 2 for a, b in zip(times, times[1:])})
     # each known event is the first boundary where state_at says known
     first_known: dict = {}
@@ -954,8 +960,18 @@ def test_spans_stay_within_n_log_n_and_sweep_builds_no_member_view():
             ),
         )
         for policy in ("slf", "setf", "rr"):
-            stored = sum(map(len, simulate(inst, policy).run.spans.values()))
+            s = simulate(inst, policy)
+            stored = sum(map(len, s.run.spans.values()))
             assert stored <= n * (n.bit_length() + 1), (n, policy, stored)
+            if staggered:  # the group queries read the stays, not a member view
+                half, end = s.end_time / 2, s.end_time
+                s.jobs_before(half)
+                touched_jobs(s, end / 4, half)
+                s.known_runs
+                s.reach_times({j.id: j.size / 2 for j in inst.jobs[:50]}, end / 4)
+                s.last_touch(1, half)
+                assert "_stays" in vars(s), policy
+                assert not {"_members", "segments"} & set(vars(s)), policy
     # the sweep op's path: simulate, the exact flow ratio, the completions
     inst = exp_simultaneous_sample(200, seed=7, epsilon=F(1, 2))
     for policy in ("slf", "setf", "rr"):
@@ -963,4 +979,4 @@ def test_spans_stay_within_n_log_n_and_sweep_builds_no_member_view():
         assert 1 <= total_flow_time(alg, inst) / total_flow_time(opt, inst) <= 2
         assert len(alg.completions) == len(opt.completions) == 200
         for s in (alg, opt):
-            assert not {"_members", "segments"} & set(vars(s)), policy
+            assert not {"_stays", "_members", "segments"} & set(vars(s)), policy
