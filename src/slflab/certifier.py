@@ -10,7 +10,7 @@ raises a structured counterexample instead of continuing silently.
 Targets of one instance share the iterations they have in common. An
 iteration at state (cur, s) depends on the target t only through the point
 x where it stops, so its two parts are memoized, each in an lru_cache of
-STEP_CACHE_SIZE (8192) entries like the schedule cache `_sched`:
+CACHE_SIZE (8192) entries, the bound of the schedule cache `_sched` too:
   - `_plan`, keyed on (instance, cur, s): the Inv2 check, the unknown
     jobs, the batch and the case's stop candidate;
   - `_advance`, keyed on (instance, cur, s, x): every lemma check of the
@@ -87,7 +87,10 @@ class CounterexampleError(Exception):
         super().__init__(f"{check}: {context}")
 
 
-@lru_cache(maxsize=8192)
+CACHE_SIZE = 8192  # entries of the schedule cache and of the two step caches
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def _sched(inst: Instance, policy: str) -> Schedule:
     return simulate(inst, policy)
 
@@ -654,8 +657,6 @@ def _canonical_at(inst: Instance, s: Rat) -> WeightedBipartiteGraph:
 
 # --- one iteration, memoized on its t-free inputs (module docstring) -----------
 
-STEP_CACHE_SIZE = 8192
-
 
 class _Plan(NamedTuple):
     """The t-free part of an iteration at (cur, s): the jobs unknown right
@@ -686,7 +687,7 @@ def _check_magical(alg: Schedule, s: Rat, t: Rat, unknown) -> None:
         raise CounterexampleError("Inv1-magical", s=s, touched=sorted(hit))
 
 
-@lru_cache(maxsize=STEP_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE)
 def _plan(inst: Instance, cur: Instance, s: Rat) -> _Plan:
     """Inv2 at (cur, s), then the case and its stop candidate."""
     snap = _snapshot(cur, "slf", s)
@@ -729,7 +730,7 @@ def _stop_point(plan: _Plan, alg: Schedule, s: Rat, t: Rat) -> Rat:
     return x
 
 
-@lru_cache(maxsize=STEP_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE)
 def _advance(
     inst: Instance, cur: Instance, s: Rat, x: Rat
 ) -> tuple[IterationRecord, Instance, Rat]:

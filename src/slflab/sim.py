@@ -66,10 +66,14 @@ whatever its pool size, its pool size k, its holder (the solo job, or the
 running group's negative key; None when idle) and its end level (the solo
 job's elapsed or the group's level once the engine has stepped to the
 segment's end, to which rr's members add their offset). Each job's spans
-(from segment index, holder) log its holders until it completes: on
-arrival, when its group merges into one at least as large (the larger side
-keeps its key, so a job moves at most log2 n times) and on slf's exit on
-knowledge. Then each event as (tick index, kind, job), the tick index of
+(from segment index, holder) log the holders it joins: on arrival, when its
+group merges into one at least as large (the larger side keeps its key, so
+a job moves at most log2 n times) and on slf's exit on knowledge. The rule
+of membership: a job is with every holder it joins until it completes, as
+no holder it has left runs again while it lives. A merge retires the
+smaller side's key, and a job leaving an slf pool on knowledge ties at the
+pool's level, which never falls while the job's tie only does, so the job
+runs first. Then each event as (tick index, kind, job), the tick index of
 each job's completion and of its `known` event, both recorded as the run
 goes, and each arrived job's level at the last tick. Only the `events`
 view reads the event log. Every query turns its times into ticks (t * tu,
@@ -91,7 +95,6 @@ Every policy runs one job or shares the speed equally in one pool, so a
 `Segment` is (start, end, rate, jobs), and a reader multiplies once per
 segment. Only the `segments` view and `Grid.steps` list a segment's jobs,
 built on first read from the holders' stays (below).
-`Schedule.jobs_before(t)` names the jobs that ran right before t.
 
 A time asked on its own goes to `Schedule.elapsed_at`, or to `active_count`,
 which counts the releases and the completions up to t. The first query
@@ -100,12 +103,12 @@ job's elapsed at t is the end level of the last segment starting before t
 that runs it, less the work after t in the segment holding t: its spans
 from the latest, each bisecting its holder's segments. `last_touch` and
 `reach_times` read the same spans. Who ran in a group's segments is read
-from one table instead, built by the first such query in O(spans) from the
-spans and `done`: each holder's stays (from segment, to segment, job), the
-job being with the holder in segments [from, to). `jobs_before` filters the
-stays of one holder, `touched_jobs` those of the holders in its window, and
-`known_runs` slices each known job's stays by its holder's segments of one,
-a solo job's and a pool of one's alike; no query lists a segment's jobs.
+from one table instead, built by the first such query in one pass over the
+spans: each holder's stays (from segment, to the job's `done`, job).
+`touched_jobs` reads the stays of the holders in its window, `jobs_before`
+those of one segment, and `known_runs` slices each known job's stays by its
+holder's segments of one, a solo job's and a pool of one's alike; no query
+lists a segment's jobs.
 One pass of `states_from_elapsed` over the jobs builds both queue
 views at t from one elapsed map: every release at t arrived, and right
 before that batch. `state_at` is its argument checks, one `elapsed_at` and
@@ -210,13 +213,13 @@ class _Run(NamedTuple):
     when idle) and the end `levels` the engine steps to (the pool's
     `run_level()` or the solo job's elapsed; None when idle). `spans`, job
     -> its (segment index, holder) pairs, in arrival order: from that
-    segment on the job is with that holder, until its next span or its
-    `done` index (`Schedule._stays` holds the same, per holder). Then
-    each event as (tick index, kind, job), rr's `offs`, job -> what it
-    adds to a level (empty under the other policies), `done` and `known`,
-    job -> the tick index of its completion or its `known` event, in event
-    order, and `final`, job -> its level at the last tick, in arrival
-    order. Only the `Schedule.events` view reads `events`."""
+    segment on the job is with that holder until its `done` index (the
+    module docstring's rule; `Schedule._stays` holds the same, per
+    holder). Then each event as (tick index, kind, job), rr's `offs`, job
+    -> what it adds to a level (empty under the other policies), `done`
+    and `known`, job -> the tick index of its completion or its `known`
+    event, in event order, and `final`, job -> its level at the last tick,
+    in arrival order. Only the `Schedule.events` view reads `events`."""
 
     tu: int
     wu: int
@@ -287,12 +290,15 @@ class Schedule:
         }
 
     @cached_property
+    def _times(self) -> list[Rat]:
+        """The boundary times, read by the views and `boundaries()`."""
+        return [_real(x, self.run.tu) for x in self.run.ticks]
+
+    @cached_property
     def segments(self) -> list[Segment]:
         """Fraction views of the run, built on first read; no query reads
-        them (export, the benchmark's tracer and tests do). The times are
-        built here, not by `boundaries()`, which the tracer counts as a query."""
-        run = self.run
-        times = [_real(x, run.tu) for x in run.ticks]
+        them (export, the benchmark's tracer and tests do)."""
+        run, times = self.run, self._times
         rates = {k: run.speed / k if k else ZERO for k in set(run.sizes)}
         return [
             Segment(times[i], times[i + 1], rates[k], js)
@@ -316,13 +322,13 @@ class Schedule:
 
     @cached_property
     def events(self) -> list[Event]:
-        times = [_real(x, self.run.tu) for x in self.run.ticks]
+        times = self._times
         return [Event(times[i], kind, job) for i, kind, job in self.run.events]
 
     def boundaries(self) -> list[Rat]:
-        """0 and every segment end, in time order: segments tile
-        [0, end_time], each starting where the previous one ends."""
-        return [_real(x, self.run.tu) for x in self.run.ticks]
+        """0 and every segment end, in time order (a new list per call):
+        segments tile [0, end_time], each starting where the previous ends."""
+        return self._times.copy()
 
     def active_count(self, t: Rat) -> int:
         """|{j : released by t, remaining > 0 at t}| (arrivals at t included):
@@ -345,34 +351,31 @@ class Schedule:
         return runs
 
     def _last_run(self, jid: int, log: list, hi: int) -> int:
-        """The last segment before segment `hi` that runs `jid`, whose spans
-        are `log`, or -1: its completing segment once it is complete, else
-        its spans from the latest, each bisecting its holder's segments."""
+        """The last segment before segment `hi` that runs `jid` (spans `log`),
+        or -1: its completing segment once complete (its holders run on),
+        else its spans from the latest, each bisecting its holder's segments."""
         d = self.run.done.get(jid)
         if d is not None and d <= hi:
             return d - 1
         runs = self._runs
         for f, h in reversed(log):
             if f < hi:
-                r = runs.get(h)
-                if r:
-                    q = bisect_left(r, hi)
-                    if q and r[q - 1] >= f:
-                        return r[q - 1]
-                hi = f
+                r = runs.get(h, ())
+                q = bisect_left(r, hi)
+                if q and r[q - 1] >= f:
+                    return r[q - 1]
         return -1
 
     @cached_property
     def _stays(self) -> dict:
-        """Holder -> its stays (from segment, to segment, job), in job order:
-        the job is with the holder in segments [from, to), from its spans and
-        `done`."""
-        run, stays = self.run, defaultdict(list)
+        """Holder -> its stays (from segment, to segment, job), in job order,
+        one per span: the job is with the holder in segments [from, to), to
+        its `done` index (the run's end if it never completes)."""
+        run, stays, end = self.run, defaultdict(list), len(self.run.levels)
         for jid in sorted(run.spans):
-            to = run.done.get(jid, len(run.levels))
-            for f, h in reversed(run.spans[jid]):  # each span ends where the next starts
+            to = run.done.get(jid, end)
+            for f, h in run.spans[jid]:
                 stays[h].append((f, to, jid))
-                to = f
         return stays
 
     def _ran(self, lo: int, hi: int) -> set[int]:
@@ -411,14 +414,10 @@ class Schedule:
 
     def jobs_before(self, t: Rat) -> tuple[int, ...]:
         """Jobs of the segment with start < t <= end (the work right before
-        t), ascending; empty when that segment is idle or t is outside
-        (0, end_time]."""
-        ticks, x = self.run.ticks, _units(t, self.run.tu)
-        i = bisect_left(ticks, x, 1)
-        if i == len(ticks) or ticks[i - 1] >= x:
-            return ()
-        h = self.run.holders[i - 1]  # its stays are in job order
-        return () if h is None else tuple(j for f, to, j in self._stays[h] if f < i <= to)
+        t), ascending: `_ran` of that one segment; empty when it is idle or
+        t is outside (0, end_time], where no holder is in the window."""
+        p = bisect_left(self.run.ticks, _units(t, self.run.tu))
+        return tuple(sorted(self._ran(p - 1, p)))
 
     def last_touch(self, job: int, t: Rat) -> Rat | None:
         """The end, capped at t, of the last segment starting before t that
@@ -457,17 +456,17 @@ class Schedule:
     def reach_times(self, levels: dict[int, Rat], after: Rat) -> dict[int, Rat]:
         """Job id -> the first time at which the job's work since `after`
         equals its (positive) level; jobs that never get there are absent.
-        Bisects the end levels of the job's segments, span by span, for its
-        elapsed at `after` plus the level: every segment ending by `after`
-        ends below."""
+        Bisects the end levels of each span's holder's segments from the
+        span to the job's `done`, for its elapsed at `after` plus the level:
+        every segment ending by `after` ends below."""
         run, runs = self.run, self._runs
         ticks, ends, offs = run.ticks, run.levels, run.offs
         base = self.elapsed_at(after)
         out: dict[int, Rat] = {}
         for jid, level in levels.items():
             goal = _units(base.get(jid, ZERO) + level, run.wu) - offs.get(jid, 0)
-            log = run.spans.get(jid, ())
-            for (f, h), (to, _) in zip(log, [*log[1:], (run.done.get(jid, len(ends)), None)]):
+            to = run.done.get(jid, len(ends))
+            for f, h in run.spans.get(jid, ()):
                 r = runs.get(h, ())
                 a, b = bisect_left(r, f), bisect_left(r, to)
                 q = bisect_left(r, goal, a, b, key=ends.__getitem__)

@@ -1,10 +1,12 @@
-"""Shared fixtures: the worked six-job example, random instance factories
-and the bounded-exhaustive small-scope check."""
+"""Shared fixtures: the worked six-job example, random instance factories,
+the bounded-exhaustive small-scope check and the check of the simulator's
+membership rule on a raw run."""
 
 from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_left
 from fractions import Fraction as F
 from itertools import combinations_with_replacement
 
@@ -66,6 +68,22 @@ def scan_known_runs(sched) -> tuple:
             else:
                 runs.append((seg.start, seg.end))
     return tuple(runs)
+
+
+def check_membership_rule(run) -> None:
+    """The store's membership rule, read from the raw run (`spans`,
+    `holders` and `done` alone): a job is with every holder it joins until
+    it completes, so no holder it has left runs a segment from the span
+    where it left up to its `done` index."""
+    runs: dict = {}
+    for i, h in enumerate(run.holders):
+        runs.setdefault(h, []).append(i)
+    for jid, log in run.spans.items():
+        done = run.done.get(jid, len(run.holders))
+        for (_, h), (left, _) in zip(log, log[1:]):
+            r = runs.get(h, [])
+            q = bisect_left(r, left)
+            assert q == len(r) or r[q] >= done, (jid, h, left, done, r[q])
 
 
 def is_backward(h: WeightedBipartiteGraph) -> bool:

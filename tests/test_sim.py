@@ -24,7 +24,13 @@ from slflab.sim import (
     touched_jobs,
 )
 
-from .helpers import random_instance, scan_known_runs, segment_tuples, toy_instance
+from .helpers import (
+    check_membership_rule,
+    random_instance,
+    scan_known_runs,
+    segment_tuples,
+    toy_instance,
+)
 
 
 def test_toy_worked_example():
@@ -309,6 +315,7 @@ def test_undeclared_jobs():
     with pytest.raises(SimulationError):
         simulate(inst, "slf")  # undeclared needs a horizon
     sched = simulate(inst, "slf", horizon=F(10))
+    check_membership_rule(sched.run)  # job 1 never completes: its stays run to the end
     # the undeclared job never becomes known or completes; elapsed is tracked
     assert 1 not in sched.completions
     assert sched.final_elapsed[1] > 0
@@ -406,9 +413,12 @@ def _absorb_heavy_cases(rng):
 def _check_queries(sched, inst, rng, probes=None):
     """Every query that reads the spans against a scan of the `segments`
     view, at every boundary and midpoint (`probes` of them, drawn, if set).
-    The view and the group queries both read the holders' stays, so the
-    view is first checked against `elapsed_at`, which reads the spans alone:
-    a segment's jobs are those whose elapsed work rises across it."""
+    The view, `elapsed_at` and the group queries all rely on the membership
+    rule (a job is with every holder it joins until it completes), so the
+    rule is first checked on the raw run, and the view against `elapsed_at`,
+    which reads the spans alone: a segment's jobs are those whose elapsed
+    work rises across it."""
+    check_membership_rule(sched.run)
     segs = sched.segments
     assert [len(seg.jobs) for seg in segs] == sched.run.sizes
     times = sched.boundaries()
@@ -548,6 +558,7 @@ def test_indexed_elapsed_matches_plain_walk():
             sched = simulate(
                 inst, policy, speed=speed, forbidden=forbidden, horizon=horizon
             )
+            check_membership_rule(sched.run)
             times = sched.boundaries()
             assert times == sorted({F(0), *(seg.end for seg in sched.segments)})
             mids = [(x + y) / 2 for x, y in zip(times, times[1:])]
@@ -937,7 +948,7 @@ def test_queries_leave_the_views_unbuilt(monkeypatch):
         cert = certifier.create_valid_assignment(inst, times[len(times) // 2])
         assert certifier.verify_certificate(cert).passed
     assert reduced and certified
-    views = {"segments", "events", "completions", "end_time", "final_elapsed"}
+    views = {"_times", "segments", "events", "completions", "end_time", "final_elapsed"}
     for s in reduced + certified:
         assert not views & set(vars(s))
 
@@ -961,6 +972,7 @@ def test_spans_stay_within_n_log_n_and_sweep_builds_no_member_view():
         )
         for policy in ("slf", "setf", "rr"):
             s = simulate(inst, policy)
+            check_membership_rule(s.run)
             stored = sum(map(len, s.run.spans.values()))
             assert stored <= n * (n.bit_length() + 1), (n, policy, stored)
             if staggered:  # the group queries read the stays, not a member view
