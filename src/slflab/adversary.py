@@ -152,7 +152,7 @@ def deterministic_lb_run(
             raise AdversaryError("r(j_max) exceeded the quota cap")
         if c == 1 and r_new[j_max] != cap:
             raise AdversaryError("round one must pin r(j_max) to eps/(1-eps)")
-        queue_at_declare = states_from_elapsed(inst_cur, t_prime, replay)[0]
+        queue_at_declare = states_from_elapsed(inst_cur, t_prime, replay, 1)[0]
         if any(r_new[j_min] > st.remaining for st in queue_at_declare.values()):
             raise AdversaryError("j_min must be globally minimal at declaration")
         if not spread < gamma + r_new[j_min]:
@@ -165,7 +165,7 @@ def deterministic_lb_run(
             raise AdversaryError("comparator would exceed elapsed wall time")
 
         smart_stuck.append(j_max)
-        queue = states_from_elapsed(inst_cur, t_end, run.final_elapsed)[0]
+        queue = states_from_elapsed(inst_cur, t_end, run.final_elapsed, 1)[0]
         if policy == "slf" and len(queue) != c * kp:
             raise AdversaryError(
                 f"slf count invariant broke: {len(queue)} != {c * kp}"
@@ -379,6 +379,6 @@ def _count_pair(inst: Instance, policy: str, t: Rat) -> tuple[int, int]:
     """(delta(t,1) for the policy, delta*(t) for srpt)."""
     alg_e = simulate(inst, policy, horizon=t).final_elapsed
     opt_e = simulate(inst, "srpt", horizon=t).final_elapsed
-    alg = states_from_elapsed(inst, t, alg_e)[0]
+    alg = states_from_elapsed(inst, t, alg_e, 1)[0]
     dd = sum(1 for st in alg.values() if st.remaining >= 1)
-    return dd, len(states_from_elapsed(inst, t, opt_e)[0])
+    return dd, len(states_from_elapsed(inst, t, opt_e, 1)[0])

@@ -9,6 +9,12 @@ carries its orders.
 One front-first fill builds every matching: it feeds each right vertex, in
 order, from the front of a left order, using up each left vertex before the
 next. `greedy_matching` (and so `merge`) fills its reversed left order.
+
+Every operation is generic over exact numbers: it adds, subtracts and
+compares weights and never divides them, so a graph holds Fractions in time
+units or ints in an instance's work unit W, and gives the same graph up to
+that unit either way (the certifier builds in W). `scale` moves a graph
+between units; `prefix_expansion` counts vertices and returns a Fraction.
 """
 
 from __future__ import annotations
@@ -18,8 +24,6 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .core import Rat, ceil_inv, rat_str
-
-ZERO = Fraction(0)
 
 
 class AssignmentError(ValueError):
@@ -45,19 +49,19 @@ class WeightedBipartiteGraph:
     # -- volumes -------------------------------------------------------------
 
     def vols(self) -> dict[int, Rat]:
-        out = {u: ZERO for u in self.left}
+        out = dict.fromkeys(self.left, 0)
         for (u, _), w in self.weights.items():
             out[u] += w
         return out
 
     def vols_star(self) -> dict[int, Rat]:
-        out = {v: ZERO for v in self.right}
+        out = dict.fromkeys(self.right, 0)
         for (_, v), w in self.weights.items():
             out[v] += w
         return out
 
     def volume(self) -> Rat:
-        return sum(self.weights.values(), ZERO)
+        return sum(self.weights.values())
 
     def is_empty(self) -> bool:
         return not self.weights
@@ -68,9 +72,23 @@ def graph(
     right: Sequence[int],
     weights: Mapping[tuple[int, int], Rat],
 ) -> WeightedBipartiteGraph:
-    # a value that is already a Fraction is kept, not rebuilt
-    clean = {e: w if type(w) is Fraction else Fraction(w) for e, w in weights.items() if w}
+    clean = {e: w for e, w in weights.items() if w}
     return WeightedBipartiteGraph(tuple(left), tuple(right), clean)
+
+
+def scale(h: WeightedBipartiteGraph, factor: Rat) -> WeightedBipartiteGraph:
+    """`h` with every weight times `factor` (> 0), its orders kept: the one
+    move between time units and an instance's work unit W. A whole factor
+    gives an int for every whole product, any other factor Fractions."""
+    if factor == 1:
+        return h
+    fn, fd = factor.numerator, factor.denominator
+    whole = fd == 1
+    weights = {}
+    for e, w in h.weights.items():
+        n, d = w.numerator * fn, w.denominator * fd
+        weights[e] = n // d if whole and not n % d else Fraction(n, d)
+    return WeightedBipartiteGraph(h.left, h.right, weights)
 
 
 EMPTY_GRAPH = graph((), (), {})
@@ -110,30 +128,33 @@ def is_forward(h: WeightedBipartiteGraph) -> bool:
 
 
 def prefix_expansion(h: WeightedBipartiteGraph) -> Rat:
-    """max over non-empty prefixes P* of the right order of |N(P*)| / |P*|.
+    """max over non-empty prefixes P* of the right order of |N(P*)| / |P*|,
+    as a Fraction whatever the weights' numbers.
 
-    Isolated vertices are removed first; an empty right side gives 0.
+    Isolated vertices are left out (the positions count only right
+    vertices with an edge); a graph with no edge gives 0. The ratios are
+    compared as cross products, and only the largest becomes a Fraction.
     """
-    h = strip_isolated(h)
-    if not h.right:
-        return ZERO
-    ri = {v: i for i, v in enumerate(h.right)}
+    used = {v for _, v in h.weights}
+    ri: dict[int, int] = {}
+    for v in h.right:
+        if v in used:
+            ri[v] = len(ri)
     first_needed: dict[int, int] = {}
     for (u, v) in h.weights:
         pos = ri[v]
         if u not in first_needed or pos < first_needed[u]:
             first_needed[u] = pos
-    counts = [0] * len(h.right)
+    counts = [0] * len(ri)
     for pos in first_needed.values():
         counts[pos] += 1
-    best = ZERO
+    bn, bd = 0, 1
     seen = 0
-    for k in range(len(h.right)):
-        seen += counts[k]
-        ratio = Fraction(seen, k + 1)
-        if ratio > best:
-            best = ratio
-    return best
+    for k, c in enumerate(counts, 1):
+        seen += c
+        if seen * bd > bn * k:
+            bn, bd = seen, k
+    return Fraction(bn, bd)
 
 
 @dataclass(frozen=True)
@@ -163,24 +184,22 @@ def canonical_from_marginals(
     attach explicit orders (which must be non-increasing in volume and hold
     every vertex of positive volume) to pin tie-breaks among equal volumes."""
     left_vols, right_vols = (
-        {u: w if type(w) is Fraction else Fraction(w) for u, w in vols.items() if w}
-        for vols in (left_vols, right_vols)
+        {u: w for u, w in vols.items() if w} for vols in (left_vols, right_vols)
     )
-    left = (
-        default_order(left_vols)
-        if left_order is None
-        else tuple(u for u in left_order if u in left_vols)
-    )
+    left = default_order(left_vols) if left_order is None else _attached(left_order, left_vols)
     right = (
-        default_order(right_vols)
-        if right_order is None
-        else tuple(v for v in right_order if v in right_vols)
+        default_order(right_vols) if right_order is None else _attached(right_order, right_vols)
     )
-    for order, vols in ((left, left_vols), (right, right_vols)):
-        for a, b in zip(order, order[1:]):
-            if vols[a] < vols[b]:
-                raise AssignmentError("attached order must be non-increasing")
     return graph(left, right, _fill(left, right, left_vols, right_vols))
+
+
+def _attached(order: Sequence[int], vols: Mapping[int, Rat]) -> tuple[int, ...]:
+    """An attached order's vertices of positive volume, checked to be
+    non-increasing in volume (a default order is so by construction)."""
+    out = tuple(u for u in order if u in vols)
+    if any(vols[a] < vols[b] for a, b in zip(out, out[1:])):
+        raise AssignmentError("attached order must be non-increasing")
+    return out
 
 
 def greedy_matching(
@@ -202,20 +221,20 @@ def _fill(left, right, left_vols, right_vols) -> dict[tuple[int, int], Rat]:
     up each left vertex before the next. The volumes must be nonnegative with
     equal sums, and each order must hold every vertex of positive volume,
     once."""
-    if any(w < 0 for vols in (left_vols, right_vols) for w in vols.values()):
+    if min(left_vols.values(), default=0) < 0 or min(right_vols.values(), default=0) < 0:
         raise AssignmentError("volumes must be nonnegative")
-    if sum(left_vols.values(), ZERO) != sum(right_vols.values(), ZERO):
+    if sum(left_vols.values()) != sum(right_vols.values()):
         raise AssignmentError("volume sums differ")
     for order, vols in ((left, left_vols), (right, right_vols)):
         placed = set(order)
-        if len(placed) < len(order) or any(w and u not in placed for u, w in vols.items()):
+        if len(placed) < len(order) or not placed.issuperset(u for u, w in vols.items() if w):
             raise AssignmentError("an order must hold each vertex of positive volume once")
     left = [u for u in left if left_vols.get(u)]
     residual = dict(left_vols)
     weights: dict[tuple[int, int], Rat] = {}
     li = 0
     for v in right:
-        need = right_vols.get(v, ZERO)
+        need = right_vols.get(v, 0)
         while need > 0:
             u = left[li]
             take = min(need, residual[u])
@@ -232,7 +251,7 @@ def suffix_reaching(
 ) -> tuple[tuple[int, ...], Rat]:
     """The smallest suffix of `order` whose volume reaches beta, and its
     volume; the whole order and its volume when no suffix does."""
-    acc = ZERO
+    acc = 0
     k = len(order)
     while k and acc < beta:
         k -= 1
@@ -242,7 +261,6 @@ def suffix_reaching(
 
 def min_suffix(h: WeightedBipartiteGraph, beta: Rat) -> tuple[int, ...]:
     """Smallest suffix S of the left order with vol(S) >= beta."""
-    beta = Fraction(beta)
     if beta < 0 or beta > h.volume():
         raise AssignmentError("beta outside [0, vol(H)]")
     return suffix_reaching(h.left, h.vols(), beta)[0]
@@ -254,7 +272,6 @@ def split(h: WeightedBipartiteGraph, beta: Rat) -> tuple[
     """Split a forward graph into a prefix subgraph and a suffix subgraph of
     volume beta; at most one edge is shared, its weight divided so that
     vol(H_s) = beta exactly. Both parts are forward and phi(H_p) <= phi(H)."""
-    beta = Fraction(beta)
     if not is_forward(h):
         raise AssignmentError("split needs a forward graph")
     total = h.volume()
@@ -264,7 +281,7 @@ def split(h: WeightedBipartiteGraph, beta: Rat) -> tuple[
     ri = {v: i for i, v in enumerate(h.right)}
     edges = sorted(h.weights, key=lambda e: (li[e[0]], ri[e[1]]))
     suffix_w: dict[tuple[int, int], Rat] = {}
-    acc = ZERO
+    acc = 0
     idx = len(edges)
     while acc < beta:
         idx -= 1
@@ -277,7 +294,7 @@ def split(h: WeightedBipartiteGraph, beta: Rat) -> tuple[
         prefix_w[e] = h.weights[e]
     if idx < len(edges):
         e = edges[idx]
-        rest = h.weights[e] - suffix_w.get(e, ZERO)
+        rest = h.weights[e] - suffix_w.get(e, 0)
         if rest > 0:
             prefix_w[e] = rest
     hp = _induced(h, prefix_w)
@@ -322,13 +339,13 @@ def union(*graphs_: WeightedBipartiteGraph) -> WeightedBipartiteGraph:
     weights: dict[tuple[int, int], Rat] = {}
     for h in graphs_:
         for e, w in h.weights.items():
-            weights[e] = weights.get(e, ZERO) + w
+            weights[e] = weights.get(e, 0) + w
     weights = {e: w for e, w in weights.items() if w > 0}
     lv: dict[int, Rat] = {}
     rv: dict[int, Rat] = {}
     for (u, v), w in weights.items():
-        lv[u] = lv.get(u, ZERO) + w
-        rv[v] = rv.get(v, ZERO) + w
+        lv[u] = lv.get(u, 0) + w
+        rv[v] = rv.get(v, 0) + w
     return graph(default_order(lv), default_order(rv), weights)
 
 

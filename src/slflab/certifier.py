@@ -30,19 +30,36 @@ lookups on it are identity hits.
 
 Every read of a queue goes through one snapshot per (instance, policy, t),
 `_snapshot`, an lru_cache of SNAPSHOT_CACHE_SIZE (32) entries. It walks the
-schedule once (`elapsed_at(t)`), and one pass of `states_from_elapsed` over
-the jobs builds both queue views from that walk: `states`, with every
+schedule once (`elapsed_units(t)`), and one pass of `states_from_elapsed`
+over the jobs builds both queue views from that walk: `states`, with every
 release at t arrived, and `before`, right before the batch released at t. It
 returns the elapsed map and the views as read-only `MappingProxyType`s, so
-no caller can change an entry another caller shares. Neither the snapshot
-nor t-equivalence compares a release time with t: a job is active for
-t-equivalence iff it is in `states` and either in `before` or released at
-epoch 0, so jobs moved to t-plus (epoch > 0) are out. The bound is small on
-purpose: a snapshot is read again within one certificate and its
-verification, soon after it is built. Criterion 5's loop hits 78.0% of its
-lookups with 32 entries and 78.2% with 256, and the benchmark's certify
-pool hits the same share from 16 to 1024 entries, so a larger cache only
-holds times that a run never asks for again, and grows the process's memory.
+no caller can change an entry another caller shares, with their `unit`.
+Neither the snapshot nor t-equivalence compares a release time with t: a
+job is active for t-equivalence iff it is in `states` and either in
+`before` or released at epoch 0, so jobs moved to t-plus (epoch > 0) are
+out. The bound is small on purpose: a snapshot is read again within one
+certificate and its verification, soon after it is built. Criterion 5's
+loop hits 78.0% of its lookups with 32 entries and 78.2% with 256, and the
+benchmark's certify pool hits the same share from 16 to 1024 entries, so a
+larger cache only holds times that a run never asks for again, and grows
+the process's memory.
+
+A snapshot's works (elapsed and remaining) are in its run's work unit `wu`:
+ints, or Fractions where the run leaves its integer clock (sim's module
+docstring). The step, the final assignment and verification work in one unit
+per instance, W, slf's `wu` (L * K). srpt's `wu` is L, as the two runs share
+L, srpt's K is 1 and the certifier runs at speed 1; an srpt work enters the
+step times W / L, a ratio checked to be whole (`_opt_scale`). Sizes and
+lengths enter as `_units(x, W)` and each test against eps = a/b is
+cross-multiplied, so the step adds and compares ints. Fractions appear only
+where a value leaves it: phi, the certificate's graph (scaled back to time
+once), the times in `IterationRecord.details`, and a `CounterexampleError`'s
+context, whose works are divided by W; the public `update_valid_assignment`
+takes and returns time around the step's `_update`. t-equivalence compares
+an original with a transformed instance, in construction and in
+verification, and a move to an off-grid time can change L, so the two Ws may
+differ: works ea and eb agree iff ea * Wb == eb * Wa.
 """
 
 from __future__ import annotations
@@ -68,12 +85,21 @@ from .assignment import (
     merge,
     min_suffix,
     prefix_expansion,
+    scale,
     split,
     suffix_reaching,
     union,
 )
 from .core import Instance, Rat, ReleaseTag, ceil_inv, jsonable, rat_str
-from .sim import JobState, Schedule, simulate, states_from_elapsed, touched_jobs
+from .sim import (
+    JobState,
+    Schedule,
+    _real,
+    _units,
+    simulate,
+    states_from_elapsed,
+    touched_jobs,
+)
 
 ZERO = Fraction(0)
 
@@ -101,35 +127,52 @@ SNAPSHOT_CACHE_SIZE = 32
 
 
 class _Snapshot(NamedTuple):
-    """One schedule at one time t, read-only: the elapsed work per job, the
-    active-job states with every release at t arrived, and the same states
-    right before the batch released at t (the same view when there is none)."""
+    """One schedule at one time t, read-only, in the run's work unit `unit`
+    (its `wu`; a work of w is w / unit in time): the elapsed work per job,
+    the active-job states with every release at t arrived, and the same
+    states right before the batch released at t (the same view when there
+    is none)."""
 
-    elapsed: Mapping[int, Rat]
+    elapsed: Mapping[int, int | Fraction]
     states: Mapping[int, JobState]
     before: Mapping[int, JobState]
+    unit: int
 
 
 @lru_cache(maxsize=SNAPSHOT_CACHE_SIZE)
 def _snapshot(inst: Instance, policy: str, t: Rat) -> _Snapshot:
-    elapsed = _sched(inst, policy).elapsed_at(t)
-    states, before = states_from_elapsed(inst, t, elapsed)
+    sched = _sched(inst, policy)
+    unit = sched.run.wu
+    elapsed = sched.elapsed_units(t)
+    states, before = states_from_elapsed(inst, t, elapsed, unit)
     view = MappingProxyType(states)
     pre = view if before is states else MappingProxyType(before)
-    return _Snapshot(MappingProxyType(elapsed), view, pre)
+    return _Snapshot(MappingProxyType(elapsed), view, pre, unit)
 
 
-def _remaining(states: Mapping[int, JobState]) -> dict[int, Rat]:
-    """Job id -> remaining time, for states of declared jobs (all positive)."""
-    return {i: st.remaining for i, st in states.items()}
+def _opt_scale(W: int, unit: int) -> int:
+    """W over srpt's work unit: slf's is W = L * K and srpt's L, as both
+    runs share L, srpt's K is 1 and the certifier runs at speed 1; checked,
+    not assumed."""
+    k, r = divmod(W, unit)
+    if r:
+        raise CounterexampleError("work-unit", W=W, srpt=unit)
+    return k
 
 
-def _marginals(inst: Instance, t: Rat) -> tuple[dict[int, Rat], dict[int, Rat]]:
-    """Both queues' remaining times at t, every release at t arrived."""
-    return (
-        _remaining(_snapshot(inst, "slf", t).states),
-        _remaining(_snapshot(inst, "srpt", t).states),
-    )
+def _remaining(states: Mapping[int, JobState], k: int = 1) -> dict[int, int | Fraction]:
+    """Job id -> remaining work times k, for states of declared jobs (all
+    positive)."""
+    if k == 1:
+        return {i: st.remaining for i, st in states.items()}
+    return {i: st.remaining * k for i, st in states.items()}
+
+
+def _marginals(inst: Instance, t: Rat) -> tuple[dict, dict, int]:
+    """Both queues' remaining work at t, every release at t arrived, in the
+    instance's unit W, and W."""
+    a, o = _snapshot(inst, "slf", t), _snapshot(inst, "srpt", t)
+    return _remaining(a.states), _remaining(o.states, _opt_scale(a.unit, o.unit)), a.unit
 
 
 # --- instance surgery ---------------------------------------------------------
@@ -164,8 +207,11 @@ def check_t_equivalence(original: Instance, transformed: Instance, t: Rat) -> bo
     """Same SLF active set at t and the same elapsed time for every job, on
     both instances. Membership is by plain time: released at a tag up to
     (t, epoch 0), so jobs re-released to t-plus are out, and not complete.
-    Read off the snapshot: in `states`, and in `before` or at epoch 0."""
-    t = Fraction(t)
+    Read off the snapshot: in `states`, and in `before` or at epoch 0; the
+    two instances' works are compared across their units, ea * Wb == eb *
+    Wa (module docstring)."""
+    if type(t) is not Fraction:
+        t = Fraction(t)
     a, b = _snapshot(original, "slf", t), _snapshot(transformed, "slf", t)
 
     def active(inst: Instance, snap: _Snapshot) -> set[int]:
@@ -175,8 +221,8 @@ def check_t_equivalence(original: Instance, transformed: Instance, t: Rat) -> bo
 
     if active(original, a) != active(transformed, b):
         return False
-    ea, eb = a.elapsed, b.elapsed
-    return all(ea.get(j.id, ZERO) == eb.get(j.id, ZERO) for j in original.jobs)
+    ea, eb, wa, wb = a.elapsed, b.elapsed, a.unit, b.unit
+    return all(ea.get(j.id, 0) * wb == eb.get(j.id, 0) * wa for j in original.jobs)
 
 
 # --- work-split bookkeeping ---------------------------------------------------
@@ -186,14 +232,18 @@ def check_t_equivalence(original: Instance, transformed: Instance, t: Rat) -> bo
 class WorkSplit:
     """Exact accounting of the work both schedulers do on a batch during
     (s, ell]: the shared part, each side's excess, and the old-job volumes,
-    with the queue states it was derived from (right before s and ell)."""
+    with the queue states it was derived from (right before s and ell).
+    Every work is in the instance's unit W, `unit` (slf's run `wu`): an int,
+    or off the grid a Fraction, and w / unit in time."""
 
-    gamma: Rat
-    delta: dict[int, Rat]
-    tau: dict[int, Rat]
-    tau_star: dict[int, Rat]
-    nu: Rat
-    nu_star: Rat
+    unit: int
+    size: dict[int, int | Fraction]
+    gamma: int | Fraction
+    delta: dict[int, int | Fraction]
+    tau: dict[int, int | Fraction]
+    tau_star: dict[int, int | Fraction]
+    nu: int | Fraction
+    nu_star: int | Fraction
     O_ell: set[int]
     A_ell: set[int]
     O_plus: set[int]
@@ -205,10 +255,10 @@ class WorkSplit:
     new_ids: set[int]
     slf_s: Mapping[int, JobState]
     slf_ell: Mapping[int, JobState]
-    opt_ell: Mapping[int, JobState]
-    delta_total: Rat
-    tau_total: Rat
-    tau_star_total: Rat
+    r_star_ell: dict[int, int | Fraction]
+    delta_total: int | Fraction
+    tau_total: int | Fraction
+    tau_star_total: int | Fraction
 
 
 def _leader_of(inst: Instance, new_ids) -> int:
@@ -217,21 +267,26 @@ def _leader_of(inst: Instance, new_ids) -> int:
 
 def compute_work_split(inst: Instance, s: Rat, ell: Rat, new_ids) -> WorkSplit:
     """Delta/tau/tau*/nu bookkeeping for the batch `new_ids` arriving at s,
-    fast-forwarded to ell. Verifies (rather than assumes) the fast-forward
-    preconditions and the structural case table; failures raise
-    CounterexampleError."""
+    fast-forwarded to ell, in the instance's unit W. Verifies (rather than
+    assumes) the fast-forward preconditions and the structural case table;
+    failures raise CounterexampleError, with works in time units. Each test
+    against eps = a/b is cross-multiplied: 1 - eps is (b - a) / b."""
     s, ell = Fraction(s), Fraction(ell)
     new_ids = set(new_ids)
     if ell < s:
         raise ValueError("need s <= ell")
     alg = _sched(inst, "slf")
     opt = _sched(inst, "srpt")
-    eps = inst.epsilon
+    a, b = inst.epsilon.numerator, inst.epsilon.denominator
+    keep = b - a
 
-    pre = _snapshot(inst, "slf", s).before
+    at_s = _snapshot(inst, "slf", s)
+    pre, W = at_s.before, at_s.unit
     K_s = {i for i, st in pre.items() if st.known}
     leader = _leader_of(inst, new_ids)
-    e_alg = _snapshot(inst, "slf", ell).elapsed
+    size = {i: _units(inst.job(i).size, W) for i in new_ids}
+    at_ell = _snapshot(inst, "slf", ell)
+    e_alg = at_ell.elapsed
 
     if ell > s:
         # arrivals exactly at ell are the next iteration's batch, not a breach
@@ -244,47 +299,52 @@ def compute_work_split(inst: Instance, s: Rat, ell: Rat, new_ids) -> WorkSplit:
         stray = touched - new_ids - K_s
         if stray:
             raise CounterexampleError("ff-pre-only-new-or-known", jobs=sorted(stray))
-        e_leader = e_alg.get(leader, ZERO)
-        if e_leader >= inst.job(leader).size:
+        e_leader = e_alg.get(leader, 0)
+        if e_leader >= size[leader]:
             # degenerate batch: the leader is done, so every batch job must be
             # done too, and the touched/unknown preconditions are vacuous
             for i in new_ids:
-                if e_alg.get(i, ZERO) < inst.job(i).size:
+                if e_alg.get(i, 0) < size[i]:
                     raise CounterexampleError("ff-degenerate-batch-alive", job=i)
         else:
             if leader not in alg.jobs_before(ell):
                 raise CounterexampleError(
                     "ff-pre-leader-touched", leader=leader, ell=ell
                 )
-            if e_leader > (1 - eps) * inst.job(leader).size:
+            if e_leader * b > keep * size[leader]:  # past (1 - eps) * p
                 raise CounterexampleError("ff-pre-leader-unknown", leader=leader)
 
-    e_opt = _snapshot(inst, "srpt", ell).elapsed
+    opt_ell = _snapshot(inst, "srpt", ell)
+    k = _opt_scale(W, opt_ell.unit)
+    e_opt = opt_ell.elapsed
 
-    gamma = e_alg.get(leader, ZERO)
-    delta: dict[int, Rat] = {}
-    tau: dict[int, Rat] = {}
-    tau_star: dict[int, Rat] = {}
+    gamma = e_alg.get(leader, 0)
+    delta: dict = {}
+    tau: dict = {}
+    tau_star: dict = {}
     for i in new_ids:
-        ea = e_alg.get(i, ZERO)
-        eo = e_opt.get(i, ZERO)
+        ea = e_alg.get(i, 0)
+        eo = e_opt.get(i, 0) * k
         delta[i] = min(ea, eo)
-        tau[i] = max(ea - eo, ZERO)
-        tau_star[i] = max(eo - ea, ZERO)
+        tau[i] = max(ea - eo, 0)
+        tau_star[i] = max(eo - ea, 0)
 
-    delta_total = sum(delta.values(), ZERO)
-    tau_total = sum(tau.values(), ZERO)
-    tau_star_total = sum(tau_star.values(), ZERO)
-    nu = (ell - s) - delta_total - tau_total
-    nu_star = (ell - s) - delta_total - tau_star_total
+    delta_total = sum(delta.values())
+    tau_total = sum(tau.values())
+    tau_star_total = sum(tau_star.values())
+    length = _units(ell - s, W)
+    nu = length - delta_total - tau_total
+    nu_star = length - delta_total - tau_star_total
     if nu < 0 or nu_star < 0:
-        raise CounterexampleError("work-split-negative-nu", nu=nu, nu_star=nu_star)
+        raise CounterexampleError(
+            "work-split-negative-nu", nu=_real(nu, W), nu_star=_real(nu_star, W)
+        )
 
     # right-before-the-next-batch states: releases exactly at ell excluded
-    slf_ell = _snapshot(inst, "slf", ell).before
-    opt_ell = _snapshot(inst, "srpt", ell).before
-    O_ell = new_ids & set(opt_ell)
-    A_ell = new_ids & set(slf_ell)
+    slf_ell = at_ell.before
+    r_star_ell = _remaining(opt_ell.before, k)
+    O_ell = new_ids & r_star_ell.keys()
+    A_ell = new_ids & slf_ell.keys()
     O_plus = {i for i in O_ell if tau[i] > 0}
     A_plus = {i for i in A_ell if tau_star[i] > 0}
     D_ell = {i for i in new_ids if tau[i] == 0 and tau_star[i] == 0}
@@ -297,16 +357,15 @@ def compute_work_split(inst: Instance, s: Rat, ell: Rat, new_ids) -> WorkSplit:
 
     # nu identity: the volume SLF pours into old jobs equals the remaining
     # times of the known jobs it finishes (Fact: nu = sum r_j(s), K(s)\K(ell))
-    expect_nu = sum((pre[i].remaining for i in K_s - K_ell), ZERO)
+    expect_nu = sum(pre[i].remaining for i in K_s - K_ell)
     if ell > s and nu != expect_nu:
-        raise CounterexampleError("fact-nu", nu=nu, expected=expect_nu)
+        raise CounterexampleError("fact-nu", nu=_real(nu, W), expected=_real(expect_nu, W))
 
     # the optimum's partial job: the one it ran alone right before ell
     before = opt.jobs_before(ell)
     z = before[0] if len(before) == 1 else None
 
     if ell > s:
-        one_over = Fraction(1, 1) / (1 - eps)
         for j in sorted(new_ids):
             if j == z:
                 continue
@@ -315,30 +374,30 @@ def compute_work_split(inst: Instance, s: Rat, ell: Rat, new_ids) -> WorkSplit:
             if in_o and in_a:
                 ok = tau[j] == gamma and tau_star[j] == 0 and delta[j] == 0
             elif in_o:
-                ok = tau[j] <= one_over * gamma and tau_star[j] == 0 and delta[j] == 0
+                # tau <= gamma / (1 - eps)
+                ok = tau[j] * keep <= gamma * b and tau_star[j] == 0 and delta[j] == 0
             elif in_a:
-                ok = (
-                    delta[j] == gamma
-                    and tau[j] == 0
-                    and tau_star[j] * (1 - eps) >= eps * gamma
-                )
+                # tau* * (1 - eps) >= eps * gamma
+                ok = delta[j] == gamma and tau[j] == 0 and tau_star[j] * keep >= a * gamma
             else:
-                ok = delta[j] == inst.job(j).size
+                ok = delta[j] == size[j]
             if not ok:
                 raise CounterexampleError(
                     "case-table",
                     job=j,
-                    delta=delta[j],
-                    tau=tau[j],
-                    tau_star=tau_star[j],
-                    gamma=gamma,
+                    delta=_real(delta[j], W),
+                    tau=_real(tau[j], W),
+                    tau_star=_real(tau_star[j], W),
+                    gamma=_real(gamma, W),
                 )
-            if in_a and e_alg.get(j, ZERO) != gamma:
+            if in_a and e_alg.get(j, 0) != gamma:
                 raise CounterexampleError("alg-batch-level", job=j)
-            if j in new_ids - A_ell and e_alg.get(j, ZERO) > one_over * gamma:
+            if j in new_ids - A_ell and e_alg.get(j, 0) * keep > gamma * b:
                 raise CounterexampleError("alg-batch-cap", job=j)
 
     return WorkSplit(
+        unit=W,
+        size=size,
         gamma=gamma,
         delta=delta,
         tau=tau,
@@ -356,7 +415,7 @@ def compute_work_split(inst: Instance, s: Rat, ell: Rat, new_ids) -> WorkSplit:
         new_ids=new_ids,
         slf_s=pre,
         slf_ell=slf_ell,
-        opt_ell=opt_ell,
+        r_star_ell=r_star_ell,
         delta_total=delta_total,
         tau_total=tau_total,
         tau_star_total=tau_star_total,
@@ -366,7 +425,7 @@ def compute_work_split(inst: Instance, s: Rat, ell: Rat, new_ids) -> WorkSplit:
 # --- the assignment update (fast-forward) -------------------------------------
 
 
-def _matching_on(ids, weights_by_id: dict[int, Rat], order_key) -> WeightedBipartiteGraph:
+def _matching_on(ids, weights_by_id: dict, order_key) -> WeightedBipartiteGraph:
     order = tuple(sorted(ids, key=order_key))
     w = {(i, i): weights_by_id[i] for i in order if weights_by_id[i] > 0}
     keep = tuple(i for i in order if weights_by_id[i] > 0)
@@ -396,26 +455,36 @@ def update_valid_assignment(
     sigma: WeightedBipartiteGraph,
 ) -> WeightedBipartiteGraph:
     """Fast-forward the canonical valid assignment at s (right before the
-    batch `new_ids` arrives) to a valid assignment at ell.
+    batch `new_ids` arrives) to a valid assignment at ell, both graphs in
+    time units: `_update` in the instance's unit W, with `sigma` scaled
+    into W and the result back to time. The certificate step, whose graphs
+    are in W, calls `_update` itself."""
+    ws = compute_work_split(inst, s, ell, new_ids)
+    return scale(_update(inst, s, ws, scale(sigma, ws.unit)), Fraction(1, ws.unit))
+
+
+def _update(
+    inst: Instance, s: Rat, ws: WorkSplit, sigma: WeightedBipartiteGraph
+) -> WeightedBipartiteGraph:
+    """The update of the batch of `ws`, which arrives at s, in the
+    instance's unit W.
 
     Implements the two-case update (by which scheduler did more work on old
     jobs) and verifies the five marginal properties of the output plus the
     expansion bound; any failure raises CounterexampleError naming the broken
     property."""
-    s, ell = Fraction(s), Fraction(ell)
-    new_ids = set(new_ids)
-    eps = inst.epsilon
-    kprime = ceil_inv(eps)
-    ws = compute_work_split(inst, s, ell, new_ids)
-    size = {i: inst.job(i).size for i in new_ids}
+    new_ids, W, size = ws.new_ids, ws.unit, ws.size
+    kprime = ceil_inv(inst.epsilon)
 
     if not is_forward(sigma):
         raise CounterexampleError("sigma-not-forward")
-    pre_opt = _snapshot(inst, "srpt", s).before
+    at_s = _snapshot(inst, "srpt", s)
+    # the optimum's remaining work right before the batch arrived at s
+    r_star_pre = _remaining(at_s.before, _opt_scale(W, at_s.unit))
     vols, vols_star = sigma.vols(), sigma.vols_star()
     if vols != _remaining(ws.slf_s):
         raise CounterexampleError("sigma-left-marginals")
-    if vols_star != _remaining(pre_opt):
+    if vols_star != r_star_pre:
         raise CounterexampleError("sigma-right-marginals")
 
     m2_w = {i: size[i] - ws.delta[i] for i in new_ids}
@@ -423,11 +492,9 @@ def update_valid_assignment(
     h2 = split(sigma, min(ws.nu, ws.nu_star))[0]
 
     r_ell = _remaining(ws.slf_ell)
-    r_star_ell = _remaining(ws.opt_ell)
-    # the optimum's remaining times right before the batch arrived at s
-    r_star_s = _remaining(pre_opt)
-    for i in new_ids:
-        r_star_s[i] = size[i]
+    r_star_ell = ws.r_star_ell
+    # the optimum's remaining work at s, a new job's being its full size
+    r_star_s = {**r_star_pre, **size}
 
     if ws.nu <= ws.nu_star:
         sigma_prime = _update_one(
@@ -437,7 +504,7 @@ def update_valid_assignment(
         sigma_prime = _update_two(inst, ws, kprime, h2, m2_w, r_ell, r_star_ell)
 
     vols_p, vols_star_p = sigma_prime.vols(), sigma_prime.vols_star()
-    _verify_marginal_properties(ws, size, pre_opt, vols, vols_star, vols_p, vols_star_p)
+    _verify_marginal_properties(ws, r_star_pre, vols, vols_star, vols_p, vols_star_p)
 
     if vols_p != r_ell:
         raise CounterexampleError("updated-left-marginals")
@@ -451,9 +518,10 @@ def update_valid_assignment(
 
 def _update_one(inst, ws: WorkSplit, kprime, h2, m2_w, r_ell, r_star_ell, r_star_s):
     """Case nu <= nu*: the optimum did at least as much old-job work."""
-    eps = inst.epsilon
-    by_r_star = lambda i: (-(r_star_ell.get(i, ZERO)), i)
-    by_r = lambda i: (-(r_ell.get(i, ZERO)), i)
+    a, b = inst.epsilon.numerator, inst.epsilon.denominator
+    W = ws.unit
+    by_r_star = lambda i: (-(r_star_ell.get(i, 0)), i)
+    by_r = lambda i: (-(r_ell.get(i, 0)), i)
 
     ms = _matching_on(ws.A_plus, {i: m2_w[i] for i in ws.A_plus}, by_r)
     md = _matching_on(ws.D_ell, {i: m2_w[i] for i in ws.D_ell}, by_r_star)
@@ -467,9 +535,11 @@ def _update_one(inst, ws: WorkSplit, kprime, h2, m2_w, r_ell, r_star_ell, r_star
     phi3 = prefix_expansion(h3)
     if phi3 > kprime:
         raise CounterexampleError("merged-expansion", phi=phi3, bound=kprime)
-    T = sum((ws.tau[i] for i in ws.O_plus), ZERO)
+    T = sum(ws.tau[i] for i in ws.O_plus)
     if h3.volume() < T:
-        raise CounterexampleError("claim-X-exists", volume=h3.volume(), T=T)
+        raise CounterexampleError(
+            "claim-X-exists", volume=_real(h3.volume(), W), T=_real(T, W)
+        )
     X = min_suffix(h3, T)
 
     m3_w = {i: m2_w[i] - ws.tau[i] for i in ws.O_plus}
@@ -492,9 +562,12 @@ def _update_one(inst, ws: WorkSplit, kprime, h2, m2_w, r_ell, r_star_ell, r_star
     for j in g_order:
         if j == front:
             continue
-        if g_vols[j] * (1 - eps) < eps * ws.gamma:
+        if g_vols[j] * (b - a) < a * ws.gamma:
             raise CounterexampleError(
-                "update1-volume-bound", job=j, vol=g_vols[j], gamma=ws.gamma
+                "update1-volume-bound",
+                job=j,
+                vol=_real(g_vols[j], W),
+                gamma=_real(ws.gamma, W),
             )
 
     return _union_in_family_order((g, m3, h3p, md), (h3p.right, opl_order, md.right))
@@ -502,26 +575,31 @@ def _update_one(inst, ws: WorkSplit, kprime, h2, m2_w, r_ell, r_star_ell, r_star
 
 def _update_two(inst, ws: WorkSplit, kprime, h2, m2_w, r_ell, r_star_ell):
     """Case nu* < nu: the algorithm did strictly more old-job work."""
-    eps = inst.epsilon
+    a, b = inst.epsilon.numerator, inst.epsilon.denominator
+    W = ws.unit
     d = ws.nu - ws.nu_star
 
     if not (ws.O_ell <= ws.A_ell):
         raise CounterexampleError("update2-O-subset-A", O=ws.O_ell, A=ws.A_ell)
     if not (ws.tau_total < ws.tau_star_total):
         raise CounterexampleError(
-            "update2-tau-order", tau=ws.tau_total, tau_star=ws.tau_star_total
+            "update2-tau-order",
+            tau=_real(ws.tau_total, W),
+            tau_star=_real(ws.tau_star_total, W),
         )
 
     # claim: a left suffix of exactly volume d exists, and a right one of
     # at least d
     X, reached = suffix_reaching(h2.left, h2.vols(), d)
     if reached != d:
-        raise CounterexampleError("claim-X-exact", d=d, reached=reached)
+        raise CounterexampleError("claim-X-exact", d=_real(d, W), reached=_real(reached, W))
     Y, reached = suffix_reaching(h2.right, h2.vols_star(), d)
     if reached < d:
-        raise CounterexampleError("claim-Y-exists", d=d, reached=reached)
+        raise CounterexampleError(
+            "claim-Y-exists", d=_real(d, W), reached=_real(reached, W)
+        )
 
-    by_r_star = lambda i: (-(r_star_ell.get(i, ZERO)), i)
+    by_r_star = lambda i: (-(r_star_ell.get(i, 0)), i)
     m3_w = dict(m2_w)
     for i in ws.O_plus:
         m3_w[i] = m3_w[i] - ws.tau[i]
@@ -540,9 +618,9 @@ def _update_two(inst, ws: WorkSplit, kprime, h2, m2_w, r_ell, r_star_ell):
         if set(h2s.right) != set(Y):
             raise CounterexampleError("update2-Y-mismatch", Y=Y, right=h2s.right)
         for j in X:
-            if s_vols[j] * (1 - eps) > eps * ws.gamma:
+            if s_vols[j] * (b - a) > a * ws.gamma:  # past eps/(1-eps) * gamma
                 raise CounterexampleError(
-                    "update2-suffix-volume-cap", job=j, vol=s_vols[j]
+                    "update2-suffix-volume-cap", job=j, vol=_real(s_vols[j], W)
                 )
 
     # the optimum's partial job z is weakly largest in A+; it must head the
@@ -551,12 +629,12 @@ def _update_two(inst, ws: WorkSplit, kprime, h2, m2_w, r_ell, r_star_ell):
     a_order = tuple(
         sorted(
             ws.A_plus,
-            key=lambda i: (-(r_ell.get(i, ZERO)), 0 if i == z else 1, i),
+            key=lambda i: (-(r_ell.get(i, 0)), 0 if i == z else 1, i),
         )
     )
     demands = {i: ws.tau[i] for i in ws.O_plus}
     for v in Y:
-        demands[v] = demands.get(v, ZERO) + s_vols_star[v]
+        demands[v] = demands.get(v, 0) + s_vols_star[v]
     astar_order = tuple(sorted(demands, key=by_r_star))
     g = greedy_matching(
         a_order, astar_order, {i: ws.tau_star[i] for i in ws.A_plus}, demands
@@ -565,31 +643,32 @@ def _update_two(inst, ws: WorkSplit, kprime, h2, m2_w, r_ell, r_star_ell):
 
 
 def _verify_marginal_properties(
-    ws: WorkSplit, size, pre_opt, vol_h1, vol_h1_star, vol_hp, vol_hp_star
+    ws: WorkSplit, r_star_pre, vol_h1, vol_h1_star, vol_hp, vol_hp_star
 ):
     """The five per-job volume identities of the updated graph, from the
-    volumes of the graph before (h1) and after (hp) the update; `size[i]`
-    is new job i's volume on both sides of its diagonal matching."""
+    volumes of the graph before (h1) and after (hp) the update; `ws.size[i]`
+    is new job i's volume on both sides of its diagonal matching, and
+    `r_star_pre` the optimum's remaining work right before s."""
+    W, size = ws.unit, ws.size
     for i in ws.new_ids:
-        lhs = size[i] - vol_hp.get(i, ZERO)
+        lhs = size[i] - vol_hp.get(i, 0)
         if lhs != ws.delta[i] + ws.tau[i]:
-            raise CounterexampleError("H'-property-1", job=i, got=lhs)
-        lhs = size[i] - vol_hp_star.get(i, ZERO)
+            raise CounterexampleError("H'-property-1", job=i, got=_real(lhs, W))
+        lhs = size[i] - vol_hp_star.get(i, 0)
         if lhs != ws.delta[i] + ws.tau_star[i]:
-            raise CounterexampleError("H'-property-4", job=i, got=lhs)
+            raise CounterexampleError("H'-property-4", job=i, got=_real(lhs, W))
     for i, st in ws.slf_s.items():
         if i in ws.K_s - ws.K_ell:
-            lhs = vol_h1.get(i, ZERO) - vol_hp.get(i, ZERO)
+            lhs = vol_h1.get(i, 0) - vol_hp.get(i, 0)
             if lhs != st.remaining:
-                raise CounterexampleError("H'-property-2", job=i, got=lhs)
+                raise CounterexampleError("H'-property-2", job=i, got=_real(lhs, W))
         else:
-            if vol_hp.get(i, ZERO) != vol_h1.get(i, ZERO):
+            if vol_hp.get(i, 0) != vol_h1.get(i, 0):
                 raise CounterexampleError("H'-property-3", job=i)
-    for i, st in pre_opt.items():
-        r_now = ws.opt_ell[i].remaining if i in ws.opt_ell else ZERO
-        lhs = vol_h1_star.get(i, ZERO) - vol_hp_star.get(i, ZERO)
-        if lhs != st.remaining - r_now:
-            raise CounterexampleError("H'-property-5", job=i, got=lhs)
+    for i, r in r_star_pre.items():
+        lhs = vol_h1_star.get(i, 0) - vol_hp_star.get(i, 0)
+        if lhs != r - ws.r_star_ell.get(i, 0):
+            raise CounterexampleError("H'-property-5", job=i, got=_real(lhs, W))
 
 
 # --- the main loop -------------------------------------------------------------
@@ -632,9 +711,10 @@ class Certificate:
         return json.dumps(doc, indent=2)
 
 
-def _canonical_at(inst: Instance, s: Rat) -> WeightedBipartiteGraph:
+def _canonical_at(inst: Instance, s: Rat) -> tuple[WeightedBipartiteGraph, int]:
     """Canonical assignment between the two queues right before the batch
-    released at s, checked for Inv3: its prefix expansion is <= ceil(1/eps).
+    released at s, in the instance's unit W, and W; checked for Inv3: its
+    prefix expansion is <= ceil(1/eps).
 
     Its orders break ties among equal remaining times so that the graph's
     suffix coincides with the order in which the schedulers consume the jobs
@@ -642,8 +722,9 @@ def _canonical_at(inst: Instance, s: Rat) -> WeightedBipartiteGraph:
     paper assumes distinct sizes, where this is vacuous; the aligned orders
     make per-job volume accounting exact under ties too.
     """
-    slf = _snapshot(inst, "slf", s).before
-    lv, rv = _remaining(slf), _remaining(_snapshot(inst, "srpt", s).before)
+    a, o = _snapshot(inst, "slf", s), _snapshot(inst, "srpt", s)
+    slf = a.before
+    lv, rv = _remaining(slf), _remaining(o.before, _opt_scale(a.unit, o.unit))
     left_order = sorted(lv, key=lambda i: (-lv[i], slf[i].known, -i))
     right_order = sorted(rv, key=lambda i: (-rv[i], -i))
     sigma = canonical_from_marginals(lv, rv, left_order, right_order)
@@ -652,7 +733,7 @@ def _canonical_at(inst: Instance, s: Rat) -> WeightedBipartiteGraph:
     phi = prefix_expansion(sigma)
     if phi > ceil_inv(inst.epsilon):
         raise CounterexampleError("Inv3-validity", s=s, phi=phi)
-    return sigma
+    return sigma, a.unit
 
 
 # --- one iteration, memoized on its t-free inputs (module docstring) -----------
@@ -740,7 +821,8 @@ def _advance(
     if plan.case == "idle":
         return IterationRecord("idle", s, x), cur, x
     if plan.case == "known-run":
-        hp, _ = split(_canonical_at(cur, s), x - s)
+        sigma, W = _canonical_at(cur, s)
+        hp, _ = split(sigma, _units(x - s, W))
         want = sorted(_remaining(_snapshot(cur, "slf", x).before).values())
         if want != sorted(hp.vols().values()):
             raise CounterexampleError("srpt-lemma-marginals", s=s, s_next=x)
@@ -758,7 +840,7 @@ def _advance(
         moved = _sched(moved, "slf").instance
         details = {"until": x, "jobs": tuple(sorted(j.id for j in movers))}
         return IterationRecord("move", s, s, MappingProxyType(details)), moved, s
-    sigma = _canonical_at(cur, s)
+    sigma, W = _canonical_at(cur, s)
     if x == plan.stop:
         case = "fast-forward-knowledge"
     else:
@@ -766,14 +848,14 @@ def _advance(
         # every batch job is unknown or completed at x (knowledge exactly
         # at x is the boundary case and counts as frozen-known, which the
         # next iteration's known-run handles)
-        eps = cur.epsilon
+        a, b = cur.epsilon.numerator, cur.epsilon.denominator
         e_alg = _snapshot(cur, "slf", x).elapsed
         for i in plan.batch:
-            p = cur.job(i).size
-            e = e_alg.get(i, ZERO)
-            if e < p and e > (1 - eps) * p:
+            p = _units(cur.job(i).size, W)
+            e = e_alg.get(i, 0)
+            if e < p and e * b > (b - a) * p:  # past (1 - eps) * p
                 raise CounterexampleError("batch-frozen-or-done", job=i, ell=x)
-    sigma_prime = update_valid_assignment(cur, plan.batch, s, x, sigma)
+    sigma_prime = _update(cur, s, compute_work_split(cur, s, x, plan.batch), sigma)
     details = {
         "leader": plan.leader,
         "batch": plan.batch,
@@ -791,11 +873,12 @@ def create_valid_assignment(inst: Instance, t: Rat) -> Certificate:
     Inv1 window, the stop point, the iteration guard and the final check are
     taken for t; the rest of each iteration comes from `_plan`/`_advance`.
     """
-    t = Fraction(t)
+    if type(t) is not Fraction:
+        t = Fraction(t)
     if t < 0:
         raise ValueError("target time must be >= 0")
     eps = inst.epsilon
-    if not (0 < eps <= 1):
+    if not 0 < eps.numerator <= eps.denominator:
         raise ValueError("certificates need epsilon in (0, 1]")
     if not inst.all_declared:
         raise ValueError("certificates need declared sizes")
@@ -829,12 +912,15 @@ def create_valid_assignment(inst: Instance, t: Rat) -> Certificate:
         record, cur, s = _advance(root, cur, s, _stop_point(plan, alg, s, t))
         transcript.append(record)
 
-    final = canonical_from_marginals(*_marginals(cur, t))
+    lv, rv, W = _marginals(cur, t)
+    final = canonical_from_marginals(lv, rv)
     checked = check_assignment(final, eps)
     if not checked.valid:
         raise CounterexampleError("final-expansion", phi=checked.phi, t=t)
-    # the cached instance, equal to `inst`: verification's lookups on it are
-    # identity hits, not field-wise compares with a parsed copy
+    # the one move of the final graph back to time units; the cached
+    # instance, equal to `inst`: verification's lookups on it are identity
+    # hits, not field-wise compares with a parsed copy
+    checked = AssignmentChecked(scale(final, Fraction(1, W)), checked.phi, checked.valid)
     return Certificate(root, cur, t, checked, transcript)
 
 
@@ -865,7 +951,9 @@ def verify_certificate(cert: Certificate) -> CertificateReport:
     filled, so an engine bug that construction relied on is not caught. Its
     queue states at t are the snapshots that construction's final step read:
     read-only views of those same schedules, so sharing them makes
-    verification trust construction no more than before."""
+    verification trust construction no more than before. It shares the
+    work unit W too: the certificate's graph is scaled into the transformed
+    instance's W once, and its marginals are compared there."""
     checks: dict[str, bool] = {}
     details: dict[str, str] = {}
     inst, cur, t = cert.original, cert.transformed, cert.target_time
@@ -873,8 +961,9 @@ def verify_certificate(cert: Certificate) -> CertificateReport:
     kprime = ceil_inv(eps)
     h = cert.assignment.graph
 
-    lv, rv = _marginals(cur, t)
-    checks["marginals"] = h.vols() == lv and h.vols_star() == rv
+    lv, rv, W = _marginals(cur, t)
+    hw = scale(h, W)
+    checks["marginals"] = hw.vols() == lv and hw.vols_star() == rv
     if not checks["marginals"]:
         details["marginals"] = "assignment marginals differ from remaining times"
 

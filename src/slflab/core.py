@@ -62,7 +62,7 @@ def jsonable(value):
 
 def ceil_inv(epsilon: Rat) -> int:
     """The integer ceiling of 1/epsilon for epsilon in (0, 1]."""
-    if epsilon <= 0:
+    if epsilon.numerator <= 0:  # the sign, with no Fraction compare
         raise InstanceError("ceil(1/epsilon) needs epsilon > 0")
     return -((-epsilon.denominator) // epsilon.numerator)
 

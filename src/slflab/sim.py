@@ -96,24 +96,28 @@ Every policy runs one job or shares the speed equally in one pool, so a
 segment. Only the `segments` view and `Grid.steps` list a segment's jobs,
 built on first read from the holders' stays (below).
 
-A time asked on its own goes to `Schedule.elapsed_at`, or to `active_count`,
-which counts the releases and the completions up to t. The first query
-(never `simulate`) lists each holder's segments, O(segments) ints in all. A
-job's elapsed at t is the end level of the last segment starting before t
-that runs it, less the work after t in the segment holding t: its spans
-from the latest, each bisecting its holder's segments. `last_touch` and
-`reach_times` read the same spans. Who ran in a group's segments is read
-from one table instead, built by the first such query in one pass over the
-spans: each holder's stays (from segment, to the job's `done`, job).
+A time asked on its own goes to `Schedule.elapsed_units`, or to
+`active_count`, which counts the releases and the completions up to t. The
+first query (never `simulate`) lists each holder's segments, O(segments)
+ints in all. A job's elapsed at t is the end level of the last segment
+starting before t that runs it, less the work after t in the segment
+holding t: its spans from the latest, each bisecting its holder's
+segments. `elapsed_units` returns those levels in `wu` units, as the run
+holds them; `elapsed_at` is the same walk read over `wu`, as Fractions.
+`last_touch` and `reach_times` read the same spans. Who ran in a group's
+segments is read from one table instead, built by the first such query in
+one pass over the spans: each holder's stays (from segment, to the job's
+`done`, job).
 `touched_jobs` reads the stays of the holders in its window, `jobs_before`
 those of one segment, and `known_runs` slices each known job's stays by its
 holder's segments of one, a solo job's and a pool of one's alike; no query
 lists a segment's jobs.
 One pass of `states_from_elapsed` over the jobs builds both queue
-views at t from one elapsed map: every release at t arrived, and right
-before that batch. `state_at` is its argument checks, one `elapsed_at` and
-the first view; callers holding the elapsed map (the certifier, and the
-adversary for every queue it reads) call the builder alone.
+views at t from one elapsed map, in the unit the map is in: every release
+at t arrived, and right before that batch. `state_at` is its argument
+checks, one `elapsed_at` and the first view in time; callers holding the
+elapsed map call the builder alone: the adversary for every queue it reads,
+in time, and the certifier on `elapsed_units`, in the run's `wu`.
 
 The boundaries of several schedules go to `merge_grid`, which puts them on
 one unit U: the lcm of their time units times the denominators of their
@@ -392,10 +396,17 @@ class Schedule:
         return out
 
     def elapsed_at(self, t: Rat) -> dict[int, Rat]:
-        """Exact elapsed work per job, counting work during [0, t): each
-        job's end level in the last segment starting before t that runs it,
-        less the work after t in the segment holding t; the caller owns the
-        returned dict."""
+        """Exact elapsed work per job, counting work during [0, t), as
+        Fractions: the `elapsed_units` walk, each level over `run.wu`; the
+        caller owns the returned dict."""
+        wu = self.run.wu
+        return {jid: _real(e, wu) for jid, e in self.elapsed_units(t).items()}
+
+    def elapsed_units(self, t: Rat) -> dict:
+        """Elapsed work per job during [0, t) in `run.wu` units (an int, or
+        off the grid a Fraction, as `_div` gives): each job's end level in
+        the last segment starting before t that runs it, less the work after
+        t in the segment holding t; the caller owns the returned dict."""
         run = self.run
         ticks, ends, offs, x = run.ticks, run.levels, run.offs, _units(t, run.tu)
         p = bisect_left(ticks, x)  # segments [0, p) start before t
@@ -409,7 +420,7 @@ class Schedule:
             i = self._last_run(jid, log, p)
             if i >= 0:
                 e = ends[i] - cut if i == hold else ends[i]
-                out[jid] = _real(e + offs[jid] if offs else e, run.wu)
+                out[jid] = e + offs[jid] if offs else e
         return out
 
     def jobs_before(self, t: Rat) -> tuple[int, ...]:
@@ -461,10 +472,10 @@ class Schedule:
         every segment ending by `after` ends below."""
         run, runs = self.run, self._runs
         ticks, ends, offs = run.ticks, run.levels, run.offs
-        base = self.elapsed_at(after)
+        base = self.elapsed_units(after)
         out: dict[int, Rat] = {}
         for jid, level in levels.items():
-            goal = _units(base.get(jid, ZERO) + level, run.wu) - offs.get(jid, 0)
+            goal = base.get(jid, 0) + _units(level, run.wu) - offs.get(jid, 0)
             to = run.done.get(jid, len(ends))
             for f, h in run.spans.get(jid, ()):
                 r = runs.get(h, ())
@@ -978,14 +989,18 @@ def state_at(sched: Schedule, inst: Instance, t: Rat) -> dict[int, JobState]:
     t = Fraction(t)
     if t < 0:
         raise SimulationError("state_at needs t >= 0")
-    return states_from_elapsed(inst, t, sched.elapsed_at(t))[0]
+    return states_from_elapsed(inst, t, sched.elapsed_at(t), 1)[0]
 
 
 def states_from_elapsed(
-    inst: Instance, t: Rat, elapsed
+    inst: Instance, t: Rat, elapsed, unit: int
 ) -> tuple[dict[int, JobState], dict[int, JobState]]:
     """Both queue views at t, built in one pass from `elapsed`, the elapsed
-    work per job at t (a job it omits has none); no argument checks, no walk.
+    work per job at t in 1/unit time units (a job it omits has none); no
+    argument checks, no walk. Each state's elapsed and remaining work are in
+    the same units, with every size read as `_units(size, unit)`: unit 1 is
+    time itself (`state_at` and the adversary), the certifier passes a run's
+    `wu` with the map `elapsed_units` gives, and its states hold ints.
     `states` has every release at t arrived (what `state_at` returns);
     `before` is the queue right before the batch released at t arrives, and
     is `states` itself when no job is released at t. The certifier and the
@@ -994,9 +1009,12 @@ def states_from_elapsed(
     A release rt is tested against t as rt.n * t.d against t.n * rt.d on
     numerators (n) and denominators (d). A declared job is known iff eps > 0
     and e >= (1 - eps) * p: with eps = a/b, e.n * b * p.d >= (b - a) * p.n *
-    e.d. Each is one exact integer comparison per job."""
+    e.d, ints having n = e and d = 1. Each is one exact integer comparison
+    per job."""
     a, b = inst.epsilon.numerator, inst.epsilon.denominator
     keep = b - a
+    # a job with no work has 0 in the map's own numbers: time stays Fractions
+    none = ZERO if unit == 1 else 0
     tn, td = t.numerator, t.denominator
     states: dict[int, JobState] = {}
     before = states  # split off at the first job released at t
@@ -1008,11 +1026,12 @@ def states_from_elapsed(
         at_t = x == y
         if at_t and before is states:
             before = dict(states)
-        e = elapsed.get(j.id, ZERO)
+        e = elapsed.get(j.id, none)
         p = j.size
         if p is None:
             st = JobState(j.id, e, None, False)
         else:
+            p = _units(p, unit)
             r = p - e
             if r.numerator <= 0:
                 continue

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
@@ -15,6 +16,7 @@ from slflab.assignment import (
     merge,
     min_suffix,
     prefix_expansion,
+    scale,
     split,
     strip_isolated,
     union,
@@ -355,3 +357,54 @@ def test_pinned_fill_digest():
         ):
             h.update(repr((g.left, g.right, sorted(g.weights.items()))).encode())
     assert h.hexdigest() == PINNED_FILL_DIGEST
+
+
+def test_operations_are_generic_over_numbers():
+    # random marginals as Fractions, and the same values times W as ints:
+    # each operation gives the same graph once the int one is scaled by
+    # 1/W, the same phi, and phi as a Fraction either way
+    rng = random.Random(52)
+    checked = 0
+    for _ in range(200):
+        na, nb = rng.randint(1, 7), rng.randint(1, 7)
+        c = {u: F(rng.randint(0, 5), rng.choice((1, 2, 3))) for u in range(1, na + 1)}
+        total = sum(c.values(), F(0))
+        if not total:
+            continue
+        c_star = dict(zip(range(101, 101 + nb), _parts(rng, total, nb)))
+        W = lcm(*(w.denominator for w in (*c.values(), *c_star.values()))) * rng.randint(1, 3)
+        ci = {u: (w * W).numerator for u, w in c.items()}
+        ci_star = {v: (w * W).numerator for v, w in c_star.items()}
+        lv = {u: w for u, w in c.items() if w}
+        rv = {v: w for v, w in c_star.items() if w}
+        orders = (_ordered(rng, lv), _ordered(rng, rv))
+        a_order, a_star_order = list(c), list(c_star)
+        rng.shuffle(a_order)
+        rng.shuffle(a_star_order)
+        other = graph(
+            (1001,), (2001, 2002), {(1001, 2001): rng.randint(1, 2 * W), (1001, 2002): W}
+        )
+        right_key = {v: rng.random() for v in (*c_star, 2001, 2002)}.__getitem__
+        beta = rng.randint(0, (total * W).numerator)
+        pairs = []
+        for vols, vols_star, beta, oth in (
+            (c, c_star, F(beta, W), scale(other, F(1, W))),
+            (ci, ci_star, beta, other),
+        ):
+            canon = canonical_from_marginals(vols, vols_star)
+            pairs.append(
+                (
+                    canon,
+                    canonical_from_marginals(vols, vols_star, *orders),
+                    *split(canon, beta),
+                    merge(canon, oth, right_key),
+                    greedy_matching(a_order, a_star_order, vols, vols_star),
+                )
+            )
+        for hf, hi in zip(*pairs):
+            assert all(type(w) is int for w in hi.weights.values())
+            assert scale(hi, F(1, W)) == hf
+            phi_f, phi_i = prefix_expansion(hf), prefix_expansion(hi)
+            assert type(phi_f) is F and type(phi_i) is F and phi_f == phi_i
+        checked += 1
+    assert checked > 150

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from dataclasses import replace
 from fractions import Fraction as F
@@ -5,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from slflab import certifier
-from slflab.assignment import EMPTY_GRAPH, graph, graph_to_json, prefix_expansion
+from slflab.assignment import EMPTY_GRAPH, graph, graph_to_json, prefix_expansion, scale
 from slflab.certifier import (
     Certificate,
     CounterexampleError,
@@ -105,15 +106,18 @@ def test_t_equivalence_matches_walk():
 def test_toy_work_split():
     inst = toy_instance()
     ws = compute_work_split(inst, F(0), F(9), {1, 2, 3, 4, 5, 6})
-    assert ws.gamma == F(3, 2)
+    # every work in the instance's unit W: the time value times ws.unit
+    W = ws.unit
+    assert W == _sched(inst, "slf").run.wu
+    assert ws.gamma == F(3, 2) * W
     assert [ws.delta[i] for i in range(1, 7)] == [
-        F(0), F(0), F(3, 2), F(3, 2), F(2), F(1)
+        w * W for w in (F(0), F(0), F(3, 2), F(3, 2), F(2), F(1))
     ]
     assert [ws.tau[i] for i in range(1, 7)] == [
-        F(3, 2), F(3, 2), F(0), F(0), F(0), F(0)
+        w * W for w in (F(3, 2), F(3, 2), F(0), F(0), F(0), F(0))
     ]
     assert [ws.tau_star[i] for i in range(1, 7)] == [
-        F(0), F(0), F(3, 2), F(3, 2), F(0), F(0)
+        w * W for w in (F(0), F(0), F(3, 2), F(3, 2), F(0), F(0))
     ]
     assert ws.nu == 0 and ws.nu_star == 0
     assert ws.O_plus == {1, 2} and ws.A_plus == {3, 4} and ws.D_ell == {5, 6}
@@ -148,7 +152,7 @@ def test_work_split_fact_identity_random():
             ws = compute_work_split(inst, first, ell, batch)
         except CounterexampleError:
             continue
-        window = ell - first
+        window = (ell - first) * ws.unit  # in the instance's unit W
         assert window == ws.delta_total + ws.tau_total + ws.nu
         assert window == ws.delta_total + ws.tau_star_total + ws.nu_star
         done += 1
@@ -165,6 +169,37 @@ def test_update_reproduces_worked_figure():
         (4, 2): F(3, 2),
     }
     assert prefix_expansion(out) == 2
+
+
+def test_update_in_time_matches_the_step_in_W():
+    # the public update takes and returns time; the certificate step calls
+    # its core in the instance's unit W and keeps its graphs in W: replayed
+    # on the fast-forward steps of seeded certificates whose sigma has
+    # edges, the two give one graph
+    rng = random.Random(53)
+    compared = 0
+    for _ in range(30):
+        inst = random_instance(rng, F(1, 3), rng.randint(3, 8))
+        cert = create_valid_assignment(inst, _event_times(inst)[-1])
+        cur = inst
+        for r in cert.transcript:
+            if r.case == "move":
+                last = max(inst.job(j).release.time for j in r.details["jobs"])
+                cur = move_jobs(cur, r.s, last)
+            elif r.case.startswith("fast-forward"):
+                sigma, W = certifier._canonical_at(cur, r.s)
+                if not sigma.weights:
+                    continue
+                ws = compute_work_split(cur, r.s, r.s_next, r.details["batch"])
+                in_w = certifier._update(cur, r.s, ws, sigma)
+                in_time = update_valid_assignment(
+                    cur, r.details["batch"], r.s, r.s_next, scale(sigma, F(1, W))
+                )
+                assert all(type(w) is int for w in in_w.weights.values())
+                assert all(type(w) is F for w in in_time.weights.values())
+                assert scale(in_w, F(1, W)) == in_time
+                compared += 1
+    assert compared >= 3, compared
 
 
 def test_update_degenerate_batch():
@@ -352,6 +387,26 @@ def test_step_memo_matches_fresh_builds():
     assert _snapshot.cache_info().currsize == 0
 
 
+def test_srpt_unit_that_does_not_divide_W_raises(monkeypatch):
+    # the step puts srpt's works in slf's unit W by checking that srpt's
+    # `wu` divides W, not by assuming it
+    inst = toy_instance()
+    W = _sched(inst, "slf").run.wu
+    opt = _sched(inst, "srpt")
+    assert W % opt.run.wu == 0
+    _clear_step_caches()
+    monkeypatch.setattr(opt, "run", opt.run._replace(wu=2 * W))
+    try:
+        with pytest.raises(CounterexampleError) as err:
+            create_valid_assignment(inst, F(9))
+        assert err.value.check == "work-unit"
+        assert err.value.context == {"W": W, "srpt": 2 * W}
+    finally:
+        monkeypatch.undo()
+        _clear_step_caches()
+    assert verify_certificate(create_valid_assignment(inst, F(9))).passed
+
+
 def test_snapshot_is_read_only():
     inst = staggered_instance()
     snap = _snapshot(inst, "slf", F(5))
@@ -387,9 +442,18 @@ def test_transcript_records_are_read_only():
             del record.details[key]
 
 
+def _in_time(view, unit):
+    """A snapshot view's states with their works over the snapshot's unit."""
+    return {
+        i: replace(st, elapsed=F(st.elapsed, unit), remaining=F(st.remaining, unit))
+        for i, st in view.items()
+    }
+
+
 def test_snapshot_matches_state_at():
     # criterion-5 shape: n in 1..12, eps = 1 included; every boundary of
-    # either schedule and every release time, both policies, both views
+    # either schedule and every release time, both policies, both views, the
+    # snapshot's works over its unit (the run's wu) against the time queries
     rng = random.Random(48)
     eps_choices = [F(1, 5), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(9, 10), F(1)]
     checked = 0
@@ -400,12 +464,14 @@ def test_snapshot_matches_state_at():
             sched = _sched(inst, policy)
             for t in times:
                 snap = _snapshot(inst, policy, t)
-                assert snap.elapsed == sched.elapsed_at(t)
+                unit = snap.unit
+                assert unit == sched.run.wu
+                assert {i: F(e, unit) for i, e in snap.elapsed.items()} == sched.elapsed_at(t)
                 want = state_at(sched, inst, t)
-                assert snap.states == want, (inst, t)
+                assert _in_time(snap.states, unit) == want, (inst, t)
                 # right before the batch at t: the jobs released before t
                 pre = {i: st for i, st in want.items() if inst.job(i).release.time < t}
-                assert snap.before == pre, (inst, t)
+                assert _in_time(snap.before, unit) == pre, (inst, t)
                 assert (snap.before is snap.states) == (pre == want), (inst, t)
                 checked += 1
     assert checked > 500
@@ -542,3 +608,59 @@ def test_known_run_stop_matches_the_segment_walk():
                 assert (plan.case, plan.stop) == ("known-run", want), (inst, s)
             compared += 1
     assert compared > 500 and empty, (compared, empty)
+
+
+# sha256 of each certificate's JSON and of its verification report's JSON
+PINNED_CERTIFICATES = {
+    ("toy", F(9)): (
+        "16f0fcd109e4be12a3147374a99ab0095a46350692873dbb80079ba612e6ba17",
+        "9b8f1753054267cfb4d2584e09f6b0ef05c02982098a236ed199594fc7c8034e",
+    ),
+    ("staggered", F(20)): (
+        "15b10cbb05ef0f54abdb8547a3358e900f8865485acdad5f7a12222bbad53854",
+        "870f4b1de89dc608aa89120490c56124bfe98d2051c1fb6fc30ab7616a094a6f",
+    ),
+    ("staggered", F(23)): (
+        "171d512fcae21bcd78c144812f20aa2a106ec0752fcab08a0863aff234bc7f7b",
+        "b72a5c5bcf2f38bb63cc58af559bbcf4d1b75bef0304469f88af785e1789dc72",
+    ),
+}
+# the same two digests, each taken over the seeded pairs of
+# test_pinned_random_certificate_bytes in turn
+PINNED_RANDOM_CERTIFICATES = (
+    "f832072a78fa243102ee422a398f9711bb1c36b21e73c75beebb8ff595f8926f",
+    "57df54dc72bbaebac625d7f8f9e6c1f8add8ab0745d14cd12e3818e37f8429a5",
+)
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_pinned_certificate_bytes():
+    # the certificate's edge weights are in time units, as its JSON says
+    # (toy at 9: 7/2, 3/2, 1, 3/2, 3/2), whatever unit the step works in
+    instances = {"toy": toy_instance(), "staggered": staggered_instance()}
+    for (name, t), want in PINNED_CERTIFICATES.items():
+        cert = create_valid_assignment(instances[name], t)
+        got = (_sha256(cert.to_json_str()), _sha256(verify_certificate(cert).to_json_str()))
+        assert got == want, (name, t)
+
+
+def test_pinned_random_certificate_bytes():
+    # criterion-5 shape: n in 1..12, eps = 1 included, two event times each
+    rng = random.Random(50)
+    eps_choices = [F(1, 5), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(9, 10), F(1)]
+    certs, reports = hashlib.sha256(), hashlib.sha256()
+    cases = set()
+    pairs = 0
+    for k in range(10):
+        inst = random_instance(rng, eps_choices[k % len(eps_choices)], rng.randint(1, 12))
+        for t in rng.sample(_event_times(inst), 2):
+            cert = create_valid_assignment(inst, t)
+            certs.update(cert.to_json_str().encode())
+            reports.update(verify_certificate(cert).to_json_str().encode())
+            cases.update(r.case for r in cert.transcript)
+            pairs += 1
+    assert pairs == 20 and {"move", "fast-forward-last-touch", "identity"} <= cases, cases
+    assert (certs.hexdigest(), reports.hexdigest()) == PINNED_RANDOM_CERTIFICATES

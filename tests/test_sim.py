@@ -70,7 +70,7 @@ def test_state_at_conventions():
     assert sorted(at0) == [1, 2, 3, 4, 5, 6]
     assert all(s.elapsed == 0 for s in at0.values())
     # right before the batch at 0 the queue is empty
-    assert states_from_elapsed(inst, F(0), {}) == (at0, {})
+    assert states_from_elapsed(inst, F(0), {}, 1) == (at0, {})
     assert state_at(sched, inst, F(100)) == {}
     with pytest.raises(SimulationError):
         state_at(sched, inst, F(-1))
@@ -535,7 +535,7 @@ def test_knowledge_integer_rule_matches_fraction_threshold():
             ):
                 if not 0 <= e < p:  # no work, or complete: not an active state
                     continue
-                states, before = states_from_elapsed(inst, F(1), {1: e})
+                states, before = states_from_elapsed(inst, F(1), {1: e}, 1)
                 assert before is states  # no release at t = 1
                 state = states[1]
                 assert want is (eps > 0 and e >= (1 - eps) * p)
@@ -578,12 +578,22 @@ def test_indexed_elapsed_matches_plain_walk():
                     got[jid] += 1
                 assert sched.elapsed_at(t) == want, (policy, t)
                 states = state_at(sched, inst, t)
-                views = states_from_elapsed(inst, t, want)
+                views = states_from_elapsed(inst, t, want, 1)
                 assert views[0] == states, (policy, t)
                 for view, released_at_t in zip(views, (True, False)):
                     assert {
                         i: (st.elapsed, st.remaining, st.known) for i, st in view.items()
                     } == _walk_states(inst, want, t, released_at_t), (policy, t)
+                # the same walk in the run's work units, and the views on it
+                wu = sched.run.wu
+                units = sched.elapsed_units(t)
+                assert units == {i: e * wu for i, e in want.items()}, (policy, t)
+                for view, in_units in zip(views, states_from_elapsed(inst, t, units, wu)):
+                    assert {
+                        i: (st.elapsed * wu, st.remaining * wu, st.known) for i, st in view.items()
+                    } == {
+                        i: (st.elapsed, st.remaining, st.known) for i, st in in_units.items()
+                    }, (policy, t)
 
 
 def _check_grid(scheds):
